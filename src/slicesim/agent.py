@@ -6,12 +6,16 @@ from the softmax over those scores; the critic estimates the state
 value. The e-variants additionally feed the 300-point load forecast
 through the load branch; the HA variants shift the advised action's
 score by xi * (max-gap + eta)^beta before sampling, a bias that guides
-exploration but is excluded from the differentiated graph.
+exploration but is held constant when differentiating.
 
 Updates are single-trace advantage actor-critic with Monte-Carlo
 returns: the actor descends -sum_t A_t * log pi(a_t), the advantage held
 constant; the critic descends sum_t (R_t - v_t)^2. Plain SGD, separate
-learning rates.
+learning rates. An update stacks the episode's T observations, runs each
+network forward once over the stack, and hands the closed-form loss
+gradients with respect to the outputs to the network's batched backward:
+-A_t (onehot(a_t) - pi_t) for the actor's scores, -2 (R_t - v_t) for the
+critic's value.
 """
 
 from __future__ import annotations
@@ -20,11 +24,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .autodiff import Tensor, log_softmax, softmax
 from .errors import CheckpointError, ConfigurationError
 from .heuristic import HeuristicAdvice, heu_select
-from .networks import (SliceNet, load_checkpoint, normalized_propagation,
-                       save_checkpoint)
+from .networks import (SliceNet, load_checkpoint, log_softmax, manifest_field,
+                       normalized_propagation, save_checkpoint, softmax)
 from .placement import PlacementEpisodeState, apply_action, episode_reward
 from .substrate import SubstrateNetwork
 from .traffic import LoadModel, SliceRequest
@@ -195,14 +198,18 @@ class Agent:
 
         Returns (substrate node id, TraceStep without reward).
         """
-        z = self.actor.forward(psn, nspr, load).data.copy()
+        z = self.actor.forward(psn, nspr, load)
         shaping = self.shaping_vector(z, advice)
         if shaping is not None:
             z = z + shaping
         probs = softmax(z)
         probs = probs / probs.sum()
+        if not (np.isfinite(probs).all() and abs(probs.sum() - 1.0) <= 1e-9):
+            raise ConfigurationError(
+                f"variant {self.config.variant!r}: the actor's action "
+                f"probabilities are not a finite distribution")
         idx = int(self.rng.choice(len(probs), p=probs))
-        value = float(self.critic.forward(psn, nspr, load).data[0])
+        value = float(self.critic.forward(psn, nspr, load)[0])
         step = TraceStep(psn=psn, nspr=nspr, load=load, action=idx,
                          probability=float(probs[idx]), shaping=shaping,
                          value=value)
@@ -252,53 +259,52 @@ class Agent:
         if not trace.terminal or not trace.steps:
             raise ConfigurationError("update requires a complete trace")
         cfg = self.config
-        returns = np.zeros(len(trace.steps))
+        steps = trace.steps
+        returns = np.zeros(len(steps))
         acc = 0.0
-        for i in range(len(trace.steps) - 1, -1, -1):
-            acc = trace.steps[i].reward + cfg.gamma * acc
+        for i in range(len(steps) - 1, -1, -1):
+            acc = steps[i].reward + cfg.gamma * acc
             returns[i] = acc
+        psn = np.stack([s.psn for s in steps])
+        nspr = np.stack([s.nspr for s in steps])
+        load = (np.stack([s.load for s in steps]) if self.actor.use_load
+                else None)
 
-        # critic first, on its own graph; advantages for the actor use the
-        # pre-update value estimates
-        self.critic.params.zero_grad()
-        critic_terms = []
-        advantages = np.zeros(len(trace.steps))
-        for i, step in enumerate(trace.steps):
-            v = self.critic.forward(step.psn, step.nspr, step.load)[0]
-            advantages[i] = returns[i] - float(v.data)
-            critic_terms.append((Tensor(returns[i]) - v).square())
-        critic_loss = critic_terms[0]
-        for term in critic_terms[1:]:
-            critic_loss = critic_loss + term
-        critic_loss.backward()
+        # critic first; advantages for the actor use the pre-update values
+        values, acts = self.critic.forward_batch(psn, nspr, load)
+        advantages = returns - values[:, 0]
+        critic_loss = float(np.sum(advantages * advantages))
+        self.critic.backward(acts, (-2.0 * advantages)[:, None])
         self.critic.params.sgd_step(cfg.critic_lr)
 
-        self.actor.params.zero_grad()
-        actor_terms = []
-        for i, step in enumerate(trace.steps):
-            z = self.actor.forward(step.psn, step.nspr, step.load)
-            if step.shaping is not None:
-                z = z + Tensor(step.shaping)
-            log_pi = log_softmax(z)[step.action]
-            actor_terms.append(log_pi * float(-advantages[i]))
-        actor_loss = actor_terms[0]
-        for term in actor_terms[1:]:
-            actor_loss = actor_loss + term
-        actor_loss.backward()
+        # d(-A_t log pi(a_t))/dz_t = A_t (pi_t - onehot(a_t)); the shaping
+        # shifts the scores but is a constant
+        z, acts = self.actor.forward_batch(psn, nspr, load)
+        z = z.copy()
+        for i, s in enumerate(steps):
+            if s.shaping is not None:
+                z[i] += s.shaping
+        rows = np.arange(len(steps))
+        actions = np.array([s.action for s in steps])
+        actor_loss = float(np.sum(
+            log_softmax(z)[rows, actions] * -advantages))
+        grad = softmax(z) * advantages[:, None]
+        grad[rows, actions] -= advantages
+        self.actor.backward(acts, grad)
         self.actor.params.sgd_step(cfg.actor_lr)
 
         self.episodes_trained += 1
         return {
-            "actor_loss": actor_loss.item(),
-            "critic_loss": critic_loss.item(),
+            "actor_loss": actor_loss,
+            "critic_loss": critic_loss,
             "mean_advantage": float(advantages.mean()),
             "return": float(returns[0]),
         }
 
     # -- persistence -----------------------------------------------------------
 
-    def save(self, path) -> None:
-        manifest = {
+    def manifest(self) -> dict:
+        return {
             "kind": "agent",
             "variant": self.config.variant,
             "gamma": self.config.gamma,
@@ -311,39 +317,58 @@ class Agent:
             "actor": self.actor.manifest(),
             "critic": self.critic.manifest(),
         }
+
+    def state_arrays(self) -> dict[str, np.ndarray]:
+        """Every parameter, named "actor.<name>" or "critic.<name>"."""
         arrays = {f"actor.{k}": v for k, v in self.actor.params.arrays().items()}
         arrays.update({f"critic.{k}": v
                        for k, v in self.critic.params.arrays().items()})
-        save_checkpoint(path, manifest, arrays)
+        return arrays
+
+    def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
+        """Replace every parameter from a `state_arrays()` mapping."""
+        nets = {"actor": {}, "critic": {}}
+        for key, value in arrays.items():
+            net, _, name = key.partition(".")
+            if net not in nets:
+                raise CheckpointError(f"unexpected agent array {key!r}")
+            nets[net][name] = value
+        self.actor.params.load_arrays(nets["actor"])
+        self.critic.params.load_arrays(nets["critic"])
+
+    def save(self, path) -> None:
+        save_checkpoint(path, self.manifest(), self.state_arrays())
 
     @classmethod
     def load(cls, path, net: SubstrateNetwork,
              load_model: LoadModel | None = None,
              config: AgentConfig | None = None) -> "Agent":
         manifest, arrays = load_checkpoint(path)
+
+        def field(name):
+            return manifest_field(manifest, name, "agent checkpoint")
+
         if manifest.get("kind") != "agent":
             raise CheckpointError("checkpoint does not hold an agent")
-        if manifest["net_fingerprint"] != net.fingerprint():
+        if field("net_fingerprint") != net.fingerprint():
             raise CheckpointError(
                 "checkpoint was trained on a different substrate topology")
+        variant = field("variant")
         if config is None:
             config = AgentConfig.for_variant(
-                manifest["variant"], gamma=manifest["gamma"],
-                xi=manifest["xi"], eta=manifest["eta"], beta=manifest["beta"],
-                allow_any_node=manifest["allow_any_node"])
-        elif config.variant != manifest["variant"]:
+                variant, gamma=field("gamma"), xi=field("xi"),
+                eta=field("eta"), beta=field("beta"),
+                allow_any_node=field("allow_any_node"))
+        elif config.variant != variant:
             raise CheckpointError(
-                f"checkpoint holds variant {manifest['variant']!r}, "
+                f"checkpoint holds variant {variant!r}, "
                 f"config asks for {config.variant!r}")
         agent = cls(config, net, load_model)
-        if manifest["actor"]["n_actions"] != len(agent.actions):
+        n_actions = manifest_field(field("actor"), "n_actions",
+                                   "agent checkpoint actor")
+        if n_actions != len(agent.actions):
             raise CheckpointError(
                 "checkpoint action space does not match this substrate")
-        agent.actor.params.load_arrays(
-            {k[len("actor."):]: v for k, v in arrays.items()
-             if k.startswith("actor.")})
-        agent.critic.params.load_arrays(
-            {k[len("critic."):]: v for k, v in arrays.items()
-             if k.startswith("critic.")})
+        agent.load_arrays(arrays)
         agent.episodes_trained = int(manifest.get("episodes_trained", 0))
         return agent

@@ -1,9 +1,14 @@
 """Reverse-mode automatic differentiation on numpy float64 arrays.
 
-Just the operator set the policy/value networks need: matmul, broadcast
-add/sub/mul, tanh, relu, exp, log, sum, indexing, concatenation, and a
-max-shifted logsumexp. A Tensor records its parents and a backward
-closure; backward() walks the tape in reverse topological order.
+Just the operator set the policy/value networks are built from: matmul,
+broadcast add/sub/mul, tanh, relu, exp, log, sum, indexing,
+concatenation, and a max-shifted logsumexp. A Tensor records its parents
+and a backward closure; backward() walks the tape in reverse topological
+order.
+
+The package itself no longer trains through this tape (the networks
+carry closed-form gradients); the tests keep it as an independent
+oracle for those gradients.
 """
 
 from __future__ import annotations
@@ -236,9 +241,3 @@ def logsumexp(z: Tensor) -> Tensor:
 def log_softmax(z: Tensor) -> Tensor:
     return z - logsumexp(z)
 
-
-def softmax(z: np.ndarray) -> np.ndarray:
-    """Plain-array softmax with max subtraction; no graph involvement."""
-    shifted = np.asarray(z, dtype=np.float64) - np.max(z)
-    e = np.exp(shifted)
-    return e / e.sum()

@@ -12,6 +12,14 @@ single value neuron for the critic.
 The actor applies tanh on every non-output layer and leaves the output
 linear; the critic applies relu on every layer, output included.
 
+Everything is plain float64 numpy with hand-written gradients. The
+forward pass takes a stack of T observations, so an episode's update is
+one batched forward and one closed-form backward: the output-layer
+gradient is a single GEMM C^T G over the (T, 60|N| + ...) concatenations,
+and each graph-convolution layer's gradient is a GEMM over the stacked
+(T*|N|, 60) node features. `forward` is the one-observation case used at
+action selection.
+
 Checkpoints are a versioned binary: a JSON manifest (names, shapes,
 architecture fields) followed by the raw little-endian float64 arrays in
 manifest order. Round-trips are bit-exact.
@@ -21,10 +29,10 @@ from __future__ import annotations
 
 import json
 import struct
+from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, concat
 from .errors import CheckpointError, ConfigurationError
 
 GCN_LAYERS = 3
@@ -52,51 +60,87 @@ def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-bound, bound, size=(fan_in, fan_out))
 
 
+def softmax(z: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, shifted by the max."""
+    z = np.asarray(z, dtype=np.float64)
+    e = np.exp(z - np.max(z, axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def log_softmax(z: np.ndarray) -> np.ndarray:
+    """log softmax over the last axis, shifted by the max."""
+    z = np.asarray(z, dtype=np.float64)
+    m = np.max(z, axis=-1, keepdims=True)
+    return z - (np.log(np.exp(z - m).sum(axis=-1, keepdims=True)) + m)
+
+
 class ParameterSet:
-    """Named parameter tensors with gradient buffers."""
+    """Named parameter arrays with their gradients."""
 
     def __init__(self):
-        self.params: dict[str, Tensor] = {}
+        self.values: dict[str, np.ndarray] = {}
+        self.grads: dict[str, np.ndarray] = {}
 
-    def add(self, name: str, values: np.ndarray) -> Tensor:
-        if name in self.params:
+    def add(self, name: str, values: np.ndarray) -> np.ndarray:
+        if name in self.values:
             raise ConfigurationError(f"duplicate parameter {name!r}")
-        t = Tensor(np.array(values, dtype=np.float64), requires_grad=True)
-        self.params[name] = t
-        return t
+        arr = np.array(values, dtype=np.float64)
+        self.values[name] = arr
+        return arr
 
-    def __getitem__(self, name: str) -> Tensor:
-        return self.params[name]
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self.values[name]
 
     def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.grad = None
+        self.grads.clear()
 
     def sgd_step(self, lr: float) -> None:
-        for p in self.params.values():
-            if p.grad is not None:
-                p.data -= lr * p.grad
+        """Descend lr along every stored gradient, then drop the gradients.
+
+        The step is taken in place: each gradient is scaled into itself
+        and subtracted, so no parameter-sized temporary is allocated.
+        """
+        for name, g in self.grads.items():
+            g *= lr
+            self.values[name] -= g
+        self.grads.clear()
 
     def count(self) -> int:
-        return sum(p.data.size for p in self.params.values())
+        return sum(v.size for v in self.values.values())
 
     def arrays(self) -> dict[str, np.ndarray]:
-        return {name: p.data for name, p in self.params.items()}
+        return dict(self.values)
 
     def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        if set(arrays) != set(self.params):
-            missing = set(self.params) - set(arrays)
-            extra = set(arrays) - set(self.params)
+        if set(arrays) != set(self.values):
+            missing = set(self.values) - set(arrays)
+            extra = set(arrays) - set(self.values)
             raise CheckpointError(
                 f"parameter name mismatch (missing {sorted(missing)}, "
                 f"unexpected {sorted(extra)})")
         for name, values in arrays.items():
-            p = self.params[name]
-            if p.data.shape != values.shape:
+            if self.values[name].shape != values.shape:
                 raise CheckpointError(
                     f"shape mismatch for {name!r}: "
-                    f"{values.shape} vs {p.data.shape}")
-            p.data = np.array(values, dtype=np.float64)
+                    f"{values.shape} vs {self.values[name].shape}")
+            self.values[name] = np.array(values, dtype=np.float64)
+
+
+@dataclass
+class Activations:
+    """What `SliceNet.backward` needs from a batched forward pass.
+
+    Layer outputs are kept post-activation: tanh' = 1 - y^2 and
+    relu' = [y > 0] are both functions of the output alone.
+    """
+
+    gcn: list[tuple[np.ndarray, np.ndarray]]   # per layer: (A·H_{k-1}, H_k)
+    nspr: np.ndarray                 # (T, 4) request features
+    nspr_out: np.ndarray             # (T, 4)
+    load: np.ndarray | None          # (T, 300) forecast features
+    load_out: np.ndarray | None      # (T, 100)
+    combined: np.ndarray             # (T, combined_width)
+    out: np.ndarray                  # (T, n_outputs), after the output relu
 
 
 class SliceNet:
@@ -137,50 +181,121 @@ class SliceNet:
         self.params.add("out.w", glorot(rng, combined, n_actions))
         self.params.add("out.b", np.zeros(n_actions))
 
-    def _act(self, t: Tensor) -> Tensor:
-        return t.tanh() if self.activation == "tanh" else t.relu()
+    # -- forward -------------------------------------------------------------
 
-    def gcn_forward(self, node_features: np.ndarray) -> Tensor:
-        """K propagation layers over the fixed graph; (|N|, 60) output."""
-        x_arr = np.asarray(node_features, dtype=np.float64)
-        if x_arr.shape != (self.n_nodes, PSN_FEATURES):
-            raise ConfigurationError(
-                f"node features must be {(self.n_nodes, PSN_FEATURES)}, "
-                f"got {x_arr.shape}")
-        a_hat = Tensor(self.propagation)
-        x = Tensor(x_arr)
+    def _act(self, x: np.ndarray) -> np.ndarray:
+        return np.tanh(x) if self.activation == "tanh" else np.maximum(x, 0.0)
+
+    def _act_grad(self, y: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """Chain g through the activation whose output is y."""
+        return (1.0 - y * y) * g if self.activation == "tanh" else (y > 0.0) * g
+
+    def _gcn(self, x: np.ndarray, saved: list | None = None) -> np.ndarray:
+        """K propagation layers over stacked (T, |N|, 4) node features;
+        saved, when given, receives each layer's (A·H_{k-1}, H_k)."""
+        p = self.params
         for layer in range(self.gcn_layers):
-            w = self.params[f"gcn.{layer}.w"]
-            b = self.params[f"gcn.{layer}.b"]
-            x = self._act(a_hat @ x @ w + b)
+            ax = self.propagation @ x
+            x = self._act(ax @ p[f"gcn.{layer}.w"] + p[f"gcn.{layer}.b"])
+            if saved is not None:
+                saved.append((ax, x))
         return x
 
+    def gcn_forward(self, node_features: np.ndarray) -> np.ndarray:
+        """K propagation layers over the fixed graph; (|N|, 60) output."""
+        x = np.asarray(node_features, dtype=np.float64)
+        if x.shape != (self.n_nodes, PSN_FEATURES):
+            raise ConfigurationError(
+                f"node features must be {(self.n_nodes, PSN_FEATURES)}, "
+                f"got {x.shape}")
+        return self._gcn(x[None])[0]
+
     def forward(self, psn: np.ndarray, nspr: np.ndarray,
-                load: np.ndarray | None = None) -> Tensor:
+                load: np.ndarray | None = None) -> np.ndarray:
         """Score vector over actions (actor) or 1-vector (critic)."""
-        nspr_arr = np.asarray(nspr, dtype=np.float64)
-        if nspr_arr.shape != (NSPR_INPUT_WIDTH,):
+        stacked = None if load is None else np.asarray(load)[None]
+        out, _ = self.forward_batch(np.asarray(psn)[None],
+                                    np.asarray(nspr)[None], stacked)
+        return out[0]
+
+    def forward_batch(self, psn: np.ndarray, nspr: np.ndarray,
+                      load: np.ndarray | None = None
+                      ) -> tuple[np.ndarray, Activations]:
+        """Outputs (T, n_outputs) for T stacked observations, plus the
+        activations `backward` differentiates through."""
+        psn = np.asarray(psn, dtype=np.float64)
+        nspr = np.asarray(nspr, dtype=np.float64)
+        if psn.ndim != 3 or psn.shape[1:] != (self.n_nodes, PSN_FEATURES):
+            raise ConfigurationError(
+                f"node features must be {(self.n_nodes, PSN_FEATURES)}, "
+                f"got {psn.shape[1:]}")
+        t = psn.shape[0]
+        if nspr.shape != (t, NSPR_INPUT_WIDTH):
             raise ConfigurationError(
                 f"request features must be ({NSPR_INPUT_WIDTH},)")
-        parts = [self.gcn_forward(psn).reshape(-1)]
-        parts.append(self._act(Tensor(nspr_arr) @ self.params["nspr.w"]
-                               + self.params["nspr.b"]))
+        p = self.params
+        gcn: list[tuple[np.ndarray, np.ndarray]] = []
+        nodes = self._gcn(psn, gcn)
+        nspr_out = self._act(nspr @ p["nspr.w"] + p["nspr.b"])
+        parts = [nodes.reshape(t, -1), nspr_out]
+        load_out = None
         if self.use_load:
             if load is None:
                 raise ConfigurationError("this network requires load features")
-            load_arr = np.asarray(load, dtype=np.float64)
-            if load_arr.shape != (LOAD_INPUT_WIDTH,):
+            load = np.asarray(load, dtype=np.float64)
+            if load.shape != (t, LOAD_INPUT_WIDTH):
                 raise ConfigurationError(
                     f"load features must be ({LOAD_INPUT_WIDTH},)")
-            parts.append(self._act(Tensor(load_arr) @ self.params["load.w"]
-                                   + self.params["load.b"]))
+            load_out = self._act(load @ p["load.w"] + p["load.b"])
+            parts.append(load_out)
         elif load is not None:
             raise ConfigurationError("this network takes no load features")
-        combined = concat(parts)
-        z = combined @ self.params["out.w"] + self.params["out.b"]
+        combined = np.concatenate(parts, axis=1)
+        out = combined @ p["out.w"] + p["out.b"]
         if self.activation == "relu":
-            z = z.relu()
-        return z
+            out = np.maximum(out, 0.0)
+        return out, Activations(gcn, nspr, nspr_out, load, load_out,
+                                combined, out)
+
+    # -- backward ------------------------------------------------------------
+
+    def backward(self, acts: Activations, grad_out: np.ndarray) -> None:
+        """Gradients of sum_t grad_out[t] · out[t] for every parameter.
+
+        grad_out is (T, n_outputs), the loss gradient with respect to
+        the batch's outputs; the results replace `params.grads`.
+        """
+        p = self.params
+        grads = {}
+        g = np.asarray(grad_out, dtype=np.float64)
+        if self.activation == "relu":
+            g = (acts.out > 0.0) * g
+        grads["out.w"] = acts.combined.T @ g
+        grads["out.b"] = g.sum(axis=0)
+        g_combined = g @ p["out.w"].T
+        t = g.shape[0]
+        gcn_end = self.n_nodes * self.gcn_width
+        dense = [("nspr", acts.nspr, acts.nspr_out,
+                  g_combined[:, gcn_end:gcn_end + NSPR_FC_WIDTH])]
+        if self.use_load:
+            dense.append(("load", acts.load, acts.load_out,
+                          g_combined[:, gcn_end + NSPR_FC_WIDTH:]))
+        for name, x, y, g_y in dense:
+            g_pre = self._act_grad(y, g_y)
+            grads[f"{name}.w"] = x.T @ g_pre
+            grads[f"{name}.b"] = g_pre.sum(axis=0)
+
+        g_h = g_combined[:, :gcn_end].reshape(t, self.n_nodes, self.gcn_width)
+        for layer in range(self.gcn_layers - 1, -1, -1):
+            ax, h = acts.gcn[layer]
+            g_pre = self._act_grad(h, g_h)
+            width_in = ax.shape[-1]
+            grads[f"gcn.{layer}.w"] = (ax.reshape(-1, width_in).T
+                                       @ g_pre.reshape(-1, self.gcn_width))
+            grads[f"gcn.{layer}.b"] = g_pre.sum(axis=(0, 1))
+            if layer > 0:
+                g_h = self.propagation.T @ (g_pre @ p[f"gcn.{layer}.w"].T)
+        p.grads = grads
 
     def manifest(self) -> dict:
         return {
@@ -197,6 +312,7 @@ class SliceNet:
 
 _MAGIC = b"SLNC"
 _VERSION = 1
+_HEADER_BYTES = 12      # magic, then version and manifest length as <II
 
 
 def save_checkpoint(path, manifest: dict, arrays: dict[str, np.ndarray]) -> None:
@@ -213,28 +329,50 @@ def save_checkpoint(path, manifest: dict, arrays: dict[str, np.ndarray]) -> None
             fh.write(np.ascontiguousarray(arrays[n], dtype="<f8").tobytes())
 
 
+def manifest_field(manifest: dict, name: str, what: str = "checkpoint"):
+    """manifest[name], or a CheckpointError naming the missing field."""
+    if not isinstance(manifest, dict) or name not in manifest:
+        raise CheckpointError(f"{what} manifest lacks field {name!r}")
+    return manifest[name]
+
+
 def load_checkpoint(path):
     """Read a checkpoint; returns (manifest, arrays by name)."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:4] != _MAGIC:
         raise CheckpointError("not a checkpoint file (bad magic)")
-    version, blob_len = struct.unpack("<II", raw[4:12])
+    if len(raw) < _HEADER_BYTES:
+        raise CheckpointError(
+            f"checkpoint header truncated: fields 'version' and "
+            f"'manifest_length' need {_HEADER_BYTES} bytes, file has "
+            f"{len(raw)}")
+    version, blob_len = struct.unpack("<II", raw[4:_HEADER_BYTES])
     if version != _VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
     try:
-        manifest = json.loads(raw[12:12 + blob_len].decode("utf-8"))
+        manifest = json.loads(
+            raw[_HEADER_BYTES:_HEADER_BYTES + blob_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"corrupt checkpoint manifest: {exc}") from exc
-    offset = 12 + blob_len
+    tensors = manifest_field(manifest, "tensors")
+    if not isinstance(tensors, list):
+        raise CheckpointError("checkpoint manifest field 'tensors' is not a list")
+    offset = _HEADER_BYTES + blob_len
     arrays: dict[str, np.ndarray] = {}
-    for entry in manifest["tensors"]:
-        shape = tuple(entry["shape"])
+    for i, entry in enumerate(tensors):
+        name = manifest_field(entry, "name", f"checkpoint tensors[{i}]")
+        shape = manifest_field(entry, "shape", f"checkpoint tensors[{i}]")
+        if (not isinstance(shape, list)
+                or not all(isinstance(d, int) and d >= 0 for d in shape)):
+            raise CheckpointError(
+                f"checkpoint manifest field 'tensors[{i}].shape' is not a "
+                f"list of sizes: {shape!r}")
         size = int(np.prod(shape)) if shape else 1
         end = offset + size * 8
         if end > len(raw):
             raise CheckpointError("truncated checkpoint payload")
-        arrays[entry["name"]] = np.frombuffer(
+        arrays[name] = np.frombuffer(
             raw[offset:end], dtype="<f8").reshape(shape).copy()
         offset = end
     if offset != len(raw):

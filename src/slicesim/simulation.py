@@ -83,23 +83,14 @@ class AgentPolicy:
         }
 
     def state_arrays(self) -> dict:
-        arrays = {f"actor.{k}": v
-                  for k, v in self.agent.actor.params.arrays().items()}
-        arrays.update({f"critic.{k}": v
-                       for k, v in self.agent.critic.params.arrays().items()})
-        return arrays
+        return self.agent.state_arrays()
 
     def load_state(self, manifest: dict, arrays: dict) -> None:
         a = self.agent
         a.episodes_trained = int(manifest["episodes_trained"])
         a.heu_queries = int(manifest["heu_queries"])
         a.rng.bit_generator.state = manifest["rng_state"]
-        a.actor.params.load_arrays(
-            {k[len("actor."):]: v for k, v in arrays.items()
-             if k.startswith("actor.")})
-        a.critic.params.load_arrays(
-            {k[len("critic."):]: v for k, v in arrays.items()
-             if k.startswith("critic.")})
+        a.load_arrays(arrays)
 
 
 class Simulation:

@@ -2,11 +2,15 @@
 
 Everything here is deliberately naive: exhaustive simple-path search
 instead of a priority queue, full enumeration instead of greedy pruning,
-central finite differences instead of the autodiff tape. Slow is fine,
-shared code with the package under test is not.
+central finite differences and a per-step autodiff tape instead of the
+networks' batched closed-form gradients. Slow is fine, shared code with
+the package under test is not (the tape in slicesim.autodiff is kept for
+these oracles only).
 """
 
 import numpy as np
+
+from slicesim.autodiff import Tensor, concat, log_softmax
 
 _EPS = 1e-9
 
@@ -111,3 +115,69 @@ def gradcheck(f, grad_f, x, h=1e-5, tol=1e-4):
     denom = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(numeric)))
     rel = np.abs(analytic - numeric) / denom
     return float(rel.max()), analytic, numeric
+
+
+def tape_forward(net, params, psn, nspr, load=None):
+    """A SliceNet's forward pass built on the autodiff tape.
+
+    params maps parameter names to Tensors that require gradients.
+    """
+    act = (lambda t: t.tanh()) if net.activation == "tanh" else \
+        (lambda t: t.relu())
+    x = Tensor(psn)
+    for layer in range(net.gcn_layers):
+        x = act(Tensor(net.propagation) @ x @ params[f"gcn.{layer}.w"]
+                + params[f"gcn.{layer}.b"])
+    parts = [x.reshape(-1), act(Tensor(nspr) @ params["nspr.w"]
+                                + params["nspr.b"])]
+    if net.use_load:
+        parts.append(act(Tensor(load) @ params["load.w"] + params["load.b"]))
+    z = concat(parts) @ params["out.w"] + params["out.b"]
+    return z.relu() if net.activation == "relu" else z
+
+
+def tape_update(agent, trace):
+    """The A2C update step by step on the autodiff tape: one SGD step on
+    the critic, then one on the actor, applied to the agent's arrays.
+
+    Returns the actor and critic losses.
+    """
+    cfg = agent.config
+    returns = np.zeros(len(trace.steps))
+    acc = 0.0
+    for i in range(len(trace.steps) - 1, -1, -1):
+        acc = trace.steps[i].reward + cfg.gamma * acc
+        returns[i] = acc
+
+    def tensors(net):
+        return {k: Tensor(v.copy(), requires_grad=True)
+                for k, v in net.params.arrays().items()}
+
+    def descend(net, params, lr):
+        for k, t in params.items():
+            if t.grad is not None:
+                net.params[k][...] -= lr * t.grad
+
+    critic = tensors(agent.critic)
+    critic_loss = None
+    advantages = np.zeros(len(trace.steps))
+    for i, step in enumerate(trace.steps):
+        v = tape_forward(agent.critic, critic, step.psn, step.nspr,
+                         step.load)[0]
+        advantages[i] = returns[i] - float(v.data)
+        term = (Tensor(returns[i]) - v).square()
+        critic_loss = term if critic_loss is None else critic_loss + term
+    critic_loss.backward()
+    descend(agent.critic, critic, cfg.critic_lr)
+
+    actor = tensors(agent.actor)
+    actor_loss = None
+    for i, step in enumerate(trace.steps):
+        z = tape_forward(agent.actor, actor, step.psn, step.nspr, step.load)
+        if step.shaping is not None:
+            z = z + Tensor(step.shaping)
+        term = log_softmax(z)[step.action] * float(-advantages[i])
+        actor_loss = term if actor_loss is None else actor_loss + term
+    actor_loss.backward()
+    descend(agent.actor, actor, cfg.actor_lr)
+    return actor_loss.item(), critic_loss.item()

@@ -2,7 +2,7 @@
 
 Each test prints a single summary line on success, so `pytest -v`
 doubles as the acceptance report. Criterion 8 trains six small agents
-and dominates the runtime (around forty seconds).
+and dominates the runtime (around fifteen seconds).
 """
 
 import dataclasses
@@ -28,9 +28,9 @@ from slicesim import (
     sample_arrivals,
     tar,
 )
-from slicesim.autodiff import log_softmax
 from slicesim.cli import main as cli_main
-from slicesim.networks import SliceNet, normalized_propagation
+from slicesim.networks import (SliceNet, log_softmax, normalized_propagation,
+                               softmax)
 from slicesim.traffic import LoadModel
 from slicesim.substrate import build_reference_topology
 
@@ -186,7 +186,7 @@ def flat_grads(net):
     arrays = net.params.arrays()
     parts = []
     for k in sorted(arrays):
-        g = net.params[k].grad
+        g = net.params.grads.get(k)
         parts.append(np.zeros(arrays[k].size) if g is None else g.ravel())
     return np.concatenate(parts)
 
@@ -212,21 +212,33 @@ def test_criterion_5_gradients_match_finite_differences():
         def actor_loss():
             return log_softmax(actor.forward(psn, nspr))[action]
 
+        def actor_backward():
+            # d log_softmax(z)[a] / dz = onehot(a) - softmax(z)
+            z, acts = actor.forward_batch(psn[None], nspr[None])
+            grad = -softmax(z)
+            grad[0, action] += 1.0
+            actor.backward(acts, grad)
+
         critic = SliceNet(prop, 1, False, "relu", rng, gcn_width=2)
         assert critic.params.count() <= 200
 
         def critic_loss():
             return critic.forward(psn, nspr)[0]
 
-        for net, loss in ((actor, actor_loss), (critic, critic_loss)):
+        def critic_backward():
+            v, acts = critic.forward_batch(psn[None], nspr[None])
+            critic.backward(acts, np.ones_like(v))
+
+        for net, loss, backward in ((actor, actor_loss, actor_backward),
+                                    (critic, critic_loss, critic_backward)):
             x0 = flat_params(net)
             net.params.zero_grad()
-            loss().backward()
+            backward()
             analytic = flat_grads(net)
 
             def f(x, _net=net, _loss=loss, _x0=x0):
                 set_flat_params(_net, x)
-                value = _loss().item()
+                value = float(_loss())
                 set_flat_params(_net, _x0)
                 return value
 
@@ -265,8 +277,8 @@ def test_criterion_6_gcn_permutation_equivariance():
                             gcn_width=8)
         permuted.params.load_arrays(base.params.arrays())
 
-        out_base = base.gcn_forward(x).data
-        out_perm = permuted.gcn_forward(x[perm]).data
+        out_base = base.gcn_forward(x)
+        out_perm = permuted.gcn_forward(x[perm])
         worst = max(worst, float(np.abs(out_perm - out_base[perm]).max()))
     assert worst <= 1e-12
     print(f"criterion 6: PASS - 50 graphs up to 20 nodes, max equivariance "

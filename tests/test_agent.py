@@ -1,5 +1,9 @@
 """Learning agent: shaping algebra, feature scaling, A2C updates, variants."""
 
+import hashlib
+import json
+import struct
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -18,8 +22,10 @@ from slicesim import (
     uses_load,
 )
 from slicesim.agent import FeatureScaler, TraceStep, EpisodeTrace
+from slicesim.networks import load_checkpoint, save_checkpoint, softmax
 
 from conftest import uniform_request
+from oracles import tape_update
 
 
 def tiny_classes():
@@ -311,8 +317,7 @@ def test_positive_advantage_raises_chosen_probability():
                                           reward=5.0)],
                          terminal=True, accepted=True)
     agent.update(trace)
-    from slicesim.autodiff import softmax
-    z = agent.actor.forward(psn, nspr, load).data
+    z = agent.actor.forward(psn, nspr, load)
     assert softmax(z)[chosen] > p_before
 
 
@@ -321,12 +326,57 @@ def test_critic_moves_toward_return():
     trace = synthetic_trace(agent, net, [0.0, 6.0])
     step = trace.steps[0]
     v_before = float(agent.critic.forward(step.psn, step.nspr,
-                                          step.load).data[0])
+                                          step.load)[0])
     returns = 6.0 * agent.config.gamma
     agent.update(trace)
     v_after = float(agent.critic.forward(step.psn, step.nspr,
-                                         step.load).data[0])
+                                         step.load)[0])
     assert abs(v_after - returns) < abs(v_before - returns)
+
+
+@pytest.mark.parametrize("critic", ["live", "dead"])
+@pytest.mark.parametrize("variant", ["drl", "edrl", "ha-drl", "ha-edrl"])
+def test_update_matches_tape_update(variant, critic):
+    """The batched closed-form update moves every parameter as the
+    per-step autodiff-tape update does, within 1e-10 relative."""
+    agent, net = tiny_agent(variant, seed=21, actor_lr=0.01, critic_lr=0.01)
+    oracle, _ = tiny_agent(variant, seed=21, actor_lr=0.01, critic_lr=0.01)
+    if critic == "dead":
+        for arr in agent.critic.params.arrays().values():
+            arr[:] = 0.0
+    shift_rng = np.random.default_rng(5)
+    for uid in range(6):
+        req = uniform_request(1 + uid % 3, 5.0, 5.0, 1.0, uid=uid)
+        accepted, trace, state = agent.run_episode(req, net, t=float(uid))
+        if accepted:
+            net.release(state.committed)
+        for step in trace.steps[::2]:       # shaping on, also for non-HA runs
+            if step.shaping is None:
+                step.shaping = shift_rng.uniform(0.0, 2.0, len(agent.actions))
+        oracle.load_arrays(agent.state_arrays())
+        before = {k: v.copy() for k, v in agent.state_arrays().items()}
+        stats = agent.update(trace)
+        actor_loss, critic_loss = tape_update(oracle, trace)
+        assert stats["actor_loss"] == pytest.approx(actor_loss, rel=1e-10)
+        assert stats["critic_loss"] == pytest.approx(critic_loss, rel=1e-10)
+        got, want = agent.state_arrays(), oracle.state_arrays()
+        for k, start in before.items():
+            step_got, step_want = got[k] - start, want[k] - start
+            scale = np.abs(step_want).max()
+            if critic == "dead" and k.startswith("critic."):
+                assert scale == 0.0
+            assert np.abs(step_got - step_want).max() <= 1e-10 * scale, k
+
+
+def test_nan_actor_weights_refuse_to_sample():
+    agent, net = tiny_agent("ha-drl", seed=2)
+    agent.actor.params["out.w"][:] = np.nan
+    state = PlacementEpisodeState(uniform_request(2, 5.0, 5.0, 1.0))
+    psn, nspr, load = agent.observe(state, net, 0.0)
+    rng_before = agent.rng.bit_generator.state
+    with pytest.raises(ConfigurationError, match="ha-drl"):
+        agent.select_action(psn, nspr, load, heu_select(state, net))
+    assert agent.rng.bit_generator.state == rng_before
 
 
 def test_update_requires_complete_trace():
@@ -402,7 +452,64 @@ def test_heuristic_advice_matches_heu_for_ha_runs():
     state = PlacementEpisodeState(uniform_request(2, 5.0, 5.0, 1.0))
     expected = heu_select(state, net).server
     psn, nspr, load = agent.observe(state, net, 0.0)
-    z = agent.actor.forward(psn, nspr, load).data
+    z = agent.actor.forward(psn, nspr, load)
     shift = agent.shaping_vector(z, HeuristicAdvice(expected))
     assert shift[agent.action_index[expected]] >= 0.0
     assert np.count_nonzero(shift) <= 1
+
+
+# Fresh ha-drl agent (tiny topology, seed 3, beta 2) as the format before
+# the closed-form update wrote it.
+FRESH_CHECKPOINT_SHA256 = \
+    "93049a719e24541f280fde4457d9524337cd6519b2f0631cd3b29ee9aa052216"
+
+
+def test_agent_checkpoint_bytes_keep_their_format(tmp_path):
+    agent, _ = tiny_agent("ha-drl", seed=3, beta=2.0)
+    path = tmp_path / "fresh.ckpt"
+    agent.save(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        FRESH_CHECKPOINT_SHA256
+
+    # after training, the bytes are still the documented layout: magic,
+    # version and manifest length, sorted-key JSON manifest, then the
+    # float64 arrays in sorted-name order
+    agent, net = tiny_agent("ha-drl", seed=3, beta=2.0)
+    accepted, trace, state = agent.run_episode(
+        uniform_request(3, 5.0, 5.0, 1.0), net, t=0.0)
+    agent.update(trace)
+    path = tmp_path / "trained.ckpt"
+    agent.save(path)
+    arrays = agent.state_arrays()
+    names = sorted(arrays)
+    manifest = {
+        "kind": "agent", "variant": "ha-drl", "gamma": 0.99, "xi": 1.0,
+        "eta": 0.0, "beta": 2.0, "allow_any_node": False,
+        "episodes_trained": 1, "net_fingerprint": net.fingerprint(),
+        "actor": agent.actor.manifest(), "critic": agent.critic.manifest(),
+        "tensors": [{"name": n, "shape": list(arrays[n].shape)}
+                    for n in names],
+    }
+    blob = json.dumps(manifest, sort_keys=True).encode("utf-8")
+    expected = (b"SLNC" + struct.pack("<II", 1, len(blob)) + blob
+                + b"".join(arrays[n].astype("<f8").tobytes() for n in names))
+    assert path.read_bytes() == expected
+
+
+def _without(path, field):
+    """Rewrite an agent checkpoint with one manifest field removed."""
+    manifest, arrays = load_checkpoint(path)
+    del manifest["tensors"], manifest[field]
+    save_checkpoint(path, manifest, arrays)
+
+
+@pytest.mark.parametrize("field", ["net_fingerprint", "variant", "gamma",
+                                   "xi", "eta", "beta", "allow_any_node",
+                                   "actor"])
+def test_agent_load_names_a_missing_field(tmp_path, field):
+    agent, net = tiny_agent("drl")
+    path = tmp_path / "agent.ckpt"
+    agent.save(path)
+    _without(path, field)
+    with pytest.raises(CheckpointError, match=repr(field)):
+        Agent.load(path, build_reference_topology("tiny"))

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 import scipy.special
 
-from slicesim.autodiff import Tensor, concat, log_softmax, logsumexp, softmax
+from slicesim.autodiff import Tensor, concat, log_softmax, logsumexp
+from slicesim.networks import softmax
 
 from oracles import finite_diff_grad
 

@@ -1,5 +1,7 @@
 """Graph encoder and FC branches: shapes, symmetry, persistence."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -18,8 +20,8 @@ from slicesim.networks import (
     load_checkpoint,
     normalized_propagation,
     save_checkpoint,
+    softmax,
 )
-from slicesim.autodiff import softmax
 
 
 def random_adjacency(rng, n):
@@ -100,12 +102,14 @@ def test_same_seed_same_init():
 
 def test_sgd_step_and_zero_grad():
     params = ParameterSet()
-    t = params.add("w", np.array([1.0, 2.0]))
-    t.grad = np.array([0.5, -1.0])
+    w = params.add("w", np.array([1.0, 2.0]))
+    params.grads["w"] = np.array([0.5, -1.0])
     params.sgd_step(0.1)
-    np.testing.assert_allclose(t.data, [0.95, 2.1])
+    np.testing.assert_allclose(w, [0.95, 2.1])     # stepped in place
+    assert not params.grads                        # a step uses them up
+    params.grads["w"] = np.array([1.0, 1.0])
     params.zero_grad()
-    assert t.grad is None or not t.grad.any()
+    assert not params.grads
 
 
 # -- forward semantics -------------------------------------------------------------
@@ -139,7 +143,7 @@ def test_zeroed_actor_gives_uniform_policy():
     for arr in net.params.arrays().values():
         arr[:] = 0.0
     z = net.forward(np.ones((4, PSN_FEATURES)), np.ones(NSPR_INPUT_WIDTH))
-    np.testing.assert_allclose(softmax(z.data), np.full(6, 1 / 6), atol=1e-15)
+    np.testing.assert_allclose(softmax(z), np.full(6, 1 / 6), atol=1e-15)
 
 
 def test_critic_output_is_clamped_nonnegative():
@@ -149,7 +153,7 @@ def test_critic_output_is_clamped_nonnegative():
         v = net.forward(rng.random((4, PSN_FEATURES)),
                         rng.random(NSPR_INPUT_WIDTH))
         assert v.shape == (1,)
-        assert v.data[0] >= 0.0
+        assert v[0] >= 0.0
 
 
 def test_isolated_node_matches_hand_computation():
@@ -161,7 +165,7 @@ def test_isolated_node_matches_hand_computation():
     h = x.copy()
     for layer in range(GCN_LAYERS):
         h = np.tanh(h @ arrs[f"gcn.{layer}.w"] + arrs[f"gcn.{layer}.b"])
-    got = net.gcn_forward(x).data
+    got = net.gcn_forward(x)
     np.testing.assert_allclose(got, h, atol=1e-12)
 
 
@@ -177,8 +181,8 @@ def test_gcn_permutation_equivariance_once():
     shuffled = SliceNet(normalized_propagation(p @ adj @ p.T), 3, False,
                         "tanh", np.random.default_rng(0))
     shuffled.params.load_arrays(base.params.arrays())
-    np.testing.assert_allclose(shuffled.gcn_forward(p @ x).data,
-                               p @ base.gcn_forward(x).data, atol=1e-12)
+    np.testing.assert_allclose(shuffled.gcn_forward(p @ x),
+                               p @ base.gcn_forward(x), atol=1e-12)
 
 
 # -- checkpoint container ---------------------------------------------------------
@@ -217,6 +221,21 @@ def test_checkpoint_rejects_trailing_bytes(tmp_path):
     save_checkpoint(path, net.manifest(), net.params.arrays())
     path.write_bytes(path.read_bytes() + b"\x00" * 8)
     with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_short_header(tmp_path):
+    path = tmp_path / "short.ckpt"
+    path.write_bytes(b"SLNC\x01\x00\x00\x00")
+    with pytest.raises(CheckpointError, match="'manifest_length'"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_manifest_without_tensors(tmp_path):
+    blob = b'{"n_actions": 3}'
+    path = tmp_path / "notensors.ckpt"
+    path.write_bytes(b"SLNC" + struct.pack("<II", 1, len(blob)) + blob)
+    with pytest.raises(CheckpointError, match="'tensors'"):
         load_checkpoint(path)
 
 

@@ -1,5 +1,6 @@
 """Event loop: conservation, ordering guards, snapshots, the golden run."""
 
+import hashlib
 import json
 import pathlib
 
@@ -253,6 +254,22 @@ def test_snapshot_rejects_agent_checkpoint(tmp_path):
     sim = Simulation(net, events, HeuristicPolicy())
     with pytest.raises(CheckpointError):
         sim.restore(path)
+
+
+def test_frozen_agent_snapshot_bytes_keep_their_format(tmp_path):
+    """A frozen ha-edrl run on `tiny` snapshots to the same bytes as
+    before the closed-form update: same actions, same container."""
+    scenario = load_scenario("tiny")
+    net = scenario.build_network()
+    events = scenario.generate_events(seed=scenario.seed)
+    agent = Agent(AgentConfig.for_variant("ha-edrl", seed=5), net,
+                  scenario.build_load_model(net))
+    sim = Simulation(net, events, AgentPolicy(agent, train=False))
+    sim.run(max_arrivals=40)
+    snap = tmp_path / "frozen.snap"
+    sim.snapshot(snap)
+    assert hashlib.sha256(snap.read_bytes()).hexdigest() == \
+        "c1f5dec0ea718043721c2514851efddfc2b1419c94fec74a2e92e427f00a10de"
 
 
 # -- the frozen reference trajectory ----------------------------------------------
