@@ -61,7 +61,6 @@ class AgentConfig:
     eta: float = 0.0
     beta: float = 1.0
     seed: int = 0
-    allow_any_node: bool = False
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -149,8 +148,7 @@ class Agent:
         self.config = config
         self.load_model = load_model if uses_load(config.variant) else None
         self.scaler = FeatureScaler(net)
-        self.actions = (list(range(len(net.nodes))) if config.allow_any_node
-                        else list(net.servers))
+        self.actions = list(net.servers)
         self.action_index = {a: i for i, a in enumerate(self.actions)}
         self.net_fingerprint = net.fingerprint()
 
@@ -238,8 +236,7 @@ class Agent:
             psn, nspr, load = self.observe(state, net, t)
             target, step = self.select_action(psn, nspr, load, advice)
             trace.steps.append(step)
-            outcome = apply_action(state, net, target,
-                                   allow_any_node=self.config.allow_any_node)
+            outcome = apply_action(state, net, target)
             outcomes.append(outcome)
             if trace_sink is not None:
                 trace_sink(outcome.to_record(request.uid, vnf_index, target))
@@ -311,7 +308,8 @@ class Agent:
             "xi": self.config.xi,
             "eta": self.config.eta,
             "beta": self.config.beta,
-            "allow_any_node": self.config.allow_any_node,
+            # a field of the format; actions always target servers
+            "allow_any_node": False,
             "episodes_trained": self.episodes_trained,
             "net_fingerprint": self.net_fingerprint,
             "actor": self.actor.manifest(),
@@ -348,17 +346,31 @@ class Agent:
         def field(name):
             return manifest_field(manifest, name, "agent checkpoint")
 
+        def number(name):
+            value = field(name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise CheckpointError(
+                    f"agent checkpoint field {name!r} must be a number, "
+                    f"got {value!r}")
+            return value
+
         if manifest.get("kind") != "agent":
             raise CheckpointError("checkpoint does not hold an agent")
         if field("net_fingerprint") != net.fingerprint():
             raise CheckpointError(
                 "checkpoint was trained on a different substrate topology")
         variant = field("variant")
+        if field("allow_any_node") is not False:
+            raise CheckpointError(
+                "agent checkpoint field 'allow_any_node' must be false: "
+                "actions target servers only")
         if config is None:
-            config = AgentConfig.for_variant(
-                variant, gamma=field("gamma"), xi=field("xi"),
-                eta=field("eta"), beta=field("beta"),
-                allow_any_node=field("allow_any_node"))
+            try:
+                config = AgentConfig.for_variant(
+                    variant, gamma=number("gamma"), xi=number("xi"),
+                    eta=number("eta"), beta=number("beta"))
+            except ConfigurationError as exc:
+                raise CheckpointError(f"agent checkpoint: {exc}") from exc
         elif config.variant != variant:
             raise CheckpointError(
                 f"checkpoint holds variant {variant!r}, "

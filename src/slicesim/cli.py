@@ -2,7 +2,7 @@
 
 Subcommands:
 
-    simulate            heuristic or frozen-checkpoint placement
+    simulate            heuristic placement
     train               agent training, optionally fanned over seeds
     evaluate            frozen checkpoint against fresh or replayed traffic
     export-events       write an arrival/departure stream to a file
@@ -87,8 +87,6 @@ def _agent_config(scenario: Scenario, args, seed_shift: int = 0) -> AgentConfig:
     if base_seed is None:
         base_seed = int(defaults.get("seed", 0))
     overrides["seed"] = base_seed + seed_shift
-    if defaults.get("allow_any_node"):
-        overrides["allow_any_node"] = bool(defaults["allow_any_node"])
     return AgentConfig.for_variant(variant, **overrides)
 
 
@@ -125,20 +123,14 @@ def cmd_simulate(args) -> int:
     net = scenario.build_network()
     trace_fh, sink = _open_trace(args)
     try:
-        if args.checkpoint:
-            load_model = scenario.build_load_model(net)
-            agent = Agent.load(args.checkpoint, net, load_model)
-            policy = AgentPolicy(agent, train=False, trace_sink=sink)
-        else:
-            policy = HeuristicPolicy(trace_sink=sink)
+        policy = HeuristicPolicy(trace_sink=sink)
         sim = Simulation(net, events, policy)
         records = sim.run(max_arrivals=args.arrivals, horizon=args.horizon)
     finally:
         if trace_fh:
             trace_fh.close()
     base = f"{scenario.name}-{policy.name}-seed{seed}"
-    _write_outputs(scenario, args, records, base, policy.name, seed,
-                   checkpoint=args.checkpoint)
+    _write_outputs(scenario, args, records, base, policy.name, seed)
     return 0
 
 
@@ -235,13 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Network-slice placement simulator and trainer")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", help="run heuristic or frozen placement")
+    p = sub.add_parser("simulate", help="run the greedy heuristic")
     _add_common(p)
-    p.add_argument("--policy", choices=["heuristic"], default="heuristic",
-                   help="built-in policy (default heuristic); use "
-                        "--checkpoint for a trained one")
-    p.add_argument("--checkpoint", default=None,
-                   help="run this trained agent frozen instead")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("train", help="train an agent")

@@ -12,11 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .placement import (PlacementEpisodeState, PlacementOutcome, apply_action,
-                        fail_step, route_all)
+                        fail_step, fits, route_all, step_scores)
 from .substrate import SubstrateNetwork
 from .traffic import SliceRequest
-
-_EPS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -33,27 +31,18 @@ def heu_select(state: PlacementEpisodeState,
     """Best feasible server for the pending VNF, or none."""
     v = state.next_vnf
     req_cpu, req_ram = state.request.vnfs[v - 1]
-    if v == 1:
-        paths = None
-    else:
-        paths = route_all(net, state.hosts[-1], state.request.vls[v - 2])
-
+    paths = (None if v == 1 else
+             route_all(net, state.hosts[-1], state.request.vls[v - 2]))
     best = None
     best_score = None
     for sid in net.servers:
         node = net.nodes[sid]
-        if node.cap_cpu + _EPS < req_cpu or node.cap_ram + _EPS < req_ram:
+        if not fits(node, req_cpu, req_ram):
             continue
-        if paths is None:
-            delta_c = 1.0
-        else:
-            path = paths.get(sid)
-            if path is None:
-                continue
-            hops = len(path) - 1
-            delta_c = 1.0 / hops if hops > 0 else 1.0
-        delta_b = node.cap_cpu / node.max_cpu + node.cap_ram / node.max_ram
-        score = (delta_b, delta_c)
+        path = () if paths is None else paths.get(sid)
+        if path is None:
+            continue
+        score = step_scores(node, path)
         if best_score is None or score > best_score:
             best, best_score = sid, score
     return HeuristicAdvice(best)

@@ -21,11 +21,10 @@ step pays -100 unscaled.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 
 from .errors import ConfigurationError
-from .substrate import NodeKind, ResourceDelta, SubstrateNetwork
+from .substrate import NodeKind, ResourceDelta, SubstrateNetwork, SubstrateNode
 from .traffic import SliceRequest
 
 _EPS = 1e-9
@@ -42,46 +41,44 @@ def route(net: SubstrateNetwork, src: int, dst: int, bw: float):
 
     Returns the node sequence as a tuple (src == dst gives the empty
     tuple), or None when no feasible path exists. Ties between equal-hop
-    paths break toward the lexicographically smallest node-id sequence,
-    which a uniform-cost search over (hops, path) keys yields directly.
+    paths break toward the lexicographically smallest node-id sequence.
     """
-    if src == dst:
-        return ()
-    paths = _search(net, src, bw, stop_at=dst)
-    return paths.get(dst)
+    return route_all(net, src, bw).get(dst)
 
 
 def route_all(net: SubstrateNetwork, src: int, bw: float) -> dict[int, tuple]:
-    """Feasible min-hop paths from src to every reachable node, one search.
+    """Feasible min-hop paths from src to every reachable node, one sweep.
 
-    Same path selection as route(); src itself maps to the empty tuple.
-    Used by the heuristic to score all candidate servers without running
-    one search per candidate.
+    src itself maps to the empty tuple. The sweep is breadth-first over
+    the sorted adjacency, so nodes leave the queue ordered by (hops,
+    path), and the first node to reach a neighbour lies on that
+    neighbour's lexicographically smallest min-hop path.
     """
-    paths = _search(net, src, bw, stop_at=None)
+    paths = {src: (src,)}
+    queue = [src]
+    for node in queue:              # the loop also visits appended nodes
+        head = paths[node]
+        for nbr in net.adjacency[node]:
+            if nbr in paths:
+                continue
+            key = (node, nbr) if node < nbr else (nbr, node)
+            if net.links[key].cap_bw + _EPS >= bw:
+                paths[nbr] = head + (nbr,)
+                queue.append(nbr)
     paths[src] = ()
     return paths
 
 
-def _search(net: SubstrateNetwork, src: int, bw: float, stop_at):
-    done: dict[int, tuple] = {}
-    heap = [(0, (src,))]
-    while heap:
-        hops, path = heapq.heappop(heap)
-        node = path[-1]
-        if node in done:
-            continue
-        done[node] = path
-        if node == stop_at:
-            break
-        for nbr in net.adjacency[node]:
-            if nbr in done:
-                continue
-            if net.links[(min(node, nbr), max(node, nbr))].cap_bw + _EPS >= bw:
-                heapq.heappush(heap, (hops + 1, path + (nbr,)))
-    if stop_at is not None:
-        return {stop_at: done[stop_at]} if stop_at in done else {}
-    return done
+def fits(node: SubstrateNode, cpu: float, ram: float) -> bool:
+    """Does the node's residual cpu and ram cover this demand?"""
+    return node.cap_cpu + _EPS >= cpu and node.cap_ram + _EPS >= ram
+
+
+def step_scores(node: SubstrateNode, path: tuple) -> tuple[float, float]:
+    """(delta_b, delta_c) of a step onto node over path, before its commit."""
+    hops = len(path) - 1
+    return (node.cap_cpu / node.max_cpu + node.cap_ram / node.max_ram,
+            1.0 / hops if hops > 0 else 1.0)
 
 
 @dataclass
@@ -135,50 +132,39 @@ def is_feasible(state: PlacementEpisodeState, net: SubstrateNetwork,
 
 def _evaluate(state: PlacementEpisodeState, net: SubstrateNetwork, target: int):
     """Return the feasible path for this step (possibly empty), else None."""
-    node = net.nodes[target]
     v = state.next_vnf
-    req_cpu, req_ram = state.request.vnfs[v - 1]
-    if node.cap_cpu + _EPS < req_cpu or node.cap_ram + _EPS < req_ram:
+    if not fits(net.nodes[target], *state.request.vnfs[v - 1]):
         return None
     if v == 1:
         return ()
-    prev = state.hosts[-1]
-    return route(net, prev, target, state.request.vls[v - 2])
+    return route(net, state.hosts[-1], target, state.request.vls[v - 2])
 
 
 def apply_action(state: PlacementEpisodeState, net: SubstrateNetwork,
-                 target: int, allow_any_node: bool = False) -> PlacementOutcome:
+                 target: int) -> PlacementOutcome:
     """Place the pending VNF on the target server; commit or roll back.
 
-    Non-server targets are a caller bug under the default server-only
-    action set; with allow_any_node they are legal actions that simply
-    fail (and end the episode like any other infeasible choice).
+    Actions target servers: any other node id is a caller bug.
     """
     if state.done:
         raise ConfigurationError("request already fully placed")
     if target < 0 or target >= len(net.nodes):
         raise ConfigurationError(f"unknown node id {target}")
     if net.nodes[target].kind is not NodeKind.SERVER:
-        if not allow_any_node:
-            raise ConfigurationError(
-                f"node {target} is not a server; actions target servers")
-        return fail_step(state, net)
+        raise ConfigurationError(
+            f"node {target} is not a server; actions target servers")
 
     path = _evaluate(state, net, target)
     if path is None:
         return fail_step(state, net)
 
-    v = state.next_vnf
-    node = net.nodes[target]
     # delta_b reads the residuals the agent saw, before this commit
-    delta_b = node.cap_cpu / node.max_cpu + node.cap_ram / node.max_ram
-    hops = max(len(path) - 1, 0)
-    delta_c = 1.0 / hops if hops > 0 else 1.0
-
+    delta_b, delta_c = step_scores(net.nodes[target], path)
+    v = state.next_vnf
     delta = ResourceDelta()
     req_cpu, req_ram = state.request.vnfs[v - 1]
     delta.add_node(target, cpu=req_cpu, ram=req_ram)
-    if hops:
+    if path:
         bw = state.request.vls[v - 2]
         for a, b in zip(path, path[1:]):
             delta.add_link(a, b, bw)

@@ -13,10 +13,11 @@ import hashlib
 import importlib.resources
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import yaml
 
+from .agent import AgentConfig
 from .errors import ConfigurationError, ScenarioError
 from .substrate import (PROFILES, SubstrateNetwork, TopologyCounts,
                         build_reference_topology)
@@ -55,7 +56,7 @@ class Scenario:
         t = self.topology
         return {
             "topology": [t.edc_count, t.servers_per_edc, t.cdc_count,
-                         t.servers_per_cdc, t.ccp_servers, t.uaps_per_edc,
+                         t.servers_per_cdc, t.ccp_servers,
                          t.server_cpu, t.server_ram],
             "classes": [{
                 "id": c.id, "vnf_count": c.vnf_count, "req_cpu": c.req_cpu,
@@ -77,15 +78,27 @@ class Scenario:
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+_TOPOLOGY_KEYS = {"profile"} | {f.name for f in fields(TopologyCounts)}
+_AGENT_KEYS = {f.name for f in fields(AgentConfig)}
+
+
 def _require(mapping: dict, key: str, path: str):
     if key not in mapping:
         raise ScenarioError(f"{path}.{key}: missing required field")
     return mapping[key]
 
 
+def _reject_unknown(mapping: dict, known: set, path: str) -> None:
+    unknown = sorted(str(k) for k in mapping if k not in known)
+    if unknown:
+        raise ScenarioError(f"{path}.{unknown[0]}: unknown field "
+                            f"(known: {', '.join(sorted(known))})")
+
+
 def _parse_topology(raw, path: str) -> TopologyCounts:
     if not isinstance(raw, dict):
         raise ScenarioError(f"{path}: must be a mapping")
+    _reject_unknown(raw, _TOPOLOGY_KEYS, path)
     if "profile" in raw:
         profile = raw["profile"]
         if profile not in PROFILES:
@@ -100,7 +113,6 @@ def _parse_topology(raw, path: str) -> TopologyCounts:
             cdc_count=int(raw.get("cdc_count", 0)),
             servers_per_cdc=int(raw.get("servers_per_cdc", 0)),
             ccp_servers=int(raw.get("ccp_servers", 0)),
-            uaps_per_edc=int(raw.get("uaps_per_edc", 0)),
             server_cpu=float(raw.get("server_cpu", 50.0)),
             server_ram=float(raw.get("server_ram", 300.0)),
         )
@@ -164,6 +176,7 @@ def parse_scenario(raw: dict, name: str = "scenario") -> Scenario:
         agent_defaults = {}
     if not isinstance(agent_defaults, dict):
         raise ScenarioError("agent: must be a mapping")
+    _reject_unknown(agent_defaults, _AGENT_KEYS, "agent")
     scenario = Scenario(
         name=str(raw.get("name", name)),
         topology=topology,

@@ -25,7 +25,7 @@ from .agent import Agent
 from .errors import CheckpointError, InvariantError
 from .heuristic import heu_place_full
 from .metrics import AcceptanceRecord
-from .networks import load_checkpoint, save_checkpoint
+from .networks import load_checkpoint, manifest_field, save_checkpoint
 from .substrate import ResourceDelta, SubstrateNetwork
 from .traffic import Arrival, Departure, Event
 
@@ -86,10 +86,13 @@ class AgentPolicy:
         return self.agent.state_arrays()
 
     def load_state(self, manifest: dict, arrays: dict) -> None:
+        def field(name):
+            return manifest_field(manifest, name, "snapshot policy")
+
         a = self.agent
-        a.episodes_trained = int(manifest["episodes_trained"])
-        a.heu_queries = int(manifest["heu_queries"])
-        a.rng.bit_generator.state = manifest["rng_state"]
+        a.episodes_trained = int(field("episodes_trained"))
+        a.heu_queries = int(field("heu_queries"))
+        a.rng.bit_generator.state = field("rng_state")
         a.load_arrays(arrays)
 
 
@@ -204,33 +207,37 @@ class Simulation:
         if "manifest_json" not in outer:
             raise CheckpointError("not a simulation snapshot")
         manifest = json.loads(outer["manifest_json"])
+
+        def field(name):
+            return manifest_field(manifest, name, "simulation snapshot")
+
         if manifest.get("kind") != "simulation":
             raise CheckpointError("not a simulation snapshot")
-        if manifest["snapshot_version"] != _SNAPSHOT_VERSION:
+        if field("snapshot_version") != _SNAPSHOT_VERSION:
             raise CheckpointError(
                 f"unsupported snapshot version {manifest['snapshot_version']}")
-        if manifest["net_fingerprint"] != self.net.fingerprint():
+        if field("net_fingerprint") != self.net.fingerprint():
             raise CheckpointError("snapshot topology does not match this run")
-        if manifest["events_digest"] != self._events_digest():
+        if field("events_digest") != self._events_digest():
             raise CheckpointError("snapshot event stream does not match this run")
-        if manifest["policy_name"] != self.policy.name:
+        if field("policy_name") != self.policy.name:
             raise CheckpointError(
                 f"snapshot holds policy {manifest['policy_name']!r}, "
                 f"running {self.policy.name!r}")
-        self.clock = float(manifest["clock"])
-        self.cursor = int(manifest["cursor"])
-        self.arrivals_seen = int(manifest["arrivals_seen"])
+        self.clock = float(field("clock"))
+        self.cursor = int(field("cursor"))
+        self.arrivals_seen = int(field("arrivals_seen"))
         self.ledger = {int(uid): ResourceDelta.from_dict(d)
-                       for uid, d in manifest["ledger"].items()}
+                       for uid, d in field("ledger").items()}
         self.records = [AcceptanceRecord(index=i, uid=u, class_id=c,
                                          accepted=bool(acc), time=t)
-                        for i, u, c, acc, t in manifest["records"]]
+                        for i, u, c, acc, t in field("records")]
         link_keys = sorted(self.net.links)
         self.net.set_residuals({
             "cpu": arrays["net.cpu"].tolist(),
             "ram": arrays["net.ram"].tolist(),
             "bw": {k: float(v) for k, v in zip(link_keys, arrays["net.bw"])},
         })
-        self.policy.load_state(manifest["policy"],
+        self.policy.load_state(field("policy"),
                                {k[len("policy."):]: v for k, v in arrays.items()
                                 if k.startswith("policy.")})

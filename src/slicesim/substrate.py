@@ -30,8 +30,6 @@ CDC_TRANSPORT_BW = 100.0
 
 
 class NodeKind(Enum):
-    UAP = "uap"
-    ROUTER = "router"
     SWITCH = "switch"
     SERVER = "server"
 
@@ -53,11 +51,6 @@ class SubstrateLink:
     b: int
     max_bw: float
     cap_bw: float
-    dist_km: float = 0.0
-
-    @property
-    def key(self) -> tuple[int, int]:
-        return (self.a, self.b)
 
 
 @dataclass
@@ -133,6 +126,7 @@ class SubstrateNetwork:
         self.links: dict[tuple[int, int], SubstrateLink] = {}
         self.adjacency: list[list[int]] = []
         self.data_centers: dict[int, DataCenter] = {}
+        self.servers: list[int] = []
 
     # -- construction -------------------------------------------------
 
@@ -145,25 +139,23 @@ class SubstrateNetwork:
                              cap_cpu=max_cpu, cap_ram=max_ram)
         self.nodes.append(node)
         self.adjacency.append([])
+        if kind is NodeKind.SERVER:
+            self.servers.append(node.id)
         return node.id
 
-    def add_link(self, a: int, b: int, max_bw: float, dist_km: float = 0.0) -> None:
+    def add_link(self, a: int, b: int, max_bw: float) -> None:
         if a == b:
             raise ConfigurationError("self-loops are not allowed")
         key = _link_key(a, b)
         if key in self.links:
             raise ConfigurationError(f"duplicate link {key}")
-        self.links[key] = SubstrateLink(key[0], key[1], max_bw, max_bw, dist_km)
+        self.links[key] = SubstrateLink(key[0], key[1], max_bw, max_bw)
         self.adjacency[a].append(b)
         self.adjacency[b].append(a)
         self.adjacency[a].sort()
         self.adjacency[b].sort()
 
     # -- lookups ------------------------------------------------------
-
-    @property
-    def servers(self) -> list[int]:
-        return [n.id for n in self.nodes if n.kind is NodeKind.SERVER]
 
     def link(self, a: int, b: int) -> SubstrateLink:
         return self.links[_link_key(a, b)]
@@ -291,7 +283,6 @@ class TopologyCounts:
     cdc_count: int = 0
     servers_per_cdc: int = 0
     ccp_servers: int = 0
-    uaps_per_edc: int = 0
     server_cpu: float = SERVER_CPU
     server_ram: float = SERVER_RAM
 
@@ -305,15 +296,13 @@ PROFILES = {
 }
 
 
-def _wire_ring(net: "SubstrateNetwork", switches: list[int], bw: float,
-               dist_km: float = 0.0) -> None:
+def _wire_ring(net: "SubstrateNetwork", switches: list[int], bw: float) -> None:
     """Cycle through the switches; a pair gets one link, a single none."""
     if len(switches) == 2:
-        net.add_link(switches[0], switches[1], bw, dist_km=dist_km)
+        net.add_link(switches[0], switches[1], bw)
     elif len(switches) >= 3:
         for i, sw in enumerate(switches):
-            net.add_link(sw, switches[(i + 1) % len(switches)], bw,
-                         dist_km=dist_km)
+            net.add_link(sw, switches[(i + 1) % len(switches)], bw)
 
 
 def build_reference_topology(scale: str | TopologyCounts = "full") -> SubstrateNetwork:
@@ -368,25 +357,21 @@ def build_reference_topology(scale: str | TopologyCounts = "full") -> SubstrateN
     if counts.ccp_servers > 0:
         ccp_switch = add_dc("ccp", counts.ccp_servers, CCP_INTRA_BW)
 
-    for u in range(counts.uaps_per_edc * counts.edc_count):
-        uap = net.add_node(NodeKind.UAP)
-        net.add_link(uap, edc_switches[u % counts.edc_count], EDC_INTRA_BW)
-
     # EDC e attaches to CDC e//3; profiles with fewer CDCs wrap around.
     if cdc_switches:
         for e, esw in enumerate(edc_switches):
             c = (e // 3) % len(cdc_switches)
-            net.add_link(esw, cdc_switches[c], EDC_TRANSPORT_BW, dist_km=100.0)
+            net.add_link(esw, cdc_switches[c], EDC_TRANSPORT_BW)
     elif ccp_switch is not None:
         for esw in edc_switches:
-            net.add_link(esw, ccp_switch, EDC_TRANSPORT_BW, dist_km=100.0)
+            net.add_link(esw, ccp_switch, EDC_TRANSPORT_BW)
     elif len(edc_switches) > 1:
-        _wire_ring(net, edc_switches, EDC_TRANSPORT_BW, dist_km=100.0)
+        _wire_ring(net, edc_switches, EDC_TRANSPORT_BW)
 
     _wire_ring(net, cdc_switches, CDC_TRANSPORT_BW)
     if ccp_switch is not None:
         for csw in cdc_switches:
-            net.add_link(csw, ccp_switch, CDC_TRANSPORT_BW, dist_km=300.0)
+            net.add_link(csw, ccp_switch, CDC_TRANSPORT_BW)
 
     assert net.is_connected(), "reference builder produced a disconnected graph"
     return net

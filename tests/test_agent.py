@@ -513,3 +513,18 @@ def test_agent_load_names_a_missing_field(tmp_path, field):
     _without(path, field)
     with pytest.raises(CheckpointError, match=repr(field)):
         Agent.load(path, build_reference_topology("tiny"))
+
+
+@pytest.mark.parametrize("field,value", [("gamma", "x"),
+                                         ("variant", "sarsa"),
+                                         ("allow_any_node", True)])
+def test_agent_load_names_a_bad_field(tmp_path, field, value):
+    agent, net = tiny_agent("drl")
+    path = tmp_path / "agent.ckpt"
+    agent.save(path)
+    manifest, arrays = load_checkpoint(path)
+    del manifest["tensors"]
+    manifest[field] = value
+    save_checkpoint(path, manifest, arrays)
+    with pytest.raises(CheckpointError, match=field):
+        Agent.load(path, build_reference_topology("tiny"))

@@ -92,6 +92,13 @@ def test_parse_uses_filename_when_unnamed(tmp_path):
     (lambda d: d.pop("horizon"), "horizon: missing"),
     (lambda d: d.__setitem__("phase_size", 0), "phase_size: must be >= 1"),
     (lambda d: d.__setitem__("lifetime_dist", "weibull"), "lifetime_dist"),
+    # removed knobs fail fast instead of being ignored
+    (lambda d: d.__setitem__("topology", {"edc_count": 1, "servers_per_edc": 3,
+                                          "uaps_per_edc": 2}),
+     "topology.uaps_per_edc: unknown field"),
+    (lambda d: d.__setitem__("agent", {"variant": "drl",
+                                       "allow_any_node": True}),
+     "agent.allow_any_node: unknown field"),
 ])
 def test_parse_errors_name_the_field(mutate, path_fragment):
     doc = scenario_doc()
@@ -267,16 +274,6 @@ def test_cli_evaluate_frozen_checkpoint(tmp_path):
                     "--checkpoint", str(ckpt), "--out-dir", str(tmp_path))
     assert rerun == 0
     assert ckpt.read_bytes() == first
-
-
-def test_cli_simulate_with_frozen_checkpoint(tmp_path):
-    run_cli("train", "--scenario", "tiny", "--episodes", "20",
-            "--variant", "drl", "--out-dir", str(tmp_path))
-    ckpt = tmp_path / "tiny-drl-seed0.ckpt"
-    rv = run_cli("simulate", "--scenario", "tiny", "--arrivals", "30",
-                 "--checkpoint", str(ckpt), "--out-dir", str(tmp_path))
-    assert rv == 0
-    assert (tmp_path / "tiny-drl-frozen-seed0.csv").exists()
 
 
 def test_cli_export_trace_jsonl(tmp_path):

@@ -25,6 +25,7 @@ from slicesim import (
     request_from_class,
 )
 
+from slicesim.networks import load_checkpoint, save_checkpoint
 from test_agent import tiny_classes
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -254,6 +255,27 @@ def test_snapshot_rejects_agent_checkpoint(tmp_path):
     sim = Simulation(net, events, HeuristicPolicy())
     with pytest.raises(CheckpointError):
         sim.restore(path)
+
+
+@pytest.mark.parametrize("field", ["clock", "cursor", "ledger",
+                                   "episodes_trained", "rng_state"])
+def test_snapshot_restore_names_a_missing_field(tmp_path, field):
+    def fresh():
+        net, events = tiny_stream()
+        agent = Agent(AgentConfig.for_variant("drl"), net)
+        return Simulation(net, events, AgentPolicy(agent, train=False))
+
+    sim = fresh()
+    sim.run(max_arrivals=5)
+    snap = tmp_path / "sim.snap"
+    sim.snapshot(snap)
+    outer, arrays = load_checkpoint(snap)
+    manifest = json.loads(outer["manifest_json"])
+    section = manifest["policy"] if field in manifest["policy"] else manifest
+    del section[field]
+    save_checkpoint(snap, {"manifest_json": json.dumps(manifest)}, arrays)
+    with pytest.raises(CheckpointError, match=repr(field)):
+        fresh().restore(snap)
 
 
 def test_frozen_agent_snapshot_bytes_keep_their_format(tmp_path):
