@@ -3,7 +3,9 @@
 All four variants share one actor-critic core. The actor maps the
 observation to one score per server and samples the placement target
 from the softmax over those scores; the critic estimates the state
-value. The e-variants additionally feed the 300-point load forecast
+value. Selection runs the actor only: the critic's values are needed
+only for the advantages, so it runs once per episode, inside the
+update. The e-variants additionally feed the 300-point load forecast
 through the load branch; the HA variants shift the advised action's
 score by xi * (max-gap + eta)^beta before sampling, a bias that guides
 exploration but is held constant when differentiating.
@@ -20,6 +22,7 @@ critic's value.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -91,7 +94,6 @@ class TraceStep:
     action: int                      # index into the agent's action list
     probability: float
     shaping: np.ndarray | None       # additive score shift, constant in grads
-    value: float                     # critic estimate at selection time
     reward: float = 0.0
 
 
@@ -114,15 +116,14 @@ class FeatureScaler:
 
     def psn_features(self, net: SubstrateNetwork,
                      state: PlacementEpisodeState) -> np.ndarray:
-        n = len(net.nodes)
+        """(|N|, 4) rows of residual cpu, ram, incident bw, and the share
+        of the request's VNFs already placed on the node."""
         size = state.request.vnf_count
-        out = np.zeros((n, 4), dtype=np.float64)
-        for node in net.nodes:
-            out[node.id, 0] = node.cap_cpu / self.cpu
-            out[node.id, 1] = node.cap_ram / self.ram
-            out[node.id, 2] = net.outgoing_bw(node.id) / self.bw
-            out[node.id, 3] = state.chi_of(node.id) / size
-        return out
+        visits = Counter(state.hosts)
+        return np.array([(node.cap_cpu / self.cpu, node.cap_ram / self.ram,
+                          net.outgoing_bw(node.id) / self.bw,
+                          visits[node.id] / size)
+                         for node in net.nodes], dtype=np.float64)
 
     def nspr_features(self, state: PlacementEpisodeState) -> np.ndarray:
         req = state.request
@@ -207,10 +208,8 @@ class Agent:
                 f"variant {self.config.variant!r}: the actor's action "
                 f"probabilities are not a finite distribution")
         idx = int(self.rng.choice(len(probs), p=probs))
-        value = float(self.critic.forward(psn, nspr, load)[0])
         step = TraceStep(psn=psn, nspr=nspr, load=load, action=idx,
-                         probability=float(probs[idx]), shaping=shaping,
-                         value=value)
+                         probability=float(probs[idx]), shaping=shaping)
         return self.actions[idx], step
 
     # -- episode rollout -----------------------------------------------------
@@ -324,13 +323,16 @@ class Agent:
         return arrays
 
     def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        """Replace every parameter from a `state_arrays()` mapping."""
+        """Replace every parameter from a `state_arrays()` mapping; a
+        failed check replaces none."""
         nets = {"actor": {}, "critic": {}}
         for key, value in arrays.items():
             net, _, name = key.partition(".")
             if net not in nets:
                 raise CheckpointError(f"unexpected agent array {key!r}")
             nets[net][name] = value
+        self.actor.params.check_arrays(nets["actor"])
+        self.critic.params.check_arrays(nets["critic"])
         self.actor.params.load_arrays(nets["actor"])
         self.critic.params.load_arrays(nets["critic"])
 
@@ -343,15 +345,12 @@ class Agent:
              config: AgentConfig | None = None) -> "Agent":
         manifest, arrays = load_checkpoint(path)
 
-        def field(name):
-            return manifest_field(manifest, name, "agent checkpoint")
+        def field(name, convert=None):
+            return manifest_field(manifest, name, "agent checkpoint", convert)
 
-        def number(name):
-            value = field(name)
+        def number(value):
             if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise CheckpointError(
-                    f"agent checkpoint field {name!r} must be a number, "
-                    f"got {value!r}")
+                raise TypeError(f"must be a number, got {value!r}")
             return value
 
         if manifest.get("kind") != "agent":
@@ -367,8 +366,9 @@ class Agent:
         if config is None:
             try:
                 config = AgentConfig.for_variant(
-                    variant, gamma=number("gamma"), xi=number("xi"),
-                    eta=number("eta"), beta=number("beta"))
+                    variant, gamma=field("gamma", number),
+                    xi=field("xi", number), eta=field("eta", number),
+                    beta=field("beta", number))
             except ConfigurationError as exc:
                 raise CheckpointError(f"agent checkpoint: {exc}") from exc
         elif config.variant != variant:

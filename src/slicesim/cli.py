@@ -20,7 +20,7 @@ import json
 import os
 import sys
 
-from .agent import Agent, AgentConfig, uses_load
+from .agent import VARIANTS, Agent, AgentConfig, uses_load
 from .errors import SliceSimError
 from .metrics import write_phase_csv, write_plot_json, write_records_csv
 from .networks import load_checkpoint
@@ -58,8 +58,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                         "generating traffic")
 
 
-def _events_for(scenario: Scenario, args):
-    seed = scenario.seed if args.seed is None else args.seed
+def _events_for(scenario: Scenario, args, seed_shift: int = 0):
+    seed = (scenario.seed if args.seed is None else args.seed) + seed_shift
     if args.events:
         return load_events(args.events, scenario.classes), seed
     return scenario.generate_events(seed=seed, horizon=args.horizon), seed
@@ -69,20 +69,12 @@ def _agent_config(scenario: Scenario, args, seed_shift: int = 0) -> AgentConfig:
     defaults = dict(scenario.agent_defaults)
     variant = getattr(args, "variant", None) or defaults.pop("variant", "drl")
     overrides = {}
-    for key in ("beta", "xi", "eta", "gamma"):
+    for key in ("beta", "xi", "eta", "gamma", "actor_lr", "critic_lr"):
         flag = getattr(args, key, None)
         if flag is not None:
             overrides[key] = flag
         elif key in defaults:
             overrides[key] = float(defaults[key])
-    if getattr(args, "actor_lr", None) is not None:
-        overrides["actor_lr"] = args.actor_lr
-    elif "actor_lr" in defaults:
-        overrides["actor_lr"] = float(defaults["actor_lr"])
-    if getattr(args, "critic_lr", None) is not None:
-        overrides["critic_lr"] = args.critic_lr
-    elif "critic_lr" in defaults:
-        overrides["critic_lr"] = float(defaults["critic_lr"])
     base_seed = getattr(args, "agent_seed", None)
     if base_seed is None:
         base_seed = int(defaults.get("seed", 0))
@@ -138,13 +130,10 @@ def cmd_train(args) -> int:
     scenario = load_scenario(args.scenario)
     out = _out_dir(args)
     for i in range(args.seeds):
-        seed = (scenario.seed if args.seed is None else args.seed) + i
         config = _agent_config(scenario, args, seed_shift=i)
+        events, seed = _events_for(scenario, args, seed_shift=i)
         net = scenario.build_network()
         load_model = scenario.build_load_model(net)
-        events = (load_events(args.events, scenario.classes) if args.events
-                  else scenario.generate_events(seed=seed,
-                                                horizon=args.horizon))
         agent = Agent(config, net,
                       load_model if uses_load(config.variant) else None)
         trace_fh, sink = _open_trace(args) if i == 0 else (None, None)
@@ -159,7 +148,7 @@ def cmd_train(args) -> int:
                     _agent.save(os.path.join(out, f"{_base}.ep{n}.ckpt"))
         try:
             sim = Simulation(net, events, policy)
-            records = sim.run(max_arrivals=args.episodes,
+            records = sim.run(max_arrivals=args.arrivals,
                               horizon=args.horizon, on_arrival=hooks)
         finally:
             if trace_fh:
@@ -233,8 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train an agent")
     _add_common(p)
-    p.add_argument("--variant", choices=["drl", "edrl", "ha-drl", "ha-edrl"],
-                   default=None, help="agent variant (default: scenario)")
+    p.add_argument("--variant", choices=VARIANTS, default=None,
+                   help="agent variant (default: scenario)")
     p.add_argument("--beta", type=float, default=None)
     p.add_argument("--xi", type=float, default=None)
     p.add_argument("--eta", type=float, default=None)
@@ -244,8 +233,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--agent-seed", type=int, default=None, dest="agent_seed")
     p.add_argument("--seeds", type=int, default=1,
                    help="number of independent runs (seed, seed+1, ...)")
-    p.add_argument("--episodes", type=int, default=None,
-                   help="stop each run after this many arrivals")
+    p.add_argument("--episodes", type=int, default=None, dest="arrivals",
+                   help="same as --arrivals: stop each run after this "
+                        "many arrivals")
     p.add_argument("--checkpoint-every", type=int, default=None,
                    help="also checkpoint every N arrivals")
     p.set_defaults(func=cmd_train)

@@ -111,7 +111,9 @@ class ParameterSet:
     def arrays(self) -> dict[str, np.ndarray]:
         return dict(self.values)
 
-    def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
+    def check_arrays(self, arrays: dict[str, np.ndarray]) -> None:
+        """CheckpointError unless arrays holds every parameter, each in
+        its shape, and nothing else."""
         if set(arrays) != set(self.values):
             missing = set(self.values) - set(arrays)
             extra = set(arrays) - set(self.values)
@@ -123,6 +125,11 @@ class ParameterSet:
                 raise CheckpointError(
                     f"shape mismatch for {name!r}: "
                     f"{values.shape} vs {self.values[name].shape}")
+
+    def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
+        """Replace every parameter; a failed check replaces none."""
+        self.check_arrays(arrays)
+        for name, values in arrays.items():
             self.values[name] = np.array(values, dtype=np.float64)
 
 
@@ -329,11 +336,19 @@ def save_checkpoint(path, manifest: dict, arrays: dict[str, np.ndarray]) -> None
             fh.write(np.ascontiguousarray(arrays[n], dtype="<f8").tobytes())
 
 
-def manifest_field(manifest: dict, name: str, what: str = "checkpoint"):
-    """manifest[name], or a CheckpointError naming the missing field."""
+def manifest_field(manifest: dict, name: str, what: str = "checkpoint",
+                   convert=None):
+    """manifest[name], passed through convert when given, or a
+    CheckpointError naming the missing or malformed field."""
     if not isinstance(manifest, dict) or name not in manifest:
         raise CheckpointError(f"{what} manifest lacks field {name!r}")
-    return manifest[name]
+    if convert is None:
+        return manifest[name]
+    try:
+        return convert(manifest[name])
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(
+            f"{what} field {name!r} is malformed: {exc}") from exc
 
 
 def load_checkpoint(path):

@@ -24,10 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import ConfigurationError
-from .substrate import NodeKind, ResourceDelta, SubstrateNetwork, SubstrateNode
+from .substrate import (_EPS, NodeKind, ResourceDelta, SubstrateNetwork,
+                        SubstrateNode)
 from .traffic import SliceRequest
-
-_EPS = 1e-9
 
 SUCCESS_REWARD = 100.0
 FAILURE_REWARD = -100.0
@@ -83,12 +82,19 @@ def step_scores(node: SubstrateNode, path: tuple) -> tuple[float, float]:
 
 @dataclass
 class PlacementEpisodeState:
-    """Progress of one request's placement, with the rollback ledger."""
+    """Progress of one request's placement, with the rollback ledger.
+
+    hosts lists the server of every placed VNF in chain order; the
+    pending VNF and the per-node visit counts are read from it.
+    """
     request: SliceRequest
-    next_vnf: int = 1                       # 1-based index of the pending VNF
     hosts: list[int] = field(default_factory=list)
-    chi: dict[int, int] = field(default_factory=dict)
     committed: ResourceDelta = field(default_factory=ResourceDelta)
+
+    @property
+    def next_vnf(self) -> int:
+        """1-based index of the pending VNF."""
+        return len(self.hosts) + 1
 
     @property
     def done(self) -> bool:
@@ -98,9 +104,6 @@ class PlacementEpisodeState:
     def remaining(self) -> int:
         """VNFs still to place, the pending one included (m_v)."""
         return self.request.vnf_count - self.next_vnf + 1
-
-    def chi_of(self, node: int) -> int:
-        return self.chi.get(node, 0)
 
 
 @dataclass(frozen=True)
@@ -171,8 +174,6 @@ def apply_action(state: PlacementEpisodeState, net: SubstrateNetwork,
     net.commit(delta)
     state.committed.merge(delta)
     state.hosts.append(target)
-    state.chi[target] = state.chi.get(target, 0) + 1
-    state.next_vnf += 1
     return PlacementOutcome(True, SUCCESS_REWARD, delta_b, delta_c, path,
                             terminal=state.done)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import importlib.resources
 import json
+import math
 import os
 from dataclasses import dataclass, field, fields
 
@@ -82,10 +83,24 @@ _TOPOLOGY_KEYS = {"profile"} | {f.name for f in fields(TopologyCounts)}
 _AGENT_KEYS = {f.name for f in fields(AgentConfig)}
 
 
-def _require(mapping: dict, key: str, path: str):
+def _number(mapping: dict, key: str, path: str, convert=float,
+            default=None):
+    """mapping[key] through convert and finite, else a ScenarioError
+    naming the dotted field; default stands in for an absent optional
+    key, and a key without one is required."""
+    where = f"{path}.{key}" if path else key
     if key not in mapping:
-        raise ScenarioError(f"{path}.{key}: missing required field")
-    return mapping[key]
+        if default is None:
+            raise ScenarioError(f"{where}: missing required field")
+        return default
+    raw = mapping[key]
+    try:
+        value = convert(raw)
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise ScenarioError(f"{where}: {exc}") from exc
+    if not math.isfinite(value):
+        raise ScenarioError(f"{where}: must be finite, got {raw!r}")
+    return value
 
 
 def _reject_unknown(mapping: dict, known: set, path: str) -> None:
@@ -106,52 +121,42 @@ def _parse_topology(raw, path: str) -> TopologyCounts:
                 f"{path}.profile: unknown profile {profile!r} "
                 f"(choices: {sorted(PROFILES)})")
         return PROFILES[profile]
-    try:
-        return TopologyCounts(
-            edc_count=int(_require(raw, "edc_count", path)),
-            servers_per_edc=int(_require(raw, "servers_per_edc", path)),
-            cdc_count=int(raw.get("cdc_count", 0)),
-            servers_per_cdc=int(raw.get("servers_per_cdc", 0)),
-            ccp_servers=int(raw.get("ccp_servers", 0)),
-            server_cpu=float(raw.get("server_cpu", 50.0)),
-            server_ram=float(raw.get("server_ram", 300.0)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"{path}: {exc}") from exc
+    return TopologyCounts(
+        edc_count=_number(raw, "edc_count", path, int),
+        servers_per_edc=_number(raw, "servers_per_edc", path, int),
+        cdc_count=_number(raw, "cdc_count", path, int, 0),
+        servers_per_cdc=_number(raw, "servers_per_cdc", path, int, 0),
+        ccp_servers=_number(raw, "ccp_servers", path, int, 0),
+        server_cpu=_number(raw, "server_cpu", path, float, 50.0),
+        server_ram=_number(raw, "server_ram", path, float, 300.0),
+    )
 
 
 def _parse_class(raw, idx: int) -> SliceClass:
     path = f"classes[{idx}]"
     if not isinstance(raw, dict):
         raise ScenarioError(f"{path}: must be a mapping")
-    arrival_raw = _require(raw, "arrival", path)
+    arrival_raw = raw.get("arrival")
     if not isinstance(arrival_raw, dict) or "kind" not in arrival_raw:
         raise ScenarioError(f"{path}.arrival: must be a mapping with a kind")
     kind = arrival_raw["kind"]
     if kind == "dynamic":
         arrival = DynamicArrival(
-            amplitude=float(_require(arrival_raw, "amplitude", f"{path}.arrival")),
-            period=float(_require(arrival_raw, "period", f"{path}.arrival")))
+            amplitude=_number(arrival_raw, "amplitude", f"{path}.arrival"),
+            period=_number(arrival_raw, "period", f"{path}.arrival"))
     elif kind == "static":
         arrival = StaticArrival(
-            rate=float(_require(arrival_raw, "rate", f"{path}.arrival")))
+            rate=_number(arrival_raw, "rate", f"{path}.arrival"))
     else:
         raise ScenarioError(
             f"{path}.arrival.kind: must be 'static' or 'dynamic', got {kind!r}")
+    numbers = {key: _number(raw, key, path, int) for key in ("id", "vnf_count")}
+    numbers.update({key: _number(raw, key, path) for key in
+                    ("req_cpu", "req_ram", "req_bw", "mean_lifetime")})
     try:
-        return SliceClass(
-            id=int(_require(raw, "id", path)),
-            name=str(raw.get("name", f"class-{idx}")),
-            vnf_count=int(_require(raw, "vnf_count", path)),
-            req_cpu=float(_require(raw, "req_cpu", path)),
-            req_ram=float(_require(raw, "req_ram", path)),
-            req_bw=float(_require(raw, "req_bw", path)),
-            mean_lifetime=float(_require(raw, "mean_lifetime", path)),
-            arrival=arrival,
-        )
+        return SliceClass(name=str(raw.get("name", f"class-{idx}")),
+                          arrival=arrival, **numbers)
     except ConfigurationError as exc:
-        raise ScenarioError(f"{path}: {exc}") from exc
-    except (TypeError, ValueError) as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
 
 
@@ -165,10 +170,7 @@ def parse_scenario(raw: dict, name: str = "scenario") -> Scenario:
     if not isinstance(classes_raw, list) or not classes_raw:
         raise ScenarioError("classes: must be a non-empty list")
     classes = [_parse_class(c, i) for i, c in enumerate(classes_raw)]
-    try:
-        horizon = float(_require(raw, "horizon", "scenario"))
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"horizon: {exc}") from exc
+    horizon = _number(raw, "horizon", "")
     if horizon <= 0:
         raise ScenarioError("horizon: must be > 0")
     agent_defaults = raw.get("agent", {})
@@ -177,13 +179,17 @@ def parse_scenario(raw: dict, name: str = "scenario") -> Scenario:
     if not isinstance(agent_defaults, dict):
         raise ScenarioError("agent: must be a mapping")
     _reject_unknown(agent_defaults, _AGENT_KEYS, "agent")
+    for key in sorted(_AGENT_KEYS - {"variant"}):
+        if key in agent_defaults:
+            _number(agent_defaults, key, "agent",
+                    int if key == "seed" else float)
     scenario = Scenario(
         name=str(raw.get("name", name)),
         topology=topology,
         classes=classes,
         horizon=horizon,
-        seed=int(raw.get("seed", 0)),
-        phase_size=int(raw.get("phase_size", 10_000)),
+        seed=_number(raw, "seed", "", int, 0),
+        phase_size=_number(raw, "phase_size", "", int, 10_000),
         lifetime_dist=str(raw.get("lifetime_dist", "exponential")),
         agent_defaults=dict(agent_defaults),
     )

@@ -86,14 +86,24 @@ class AgentPolicy:
         return self.agent.state_arrays()
 
     def load_state(self, manifest: dict, arrays: dict) -> None:
-        def field(name):
-            return manifest_field(manifest, name, "snapshot policy")
-
+        """Restore counters, sampling RNG and parameters; a snapshot that
+        fails any check changes none of them."""
         a = self.agent
-        a.episodes_trained = int(field("episodes_trained"))
-        a.heu_queries = int(field("heu_queries"))
-        a.rng.bit_generator.state = field("rng_state")
+
+        def checked_rng_state(state):
+            type(a.rng.bit_generator)().state = state  # a scratch generator
+            return state
+
+        def field(name, convert):
+            return manifest_field(manifest, name, "snapshot policy", convert)
+
+        episodes_trained = field("episodes_trained", int)
+        heu_queries = field("heu_queries", int)
+        rng_state = field("rng_state", checked_rng_state)
         a.load_arrays(arrays)
+        a.episodes_trained = episodes_trained
+        a.heu_queries = heu_queries
+        a.rng.bit_generator.state = rng_state
 
 
 class Simulation:
@@ -202,14 +212,19 @@ class Simulation:
                         arrays)
 
     def restore(self, path) -> None:
-        """Load a snapshot taken from an identically constructed run."""
+        """Load a snapshot taken from an identically constructed run.
+
+        Every field and array is decoded and checked before anything is
+        assigned, so a snapshot that fails leaves this run as it was.
+        """
         outer, arrays = load_checkpoint(path)
         if "manifest_json" not in outer:
             raise CheckpointError("not a simulation snapshot")
         manifest = json.loads(outer["manifest_json"])
 
-        def field(name):
-            return manifest_field(manifest, name, "simulation snapshot")
+        def field(name, convert=None):
+            return manifest_field(manifest, name, "simulation snapshot",
+                                  convert)
 
         if manifest.get("kind") != "simulation":
             raise CheckpointError("not a simulation snapshot")
@@ -224,20 +239,32 @@ class Simulation:
             raise CheckpointError(
                 f"snapshot holds policy {manifest['policy_name']!r}, "
                 f"running {self.policy.name!r}")
-        self.clock = float(field("clock"))
-        self.cursor = int(field("cursor"))
-        self.arrivals_seen = int(field("arrivals_seen"))
-        self.ledger = {int(uid): ResourceDelta.from_dict(d)
-                       for uid, d in field("ledger").items()}
-        self.records = [AcceptanceRecord(index=i, uid=u, class_id=c,
-                                         accepted=bool(acc), time=t)
-                        for i, u, c, acc, t in field("records")]
+        clock = field("clock", float)
+        cursor = field("cursor", int)
+        arrivals_seen = field("arrivals_seen", int)
+        ledger = field("ledger", lambda raw: {
+            int(uid): ResourceDelta.from_dict(d) for uid, d in raw.items()})
+        records = field("records", lambda raw: [
+            AcceptanceRecord(index=i, uid=u, class_id=c, accepted=bool(acc),
+                             time=t)
+            for i, u, c, acc, t in raw])
         link_keys = sorted(self.net.links)
-        self.net.set_residuals({
-            "cpu": arrays["net.cpu"].tolist(),
-            "ram": arrays["net.ram"].tolist(),
-            "bw": {k: float(v) for k, v in zip(link_keys, arrays["net.bw"])},
-        })
+        residuals = {}
+        for name, size in (("cpu", len(self.net.nodes)),
+                           ("ram", len(self.net.nodes)),
+                           ("bw", len(link_keys))):
+            array = arrays.get(f"net.{name}")
+            if array is None or array.shape != (size,):
+                raise CheckpointError(
+                    f"simulation snapshot array 'net.{name}' is missing or "
+                    f"not of length {size}")
+            residuals[name] = array.tolist()
+        residuals["bw"] = dict(zip(link_keys, residuals["bw"]))
+        # the policy checks its own state before it assigns any of it
         self.policy.load_state(field("policy"),
                                {k[len("policy."):]: v for k, v in arrays.items()
                                 if k.startswith("policy.")})
+        self.clock, self.cursor = clock, cursor
+        self.arrivals_seen = arrivals_seen
+        self.ledger, self.records = ledger, records
+        self.net.set_residuals(residuals)

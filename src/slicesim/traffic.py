@@ -22,7 +22,8 @@ the master seed, so adding or removing a class never perturbs the others.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import astuple, dataclass, field
 from typing import Callable, Iterable
 
 import numpy as np
@@ -58,6 +59,12 @@ class SliceClass:
     name: str = ""
 
     def __post_init__(self):
+        numbers = (self.req_cpu, self.req_ram, self.req_bw, self.mean_lifetime,
+                   *astuple(self.arrival))
+        if not all(math.isfinite(x) for x in numbers):
+            raise ConfigurationError(
+                f"class {self.id}: demands, mean_lifetime and arrival "
+                f"parameters must be finite")
         if self.vnf_count < 1:
             raise ConfigurationError(f"class {self.id}: vnf_count must be >= 1")
         if min(self.req_cpu, self.req_ram, self.req_bw) <= 0:

@@ -102,7 +102,7 @@ def test_psn_features_normalized(tiny_net):
     np.testing.assert_allclose(feats[servers, 1], 1.0)
     assert feats[:, 3].sum() == 0.0                       # nothing placed yet
     state.hosts.append(servers[0])
-    state.chi[servers[0]] = 2
+    state.hosts.append(servers[0])
     feats = scaler.psn_features(tiny_net, state)
     assert feats[servers[0], 3] == pytest.approx(0.5)     # 2 of 4 VNFs
 
@@ -115,7 +115,6 @@ def test_nspr_features_track_progress(tiny_net):
     assert first[0] == pytest.approx(10.0 / 50.0)
     assert first[1] == pytest.approx(30.0 / 300.0)
     assert first[3] == 1.0                                # all 4 remaining
-    state.next_vnf = 3
     state.hosts.extend(tiny_net.servers[:2])
     later = scaler.nspr_features(state)
     assert later[3] == pytest.approx(2.0 / 4.0)
@@ -272,14 +271,32 @@ def test_edrl_episode_carries_load_features():
     assert all(s.load is None for s in trace2.steps)
 
 
+@pytest.mark.parametrize("variant", ["drl", "ha-drl", "ha-edrl"])
+def test_episode_runs_the_actor_only(variant):
+    agent, net = tiny_agent(variant, seed=6)
+    calls = {"actor": 0, "critic": 0}
+
+    def counted(name, forward):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return forward(*args, **kwargs)
+        return wrapper
+
+    agent.actor.forward = counted("actor", agent.actor.forward)
+    agent.critic.forward = counted("critic", agent.critic.forward)
+    _, trace, _ = agent.run_episode(uniform_request(3, 5.0, 5.0, 1.0), net,
+                                    t=0.0)
+    assert len(trace.steps) == 3
+    assert calls == {"actor": 3, "critic": 0}
+
+
 def synthetic_trace(agent, net, rewards):
     """A hand-built finished trace with the given per-step rewards."""
     state = PlacementEpisodeState(
         uniform_request(len(rewards), 5.0, 5.0, 1.0))
     psn, nspr, load = agent.observe(state, net, 0.0)
     steps = [TraceStep(psn=psn, nspr=nspr, load=load, action=i % 3,
-                       probability=1.0, shaping=None, value=0.0,
-                       reward=r)
+                       probability=1.0, shaping=None, reward=r)
              for i, r in enumerate(rewards)]
     return EpisodeTrace(steps=steps, terminal=True, accepted=True)
 
@@ -313,8 +330,7 @@ def test_positive_advantage_raises_chosen_probability():
     p_before = step.probability
     trace = EpisodeTrace(steps=[TraceStep(psn=psn, nspr=nspr, load=load,
                                           action=chosen, probability=p_before,
-                                          shaping=None, value=0.0,
-                                          reward=5.0)],
+                                          shaping=None, reward=5.0)],
                          terminal=True, accepted=True)
     agent.update(trace)
     z = agent.actor.forward(psn, nspr, load)

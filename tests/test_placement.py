@@ -180,7 +180,7 @@ def test_colocation_scores_full_closeness():
     assert out.delta_c == 1.0
     # capacity factor reflects the first VNF already sitting there
     assert out.delta_b == pytest.approx(40.0 / 50.0 + 240.0 / 300.0)
-    assert state.chi_of(0) == 2
+    assert state.hosts.count(0) == 2
     # co-location consumed no bandwidth
     assert net.link(0, 2).cap_bw == 10.0
 
@@ -250,8 +250,6 @@ def test_chain_state_tracking():
     apply_action(state, net, 1)
     apply_action(state, net, 1)
     assert state.done and state.hosts == [0, 1, 1]
-    assert state.chi == {0: 1, 1: 2}
-    assert sum(state.chi.values()) == 3
 
 
 def test_outcome_record_fields():

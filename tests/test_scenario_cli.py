@@ -99,6 +99,34 @@ def test_parse_uses_filename_when_unnamed(tmp_path):
     (lambda d: d.__setitem__("agent", {"variant": "drl",
                                        "allow_any_node": True}),
      "agent.allow_any_node: unknown field"),
+    # non-finite and non-numeric values fail fast, naming the field
+    (lambda d: d["classes"][1]["arrival"].__setitem__("rate", float("nan")),
+     "classes\\[1\\].arrival.rate: must be finite"),
+    (lambda d: d["classes"][0]["arrival"].__setitem__("amplitude",
+                                                      float("nan")),
+     "classes\\[0\\].arrival.amplitude: must be finite"),
+    (lambda d: d["classes"][0]["arrival"].__setitem__("period", float("inf")),
+     "classes\\[0\\].arrival.period: must be finite"),
+    (lambda d: d["classes"][0].__setitem__("req_bw", float("-inf")),
+     "classes\\[0\\].req_bw: must be finite"),
+    (lambda d: d["classes"][1].__setitem__("mean_lifetime", float("inf")),
+     "classes\\[1\\].mean_lifetime: must be finite"),
+    (lambda d: d["classes"][0].__setitem__("vnf_count", float("inf")),
+     "classes\\[0\\].vnf_count:"),
+    (lambda d: d["classes"][1].__setitem__("req_ram", "lots"),
+     "classes\\[1\\].req_ram:"),
+    (lambda d: d.__setitem__("horizon", float("inf")),
+     "horizon: must be finite"),
+    (lambda d: d.__setitem__("seed", "abc"), "seed:"),
+    (lambda d: d.__setitem__("phase_size", "many"), "phase_size:"),
+    (lambda d: d.__setitem__("topology", {"edc_count": 1, "servers_per_edc": 3,
+                                          "server_cpu": float("nan")}),
+     "topology.server_cpu: must be finite"),
+    (lambda d: d.__setitem__("topology", {"edc_count": float("inf"),
+                                          "servers_per_edc": 3}),
+     "topology.edc_count:"),
+    (lambda d: d.__setitem__("agent", {"beta": float("nan")}),
+     "agent.beta: must be finite"),
 ])
 def test_parse_errors_name_the_field(mutate, path_fragment):
     doc = scenario_doc()
@@ -237,6 +265,17 @@ def test_cli_train_writes_checkpoint_and_manifest(tmp_path):
     assert manifest["variant"] == "drl"
     assert manifest["episodes"] == 40
     assert manifest["checkpoint"].endswith("tiny-drl-seed0.ckpt")
+
+
+def test_cli_train_stops_after_arrivals(tmp_path):
+    rv = run_cli("train", "--scenario", "tiny", "--variant", "drl",
+                 "--arrivals", "7", "--out-dir", str(tmp_path))
+    assert rv == 0
+    base = tmp_path / "tiny-drl-seed0"
+    rows = base.with_suffix(".csv").read_text().splitlines()
+    assert len(rows) == 1 + 7                      # header + one per arrival
+    manifest = json.loads(base.with_suffix(".manifest.json").read_text())
+    assert manifest["episodes"] == 7
 
 
 def test_cli_train_multi_seed_fanout(tmp_path):

@@ -278,6 +278,50 @@ def test_snapshot_restore_names_a_missing_field(tmp_path, field):
         fresh().restore(snap)
 
 
+def drop_rng_state(manifest, arrays):
+    del manifest["policy"]["rng_state"]
+
+
+def widen_actor_output(manifest, arrays):
+    w = arrays["policy.actor.out.w"]
+    arrays["policy.actor.out.w"] = np.zeros((w.shape[0], w.shape[1] + 1))
+
+
+@pytest.mark.parametrize("corrupt", [drop_rng_state, widen_actor_output])
+def test_failed_restore_leaves_the_run_unchanged(tmp_path, corrupt):
+    def fresh():
+        net, events = tiny_stream()
+        agent = Agent(AgentConfig.for_variant("drl"), net)
+        return Simulation(net, events, AgentPolicy(agent, train=True))
+
+    sim = fresh()
+    sim.run(max_arrivals=35)
+    snap = tmp_path / "sim.snap"
+    sim.snapshot(snap)
+    outer, arrays = load_checkpoint(snap)
+    manifest = json.loads(outer["manifest_json"])
+    corrupt(manifest, arrays)
+    save_checkpoint(snap, {"manifest_json": json.dumps(manifest)}, arrays)
+
+    target = fresh()
+    target.run(max_arrivals=3)
+    clock, cursor = target.clock, target.cursor
+    ledger = {uid: d.to_dict() for uid, d in target.ledger.items()}
+    records = list(target.records)
+    residuals = target.net.residuals()
+    actor = {k: v.copy()
+             for k, v in target.policy.agent.actor.params.arrays().items()}
+    with pytest.raises(CheckpointError):
+        target.restore(snap)
+    assert (target.clock, target.cursor) == (clock, cursor)
+    assert {uid: d.to_dict() for uid, d in target.ledger.items()} == ledger
+    assert target.records == records
+    assert target.net.residuals() == residuals
+    after = target.policy.agent.actor.params.arrays()
+    for k in actor:
+        np.testing.assert_array_equal(after[k], actor[k])
+
+
 def test_frozen_agent_snapshot_bytes_keep_their_format(tmp_path):
     """A frozen ha-edrl run on `tiny` snapshots to the same bytes as
     before the closed-form update: same actions, same container."""

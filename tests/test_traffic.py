@@ -62,6 +62,20 @@ def test_class_validation():
     with pytest.raises(ConfigurationError):
         SliceClass(id=0, vnf_count=2, req_cpu=1, req_ram=1, req_bw=1,
                    mean_lifetime=1, arrival=StaticArrival(-0.1))
+    nan, inf = float("nan"), float("inf")
+    for demands, lifetime, arrival in [
+            ((nan, 1, 1), 1, StaticArrival(0.1)),
+            ((1, inf, 1), 1, StaticArrival(0.1)),
+            ((1, 1, nan), 1, StaticArrival(0.1)),
+            ((1, 1, 1), inf, StaticArrival(0.1)),
+            ((1, 1, 1), 1, StaticArrival(nan)),
+            ((1, 1, 1), 1, StaticArrival(inf)),
+            ((1, 1, 1), 1, DynamicArrival(nan, 10.0)),
+            ((1, 1, 1), 1, DynamicArrival(1.0, inf))]:
+        with pytest.raises(ConfigurationError, match="must be finite"):
+            SliceClass(id=0, vnf_count=2, req_cpu=demands[0],
+                       req_ram=demands[1], req_bw=demands[2],
+                       mean_lifetime=lifetime, arrival=arrival)
 
 
 def test_resource_units():
