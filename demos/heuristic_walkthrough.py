@@ -25,7 +25,7 @@ def place(request):
             print("  no feasible server, rejecting and rolling back")
             outcomes.append(fail_step(state, net))
             break
-        outcome = apply_action(state, net, advice.server)
+        outcome = apply_action(state, net, advice.server, advice.paths)
         outcomes.append(outcome)
         print(f"  vnf {len(outcomes)} -> server {advice.server}: "
               f"placed={outcome.delta_a:+.0f} capacity={outcome.delta_b:.3f} "

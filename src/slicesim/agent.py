@@ -17,12 +17,13 @@ learning rates. An update stacks the episode's T observations, runs each
 network forward once over the stack, and hands the closed-form loss
 gradients with respect to the outputs to the network's batched backward:
 -A_t (onehot(a_t) - pi_t) for the actor's scores, -2 (R_t - v_t) for the
-critic's value.
+critic's value. The actor's batched pass reuses the graph-convolution
+activations each step saved at selection, since the parameters do not
+move within an episode.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -94,6 +95,7 @@ class TraceStep:
     action: int                      # index into the agent's action list
     probability: float
     shaping: np.ndarray | None       # additive score shift, constant in grads
+    gcn: list[tuple[np.ndarray, np.ndarray]]  # the actor's GCN at selection
     reward: float = 0.0
 
 
@@ -113,17 +115,34 @@ class FeatureScaler:
         self.cpu = max(n.max_cpu for n in servers)
         self.ram = max(n.max_ram for n in servers)
         self.bw = max(net.max_outgoing_bw(n.id) for n in net.nodes)
+        # incident[k, n]: index in net.links of node n's k-th link in
+        # adjacency order, or len(net.links) (a 0.0 pad) past its degree
+        position = {key: i for i, key in enumerate(net.links)}
+        degree = max(len(nbrs) for nbrs in net.adjacency)
+        self.incident = np.full((degree, len(net.nodes)), len(position))
+        for n, nbrs in enumerate(net.adjacency):
+            for k, m in enumerate(nbrs):
+                self.incident[k, n] = position[(n, m) if n < m else (m, n)]
 
     def psn_features(self, net: SubstrateNetwork,
                      state: PlacementEpisodeState) -> np.ndarray:
         """(|N|, 4) rows of residual cpu, ram, incident bw, and the share
-        of the request's VNFs already placed on the node."""
-        size = state.request.vnf_count
-        visits = Counter(state.hosts)
-        return np.array([(node.cap_cpu / self.cpu, node.cap_ram / self.ram,
-                          net.outgoing_bw(node.id) / self.bw,
-                          visits[node.id] / size)
-                         for node in net.nodes], dtype=np.float64)
+        of the request's VNFs already placed on the node.
+
+        The incident bw of a node sums its links in adjacency order, as
+        `net.outgoing_bw` does: reducing over axis 0 adds the gathered
+        rows one after another, so every sum rounds the same way.
+        """
+        bw = np.array([link.cap_bw for link in net.links.values()] + [0.0])
+        feats = np.empty((len(net.nodes), 4))
+        feats[:, 0] = [node.cap_cpu for node in net.nodes]
+        feats[:, 1] = [node.cap_ram for node in net.nodes]
+        feats[:, 2] = np.add.reduce(bw[self.incident], axis=0)
+        feats[:, 3] = 0.0
+        for host in state.hosts:
+            feats[host, 3] += 1.0
+        feats /= (self.cpu, self.ram, self.bw, state.request.vnf_count)
+        return feats
 
     def nspr_features(self, state: PlacementEpisodeState) -> np.ndarray:
         req = state.request
@@ -166,12 +185,17 @@ class Agent:
 
     # -- observation and action selection ---------------------------------
 
+    def forecast(self, t: float) -> np.ndarray | None:
+        """The load branch's input at time t, or None without one."""
+        return (self.load_model.forecast_features(t)
+                if self.load_model is not None else None)
+
     def observe(self, state: PlacementEpisodeState, net: SubstrateNetwork,
-                t: float):
+                load: np.ndarray | None):
+        """(psn, nspr, load) for the pending step; load is the episode's
+        `forecast`, passed through."""
         psn = self.scaler.psn_features(net, state)
         nspr = self.scaler.nspr_features(state)
-        load = (self.load_model.forecast_features(t)
-                if self.load_model is not None else None)
         return psn, nspr, load
 
     def shaping_vector(self, z: np.ndarray,
@@ -197,7 +221,8 @@ class Agent:
 
         Returns (substrate node id, TraceStep without reward).
         """
-        z = self.actor.forward(psn, nspr, load)
+        gcn = []
+        z = self.actor.forward(psn, nspr, load, saved=gcn)
         shaping = self.shaping_vector(z, advice)
         if shaping is not None:
             z = z + shaping
@@ -209,7 +234,8 @@ class Agent:
                 f"probabilities are not a finite distribution")
         idx = int(self.rng.choice(len(probs), p=probs))
         step = TraceStep(psn=psn, nspr=nspr, load=load, action=idx,
-                         probability=float(probs[idx]), shaping=shaping)
+                         probability=float(probs[idx]), shaping=shaping,
+                         gcn=gcn)
         return self.actions[idx], step
 
     # -- episode rollout -----------------------------------------------------
@@ -226,16 +252,19 @@ class Agent:
         state = PlacementEpisodeState(request)
         trace = EpisodeTrace()
         outcomes = []
+        forecast = self.forecast(t)         # t is fixed within an episode
         while not state.done:
             vnf_index = state.next_vnf
             advice = None
             if uses_heuristic(self.config.variant):
                 advice = heu_select(state, net)
                 self.heu_queries += 1
-            psn, nspr, load = self.observe(state, net, t)
+            psn, nspr, load = self.observe(state, net, forecast)
             target, step = self.select_action(psn, nspr, load, advice)
             trace.steps.append(step)
-            outcome = apply_action(state, net, target)
+            # the advice's route sweep holds the path to any target
+            outcome = apply_action(state, net, target,
+                                   None if advice is None else advice.paths)
             outcomes.append(outcome)
             if trace_sink is not None:
                 trace_sink(outcome.to_record(request.uid, vnf_index, target))
@@ -274,8 +303,11 @@ class Agent:
         self.critic.params.sgd_step(cfg.critic_lr)
 
         # d(-A_t log pi(a_t))/dz_t = A_t (pi_t - onehot(a_t)); the shaping
-        # shifts the scores but is a constant
-        z, acts = self.actor.forward_batch(psn, nspr, load)
+        # shifts the scores but is a constant. The actor's parameters have
+        # not moved since selection, so its GCN activations still hold.
+        gcn = [tuple(np.concatenate(parts) for parts in zip(*layer))
+               for layer in zip(*(s.gcn for s in steps))]
+        z, acts = self.actor.forward_batch(psn, nspr, load, gcn)
         z = z.copy()
         for i, s in enumerate(steps):
             if s.shaping is not None:

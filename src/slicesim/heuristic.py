@@ -4,12 +4,13 @@ For the pending VNF it scores every feasible server by the pair
 (delta_b, delta_c) the placement engine would pay there, compares the
 pairs lexicographically, and breaks remaining ties toward the smallest
 server id. One routing sweep from the previous host covers all
-candidates.
+candidates; the advice carries it, so placing the step on any server
+needs no second sweep.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .placement import (PlacementEpisodeState, PlacementOutcome, apply_action,
                         fail_step, fits, route_all, step_scores)
@@ -20,6 +21,9 @@ from .traffic import SliceRequest
 @dataclass(frozen=True)
 class HeuristicAdvice:
     server: int | None
+    # the step's route_all sweep from the previous host; None at the first VNF
+    paths: dict[int, tuple] | None = field(default=None, compare=False,
+                                           repr=False)
 
     @property
     def exists(self) -> bool:
@@ -45,7 +49,7 @@ def heu_select(state: PlacementEpisodeState,
         score = step_scores(node, path)
         if best_score is None or score > best_score:
             best, best_score = sid, score
-    return HeuristicAdvice(best)
+    return HeuristicAdvice(best, paths)
 
 
 def heu_place_full(request: SliceRequest, net: SubstrateNetwork,
@@ -69,7 +73,7 @@ def heu_place_full(request: SliceRequest, net: SubstrateNetwork,
             if trace_sink is not None:
                 trace_sink(outcome.to_record(request.uid, step, -1))
             return False, state, outcomes
-        outcome = apply_action(state, net, advice.server)
+        outcome = apply_action(state, net, advice.server, advice.paths)
         outcomes.append(outcome)
         if trace_sink is not None:
             trace_sink(outcome.to_record(request.uid, step, advice.server))

@@ -15,10 +15,13 @@ linear; the critic applies relu on every layer, output included.
 Everything is plain float64 numpy with hand-written gradients. The
 forward pass takes a stack of T observations, so an episode's update is
 one batched forward and one closed-form backward: the output-layer
-gradient is a single GEMM C^T G over the (T, 60|N| + ...) concatenations,
-and each graph-convolution layer's gradient is a GEMM over the stacked
-(T*|N|, 60) node features. `forward` is the one-observation case used at
-action selection.
+gradient C^T G over the (T, 60|N| + ...) concatenations has rank <= T;
+the actor keeps it as its two factors, which the SGD step multiplies out
+in cache-sized row blocks, and each graph-convolution layer's gradient
+is a GEMM over the stacked (T*|N|, 60) node features. `forward` is the
+one-observation case used at action selection; it can hand its GCN
+activations to a later batched pass over the same observations, which
+then skips the graph convolutions.
 
 Checkpoints are a versioned binary: a JSON manifest (names, shapes,
 architecture fields) followed by the raw little-endian float64 arrays in
@@ -42,6 +45,11 @@ LOAD_FC_WIDTH = 100
 NSPR_INPUT_WIDTH = 4
 PSN_FEATURES = 4
 LOAD_INPUT_WIDTH = 300
+
+# rows of a factored gradient formed at once by sgd_step: a 256 x 126
+# block is 258 KB, small enough to stay in cache between its product,
+# its scaling and its subtraction
+SGD_BLOCK_ROWS = 256
 
 
 def normalized_propagation(adjacency: np.ndarray) -> np.ndarray:
@@ -98,11 +106,23 @@ class ParameterSet:
         """Descend lr along every stored gradient, then drop the gradients.
 
         The step is taken in place: each gradient is scaled into itself
-        and subtracted, so no parameter-sized temporary is allocated.
+        and subtracted, so no parameter-sized temporary is allocated. A
+        gradient stored as factors (C, G) stands for C^T G; it is formed,
+        scaled and subtracted SGD_BLOCK_ROWS rows at a time, each element
+        from the same products and roundings as the whole product.
         """
         for name, g in self.grads.items():
-            g *= lr
-            self.values[name] -= g
+            w = self.values[name]
+            if isinstance(g, tuple):
+                c, g_out = g
+                for start in range(0, w.shape[0], SGD_BLOCK_ROWS):
+                    rows = slice(start, start + SGD_BLOCK_ROWS)
+                    block = c[:, rows].T @ g_out
+                    block *= lr
+                    w[rows] -= block
+            else:
+                g *= lr
+                w -= g
         self.grads.clear()
 
     def count(self) -> int:
@@ -218,18 +238,31 @@ class SliceNet:
         return self._gcn(x[None])[0]
 
     def forward(self, psn: np.ndarray, nspr: np.ndarray,
-                load: np.ndarray | None = None) -> np.ndarray:
-        """Score vector over actions (actor) or 1-vector (critic)."""
+                load: np.ndarray | None = None,
+                saved: list | None = None) -> np.ndarray:
+        """Score vector over actions (actor) or 1-vector (critic).
+
+        saved, when given, receives each GCN layer's (A·H_{k-1}, H_k),
+        each of shape (1, |N|, width), for a later `forward_batch`.
+        """
         stacked = None if load is None else np.asarray(load)[None]
-        out, _ = self.forward_batch(np.asarray(psn)[None],
-                                    np.asarray(nspr)[None], stacked)
+        out, acts = self.forward_batch(np.asarray(psn)[None],
+                                       np.asarray(nspr)[None], stacked)
+        if saved is not None:
+            saved.extend(acts.gcn)
         return out[0]
 
     def forward_batch(self, psn: np.ndarray, nspr: np.ndarray,
-                      load: np.ndarray | None = None
+                      load: np.ndarray | None = None,
+                      gcn: list | None = None
                       ) -> tuple[np.ndarray, Activations]:
         """Outputs (T, n_outputs) for T stacked observations, plus the
-        activations `backward` differentiates through."""
+        activations `backward` differentiates through.
+
+        gcn, when given, holds the GCN layers' (A·H_{k-1}, H_k) already
+        computed for these node features, stacked to (T, |N|, width);
+        the graph convolutions are then not run again.
+        """
         psn = np.asarray(psn, dtype=np.float64)
         nspr = np.asarray(nspr, dtype=np.float64)
         if psn.ndim != 3 or psn.shape[1:] != (self.n_nodes, PSN_FEATURES):
@@ -241,8 +274,16 @@ class SliceNet:
             raise ConfigurationError(
                 f"request features must be ({NSPR_INPUT_WIDTH},)")
         p = self.params
-        gcn: list[tuple[np.ndarray, np.ndarray]] = []
-        nodes = self._gcn(psn, gcn)
+        if gcn is None:
+            gcn = []
+            nodes = self._gcn(psn, gcn)
+        else:
+            if (len(gcn) != self.gcn_layers or gcn[-1][1].shape
+                    != (t, self.n_nodes, self.gcn_width)):
+                raise ConfigurationError(
+                    f"saved GCN activations must be {self.gcn_layers} layers "
+                    f"of shape {(t, self.n_nodes, self.gcn_width)}")
+            nodes = gcn[-1][1]
         nspr_out = self._act(nspr @ p["nspr.w"] + p["nspr.b"])
         parts = [nodes.reshape(t, -1), nspr_out]
         load_out = None
@@ -270,17 +311,24 @@ class SliceNet:
         """Gradients of sum_t grad_out[t] · out[t] for every parameter.
 
         grad_out is (T, n_outputs), the loss gradient with respect to
-        the batch's outputs; the results replace `params.grads`.
+        the batch's outputs; the results replace `params.grads`. The
+        output weights' gradient combined^T g_out is stored as its
+        factors (combined, g_out) when they hold fewer values than it.
         """
         p = self.params
         grads = {}
         g = np.asarray(grad_out, dtype=np.float64)
         if self.activation == "relu":
             g = (acts.out > 0.0) * g
-        grads["out.w"] = acts.combined.T @ g
+        # C^T G has rank <= T: when its factors are the smaller form (the
+        # actor's many scores), keep them for sgd_step to form in blocks
+        t, width = acts.combined.shape
+        if t * (width + g.shape[1]) < width * g.shape[1]:
+            grads["out.w"] = (acts.combined, g)
+        else:
+            grads["out.w"] = acts.combined.T @ g
         grads["out.b"] = g.sum(axis=0)
         g_combined = g @ p["out.w"].T
-        t = g.shape[0]
         gcn_end = self.n_nodes * self.gcn_width
         dense = [("nspr", acts.nspr, acts.nspr_out,
                   g_combined[:, gcn_end:gcn_end + NSPR_FC_WIDTH])]

@@ -133,21 +133,32 @@ def is_feasible(state: PlacementEpisodeState, net: SubstrateNetwork,
     return _evaluate(state, net, target) is not None
 
 
-def _evaluate(state: PlacementEpisodeState, net: SubstrateNetwork, target: int):
-    """Return the feasible path for this step (possibly empty), else None."""
+def _evaluate(state: PlacementEpisodeState, net: SubstrateNetwork, target: int,
+              paths: dict[int, tuple] | None = None):
+    """Return the feasible path for this step (possibly empty), else None.
+
+    paths, when given, is this step's `route_all` sweep; without it the
+    step is routed here.
+    """
     v = state.next_vnf
     if not fits(net.nodes[target], *state.request.vnfs[v - 1]):
         return None
     if v == 1:
         return ()
+    if paths is not None:
+        return paths.get(target)
     return route(net, state.hosts[-1], target, state.request.vls[v - 2])
 
 
 def apply_action(state: PlacementEpisodeState, net: SubstrateNetwork,
-                 target: int) -> PlacementOutcome:
+                 target: int, paths: dict[int, tuple] | None = None
+                 ) -> PlacementOutcome:
     """Place the pending VNF on the target server; commit or roll back.
 
-    Actions target servers: any other node id is a caller bug.
+    Actions target servers: any other node id is a caller bug. paths,
+    when given, is `route_all` from the previous host at this step's
+    bandwidth, swept on the substrate as it stands (as `heu_select`
+    returns it), so the step is not routed a second time.
     """
     if state.done:
         raise ConfigurationError("request already fully placed")
@@ -157,7 +168,7 @@ def apply_action(state: PlacementEpisodeState, net: SubstrateNetwork,
         raise ConfigurationError(
             f"node {target} is not a server; actions target servers")
 
-    path = _evaluate(state, net, target)
+    path = _evaluate(state, net, target, paths)
     if path is None:
         return fail_step(state, net)
 

@@ -103,6 +103,13 @@ def _number(mapping: dict, key: str, path: str, convert=float,
     return value
 
 
+def _whole(raw) -> int:
+    """int(raw), refusing a number with a fractional part."""
+    if isinstance(raw, float) and not raw.is_integer():
+        raise ValueError(f"must be a whole number, got {raw!r}")
+    return int(raw)
+
+
 def _reject_unknown(mapping: dict, known: set, path: str) -> None:
     unknown = sorted(str(k) for k in mapping if k not in known)
     if unknown:
@@ -122,11 +129,11 @@ def _parse_topology(raw, path: str) -> TopologyCounts:
                 f"(choices: {sorted(PROFILES)})")
         return PROFILES[profile]
     return TopologyCounts(
-        edc_count=_number(raw, "edc_count", path, int),
-        servers_per_edc=_number(raw, "servers_per_edc", path, int),
-        cdc_count=_number(raw, "cdc_count", path, int, 0),
-        servers_per_cdc=_number(raw, "servers_per_cdc", path, int, 0),
-        ccp_servers=_number(raw, "ccp_servers", path, int, 0),
+        edc_count=_number(raw, "edc_count", path, _whole),
+        servers_per_edc=_number(raw, "servers_per_edc", path, _whole),
+        cdc_count=_number(raw, "cdc_count", path, _whole, 0),
+        servers_per_cdc=_number(raw, "servers_per_cdc", path, _whole, 0),
+        ccp_servers=_number(raw, "ccp_servers", path, _whole, 0),
         server_cpu=_number(raw, "server_cpu", path, float, 50.0),
         server_ram=_number(raw, "server_ram", path, float, 300.0),
     )
@@ -150,7 +157,8 @@ def _parse_class(raw, idx: int) -> SliceClass:
     else:
         raise ScenarioError(
             f"{path}.arrival.kind: must be 'static' or 'dynamic', got {kind!r}")
-    numbers = {key: _number(raw, key, path, int) for key in ("id", "vnf_count")}
+    numbers = {key: _number(raw, key, path, _whole)
+               for key in ("id", "vnf_count")}
     numbers.update({key: _number(raw, key, path) for key in
                     ("req_cpu", "req_ram", "req_bw", "mean_lifetime")})
     try:
@@ -182,14 +190,14 @@ def parse_scenario(raw: dict, name: str = "scenario") -> Scenario:
     for key in sorted(_AGENT_KEYS - {"variant"}):
         if key in agent_defaults:
             _number(agent_defaults, key, "agent",
-                    int if key == "seed" else float)
+                    _whole if key == "seed" else float)
     scenario = Scenario(
         name=str(raw.get("name", name)),
         topology=topology,
         classes=classes,
         horizon=horizon,
-        seed=_number(raw, "seed", "", int, 0),
-        phase_size=_number(raw, "phase_size", "", int, 10_000),
+        seed=_number(raw, "seed", "", _whole, 0),
+        phase_size=_number(raw, "phase_size", "", _whole, 10_000),
         lifetime_dist=str(raw.get("lifetime_dist", "exponential")),
         agent_defaults=dict(agent_defaults),
     )
@@ -218,17 +226,37 @@ def bundled_scenario_path(name: str):
     return importlib.resources.files("slicesim") / "scenarios" / f"{name}.scenario"
 
 
+def _line_column(mark) -> str:
+    return f"line {mark.line + 1}, column {mark.column + 1}"
+
+
+def _read_yaml(text: str, source: str):
+    """The YAML document in text; a syntax error becomes a ScenarioError
+    naming source and the 1-based line and column."""
+    try:
+        return yaml.safe_load(text)
+    except yaml.MarkedYAMLError as exc:
+        where = (f" at {_line_column(exc.problem_mark)}"
+                 if exc.problem_mark is not None else "")
+        context = (f" ({exc.context} at {_line_column(exc.context_mark)})"
+                   if exc.context and exc.context_mark is not None else "")
+        raise ScenarioError(f"{source}: YAML syntax error{where}: "
+                            f"{exc.problem}{context}") from exc
+    except yaml.YAMLError as exc:
+        raise ScenarioError(f"{source}: YAML error: {exc}") from exc
+
+
 def load_scenario(ref: str) -> Scenario:
     """Load a scenario from a file path or a bundled name."""
     if os.path.exists(ref):
         with open(ref) as fh:
-            raw = yaml.safe_load(fh)
+            raw = _read_yaml(fh.read(), ref)
         name = os.path.splitext(os.path.basename(ref))[0]
         return parse_scenario(raw, name)
     bundled = bundled_scenario_path(ref)
     if bundled.is_file():
-        raw = yaml.safe_load(bundled.read_text())
-        return parse_scenario(raw, ref)
+        return parse_scenario(_read_yaml(bundled.read_text(), str(bundled)),
+                              ref)
     raise ScenarioError(
         f"scenario {ref!r} is neither a file nor a bundled name")
 

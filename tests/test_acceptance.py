@@ -187,6 +187,9 @@ def flat_grads(net):
     parts = []
     for k in sorted(arrays):
         g = net.params.grads.get(k)
+        if isinstance(g, tuple):        # stored as factors (C, G): C^T G
+            c, g_out = g
+            g = c.T @ g_out
         parts.append(np.zeros(arrays[k].size) if g is None else g.ravel())
     return np.concatenate(parts)
 

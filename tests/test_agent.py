@@ -18,6 +18,7 @@ from slicesim import (
     PlacementEpisodeState,
     build_reference_topology,
     heu_select,
+    route,
     uses_heuristic,
     uses_load,
 )
@@ -107,6 +108,32 @@ def test_psn_features_normalized(tiny_net):
     assert feats[servers[0], 3] == pytest.approx(0.5)     # 2 of 4 VNFs
 
 
+def test_psn_features_match_per_node_sums_on_reference():
+    """Bit for bit the per-node features, incident bw summed link by link
+    in adjacency order, after commits that leave uneven link residuals."""
+    from slicesim import ResourceDelta
+    net = build_reference_topology("full")
+    scaler = FeatureScaler(net)
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        src, dst = (int(s) for s in rng.choice(net.servers, 2, replace=False))
+        path = route(net, src, dst, 0.0)
+        delta = ResourceDelta()
+        delta.add_node(src, cpu=rng.uniform(0.0, 1.0), ram=rng.uniform(0.0, 6.0))
+        for a, b in zip(path, path[1:]):
+            delta.add_link(a, b, rng.uniform(0.0, 0.2))
+        net.commit(delta)
+    state = PlacementEpisodeState(uniform_request(3, 5.0, 5.0, 1.0))
+    state.hosts.extend([net.servers[7], net.servers[7]])
+    visits = {net.servers[7]: 2}
+    oracle = np.array([(node.cap_cpu / scaler.cpu, node.cap_ram / scaler.ram,
+                        net.outgoing_bw(node.id) / scaler.bw,
+                        visits.get(node.id, 0) / 3)
+                       for node in net.nodes])
+    assert max(len(nbrs) for nbrs in net.adjacency) >= 8
+    assert np.array_equal(scaler.psn_features(net, state), oracle)
+
+
 def test_nspr_features_track_progress(tiny_net):
     scaler = FeatureScaler(tiny_net)
     state = PlacementEpisodeState(uniform_request(4, 10.0, 30.0, 2.0))
@@ -181,7 +208,7 @@ def test_shaped_argmax_is_advised_action():
 
 def observation_for(agent, net):
     state = PlacementEpisodeState(uniform_request(2, 5.0, 5.0, 1.0))
-    return agent.observe(state, net, t=0.0)
+    return agent.observe(state, net, agent.forecast(0.0))
 
 
 def test_zeroed_actor_samples_uniformly():
@@ -290,14 +317,77 @@ def test_episode_runs_the_actor_only(variant):
     assert calls == {"actor": 3, "critic": 0}
 
 
+def counting(calls, name, fn):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+@pytest.mark.parametrize("variant", ["drl", "edrl", "ha-drl", "ha-edrl"])
+def test_update_reuses_the_actors_selection_gcn(variant):
+    """The update runs the critic's graph convolutions once and the
+    actor's not at all: each step kept them from selection."""
+    agent, net = tiny_agent(variant, seed=6)
+    _, trace, _ = agent.run_episode(uniform_request(3, 5.0, 5.0, 1.0), net,
+                                    t=0.0)
+    assert len(trace.steps) == 3
+    calls = {"actor": 0, "critic": 0}
+    agent.actor._gcn = counting(calls, "actor", agent.actor._gcn)
+    agent.critic._gcn = counting(calls, "critic", agent.critic._gcn)
+    agent.update(trace)
+    assert calls == {"actor": 0, "critic": 1}
+
+
+def test_update_needs_each_steps_saved_gcn():
+    agent, net = tiny_agent("drl", seed=6)
+    trace = synthetic_trace(agent, net, [0.0, 1.0])
+    trace.steps[1].gcn = []
+    with pytest.raises(ConfigurationError, match="saved GCN activations"):
+        agent.update(trace)
+
+
+def test_episode_takes_one_forecast():
+    agent, net = tiny_agent("ha-edrl", seed=6)
+    calls = {"forecast": 0}
+    model = agent.load_model
+    model.forecast_features = counting(calls, "forecast",
+                                       model.forecast_features)
+    _, trace, _ = agent.run_episode(uniform_request(3, 5.0, 5.0, 1.0), net,
+                                    t=10.0)
+    assert len(trace.steps) == 3
+    assert calls == {"forecast": 1}
+    np.testing.assert_array_equal(trace.steps[2].load,
+                                  model.forecast_features(10.0))
+
+
+def test_ha_episode_sweeps_once_per_step_after_the_first(monkeypatch):
+    """apply_action reuses the advice's route sweep instead of routing the
+    agent's target again."""
+    from slicesim import heuristic, placement
+    calls = {"route_all": 0}
+    counted = counting(calls, "route_all", placement.route_all)
+    monkeypatch.setattr(placement, "route_all", counted)
+    monkeypatch.setattr(heuristic, "route_all", counted)
+    agent, net = tiny_agent("ha-drl", seed=6)
+    accepted, trace, _ = agent.run_episode(
+        uniform_request(3, 5.0, 5.0, 1.0), net, t=0.0)
+    assert accepted and len(trace.steps) == 3
+    assert calls == {"route_all": 2}
+
+
 def synthetic_trace(agent, net, rewards):
     """A hand-built finished trace with the given per-step rewards."""
     state = PlacementEpisodeState(
         uniform_request(len(rewards), 5.0, 5.0, 1.0))
-    psn, nspr, load = agent.observe(state, net, 0.0)
-    steps = [TraceStep(psn=psn, nspr=nspr, load=load, action=i % 3,
-                       probability=1.0, shaping=None, reward=r)
-             for i, r in enumerate(rewards)]
+    psn, nspr, load = agent.observe(state, net, agent.forecast(0.0))
+    steps = []
+    for i, r in enumerate(rewards):
+        gcn = []
+        agent.actor.forward(psn, nspr, load, saved=gcn)
+        steps.append(TraceStep(psn=psn, nspr=nspr, load=load, action=i % 3,
+                               probability=1.0, shaping=None, gcn=gcn,
+                               reward=r))
     return EpisodeTrace(steps=steps, terminal=True, accepted=True)
 
 
@@ -324,14 +414,12 @@ def test_zero_advantage_means_no_actor_motion():
 def test_positive_advantage_raises_chosen_probability():
     agent, net = tiny_agent("drl", seed=9, actor_lr=0.05)
     state = PlacementEpisodeState(uniform_request(1, 5.0, 5.0, 1.0))
-    psn, nspr, load = agent.observe(state, net, 0.0)
+    psn, nspr, load = agent.observe(state, net, agent.forecast(0.0))
     _, step = agent.select_action(psn, nspr, load)
     chosen = step.action
     p_before = step.probability
-    trace = EpisodeTrace(steps=[TraceStep(psn=psn, nspr=nspr, load=load,
-                                          action=chosen, probability=p_before,
-                                          shaping=None, reward=5.0)],
-                         terminal=True, accepted=True)
+    step.reward = 5.0
+    trace = EpisodeTrace(steps=[step], terminal=True, accepted=True)
     agent.update(trace)
     z = agent.actor.forward(psn, nspr, load)
     assert softmax(z)[chosen] > p_before
@@ -388,7 +476,7 @@ def test_nan_actor_weights_refuse_to_sample():
     agent, net = tiny_agent("ha-drl", seed=2)
     agent.actor.params["out.w"][:] = np.nan
     state = PlacementEpisodeState(uniform_request(2, 5.0, 5.0, 1.0))
-    psn, nspr, load = agent.observe(state, net, 0.0)
+    psn, nspr, load = agent.observe(state, net, agent.forecast(0.0))
     rng_before = agent.rng.bit_generator.state
     with pytest.raises(ConfigurationError, match="ha-drl"):
         agent.select_action(psn, nspr, load, heu_select(state, net))
@@ -467,7 +555,7 @@ def test_heuristic_advice_matches_heu_for_ha_runs():
     agent, net = tiny_agent("ha-drl", seed=12)
     state = PlacementEpisodeState(uniform_request(2, 5.0, 5.0, 1.0))
     expected = heu_select(state, net).server
-    psn, nspr, load = agent.observe(state, net, 0.0)
+    psn, nspr, load = agent.observe(state, net, agent.forecast(0.0))
     z = agent.actor.forward(psn, nspr, load)
     shift = agent.shaping_vector(z, HeuristicAdvice(expected))
     assert shift[agent.action_index[expected]] >= 0.0

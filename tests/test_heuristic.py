@@ -139,6 +139,25 @@ def test_place_full_accepts_and_commits(tiny_net):
     assert tiny_net.nodes[state.hosts[0]].cap_cpu < 50.0
 
 
+def test_place_full_sweeps_once_per_step_after_the_first(tiny_net,
+                                                         monkeypatch):
+    """Each step's heu_select sweep also routes its apply_action."""
+    from slicesim import heuristic, placement
+    sweeps = []
+    original = placement.route_all
+
+    def counted(*args):
+        sweeps.append(args[1])
+        return original(*args)
+
+    monkeypatch.setattr(placement, "route_all", counted)
+    monkeypatch.setattr(heuristic, "route_all", counted)
+    accepted, state, _ = heu_place_full(
+        uniform_request(3, 10.0, 50.0, 2.0), tiny_net)
+    assert accepted
+    assert sweeps == state.hosts[:2]        # one sweep from each previous host
+
+
 def test_place_full_rejects_and_restores(tiny_net):
     before = tiny_net.residuals()
     req = uniform_request(2, 60.0, 50.0, 2.0)  # cpu demand over capacity

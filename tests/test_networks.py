@@ -14,6 +14,7 @@ from slicesim.networks import (
     NSPR_FC_WIDTH,
     NSPR_INPUT_WIDTH,
     PSN_FEATURES,
+    SGD_BLOCK_ROWS,
     ParameterSet,
     SliceNet,
     glorot,
@@ -112,7 +113,72 @@ def test_sgd_step_and_zero_grad():
     assert not params.grads
 
 
+def test_factored_gradient_steps_like_the_dense_product():
+    """A (C, G) gradient moves every element as W -= lr * (C^T G) does,
+    across several row blocks and a partial last one."""
+    rng = np.random.default_rng(3)
+    rows = 2 * SGD_BLOCK_ROWS + 37
+    c = rng.standard_normal((4, rows))
+    g_out = rng.standard_normal((4, 7))
+    start = rng.standard_normal((rows, 7))
+    params = ParameterSet()
+    w = params.add("w", start)
+    params.grads["w"] = (c, g_out)
+    params.sgd_step(0.05)
+    dense = c.T @ g_out
+    dense *= 0.05
+    assert np.array_equal(w, start - dense)
+    assert not params.grads
+
+
+def test_backward_factors_the_output_gradient_when_smaller():
+    """Four scores over 304 inputs: 3 x (304 + 4) factor values beat the
+    304 x 4 product. One relu value: the 304 x 1 product is smaller."""
+    rng = np.random.default_rng(2)
+    psn = rng.random((3, 5, PSN_FEATURES))
+    nspr = rng.random((3, NSPR_INPUT_WIDTH))
+    actor = make_net(n=5, n_actions=4)
+    _, acts = actor.forward_batch(psn, nspr)
+    grad_out = rng.standard_normal((3, 4))
+    actor.backward(acts, grad_out)
+    c, g = actor.params.grads["out.w"]
+    assert c is acts.combined
+    np.testing.assert_array_equal(g, grad_out)
+
+    critic = make_net(n=5, n_actions=1, activation="relu")
+    out, acts = critic.forward_batch(psn, nspr)
+    grad_out = rng.standard_normal((3, 1))
+    critic.backward(acts, grad_out)
+    dense = critic.params.grads["out.w"]
+    assert isinstance(dense, np.ndarray)
+    np.testing.assert_array_equal(dense,
+                                  acts.combined.T @ ((out > 0.0) * grad_out))
+
+
 # -- forward semantics -------------------------------------------------------------
+
+def test_forward_saves_gcn_activations_for_the_batch():
+    """forward_batch over saved activations gives the bits of a full pass
+    and the same activations to differentiate."""
+    net = make_net(n=5, n_actions=4, use_load=True)
+    rng = np.random.default_rng(4)
+    psn = rng.random((2, 5, PSN_FEATURES))
+    nspr = rng.random((2, NSPR_INPUT_WIDTH))
+    load = rng.random((2, LOAD_INPUT_WIDTH))
+    saved = [[], []]
+    for i in range(2):
+        net.forward(psn[i], nspr[i], load[i], saved=saved[i])
+        assert len(saved[i]) == GCN_LAYERS
+        assert saved[i][-1][1].shape == (1, 5, GCN_WIDTH)
+    gcn = [tuple(np.concatenate(parts) for parts in zip(*layer))
+           for layer in zip(*saved)]
+    reused, acts = net.forward_batch(psn, nspr, load, gcn)
+    full, full_acts = net.forward_batch(psn, nspr, load)
+    assert np.array_equal(reused, full)
+    for (ax, h), (fax, fh) in zip(acts.gcn, full_acts.gcn):
+        assert np.array_equal(ax, fax) and np.array_equal(h, fh)
+    with pytest.raises(ConfigurationError, match="saved GCN activations"):
+        net.forward_batch(psn, nspr, load, gcn[:2])
 
 def test_forward_shapes_and_validation():
     net = make_net(n=5, n_actions=4)

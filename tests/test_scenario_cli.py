@@ -7,13 +7,20 @@ and file layout without spawning subprocesses.
 
 import copy
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
 
 from slicesim import PROFILES, ScenarioError, load_events, load_scenario
 from slicesim.cli import main
-from slicesim.scenario import RunManifest, parse_scenario
+from slicesim.scenario import (RunManifest, bundled_scenario_path,
+                               parse_scenario)
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def scenario_doc():
@@ -127,12 +134,47 @@ def test_parse_uses_filename_when_unnamed(tmp_path):
      "topology.edc_count:"),
     (lambda d: d.__setitem__("agent", {"beta": float("nan")}),
      "agent.beta: must be finite"),
+    # integer fields refuse a fractional part instead of truncating it
+    (lambda d: d.__setitem__("topology", {"edc_count": 1.5,
+                                          "servers_per_edc": 3}),
+     "topology.edc_count: must be a whole number, got 1.5"),
+    (lambda d: d.__setitem__("topology", {"edc_count": 1,
+                                          "servers_per_edc": 2.5}),
+     "topology.servers_per_edc: must be a whole number"),
+    (lambda d: d.__setitem__("topology", {"edc_count": 1, "servers_per_edc": 3,
+                                          "cdc_count": 0.5}),
+     "topology.cdc_count: must be a whole number"),
+    (lambda d: d.__setitem__("topology", {"edc_count": 1, "servers_per_edc": 3,
+                                          "cdc_count": 1,
+                                          "servers_per_cdc": 3.5}),
+     "topology.servers_per_cdc: must be a whole number"),
+    (lambda d: d.__setitem__("topology", {"edc_count": 1, "servers_per_edc": 3,
+                                          "ccp_servers": 1.2}),
+     "topology.ccp_servers: must be a whole number"),
+    (lambda d: d["classes"][1].__setitem__("id", 1.5),
+     "classes\\[1\\].id: must be a whole number"),
+    (lambda d: d["classes"][1].__setitem__("vnf_count", 2.7),
+     "classes\\[1\\].vnf_count: must be a whole number, got 2.7"),
+    (lambda d: d.__setitem__("seed", 3.9), "seed: must be a whole number"),
+    (lambda d: d.__setitem__("phase_size", 12.5),
+     "phase_size: must be a whole number"),
+    (lambda d: d.__setitem__("agent", {"seed": 0.25}),
+     "agent.seed: must be a whole number"),
 ])
 def test_parse_errors_name_the_field(mutate, path_fragment):
     doc = scenario_doc()
     mutate(doc)
     with pytest.raises(ScenarioError, match=path_fragment):
         parse_scenario(doc)
+
+
+def test_whole_floats_are_accepted_as_integers():
+    doc = scenario_doc()
+    doc["seed"] = 3.0
+    doc["classes"][1]["vnf_count"] = 3.0
+    scenario = parse_scenario(doc)
+    assert scenario.seed == 3 and isinstance(scenario.seed, int)
+    assert scenario.classes[1].vnf_count == 3
 
 
 def test_amplitude_bound_checked_against_topology():
@@ -190,6 +232,27 @@ def test_run_manifest_write(tmp_path):
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def test_cli_names_a_yaml_syntax_error(tmp_path):
+    """A scenario file with broken YAML fails with a one-line error naming
+    the file, line and column, not a parser traceback."""
+    text = bundled_scenario_path("tiny").read_text()
+    broken = text.replace("arrival: {kind: static, rate: 0.01}",
+                          "arrival: {kind: static, rate: 0.01")
+    assert broken != text
+    path = tmp_path / "broken.scenario"
+    path.write_text(broken)
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-m", "slicesim.cli", "simulate", "--scenario",
+         str(path), "--arrivals", "3", "--out-dir", str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode != 0
+    assert "Traceback" not in proc.stderr
+    assert f"error: {path}: YAML syntax error at line 26, column 6" \
+        in proc.stderr
+    assert "while parsing a flow mapping at line 25, column 14" in proc.stderr
 
 
 def test_cli_export_events(tmp_path, capsys):
