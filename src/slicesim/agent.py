@@ -115,14 +115,12 @@ class FeatureScaler:
         self.cpu = max(n.max_cpu for n in servers)
         self.ram = max(n.max_ram for n in servers)
         self.bw = max(net.max_outgoing_bw(n.id) for n in net.nodes)
-        # incident[k, n]: index in net.links of node n's k-th link in
-        # adjacency order, or len(net.links) (a 0.0 pad) past its degree
-        position = {key: i for i, key in enumerate(net.links)}
-        degree = max(len(nbrs) for nbrs in net.adjacency)
-        self.incident = np.full((degree, len(net.nodes)), len(position))
-        for n, nbrs in enumerate(net.adjacency):
-            for k, m in enumerate(nbrs):
-                self.incident[k, n] = position[(n, m) if n < m else (m, n)]
+        # incident[k, n]: index of node n's k-th link in adjacency order,
+        # or len(net.bw) (a 0.0 pad) past its degree
+        degree = max(len(links) for links in net.incident)
+        self.incident = np.full((degree, len(net.nodes)), len(net.bw))
+        for n, links in enumerate(net.incident):
+            self.incident[:len(links), n] = links
 
     def psn_features(self, net: SubstrateNetwork,
                      state: PlacementEpisodeState) -> np.ndarray:
@@ -133,10 +131,10 @@ class FeatureScaler:
         `net.outgoing_bw` does: reducing over axis 0 adds the gathered
         rows one after another, so every sum rounds the same way.
         """
-        bw = np.array([link.cap_bw for link in net.links.values()] + [0.0])
+        bw = np.array(net.bw + [0.0])
         feats = np.empty((len(net.nodes), 4))
-        feats[:, 0] = [node.cap_cpu for node in net.nodes]
-        feats[:, 1] = [node.cap_ram for node in net.nodes]
+        feats[:, 0] = net.cpu
+        feats[:, 1] = net.ram
         feats[:, 2] = np.add.reduce(bw[self.incident], axis=0)
         feats[:, 3] = 0.0
         for host in state.hosts:

@@ -3,18 +3,20 @@
 For the pending VNF it scores every feasible server by the pair
 (delta_b, delta_c) the placement engine would pay there, compares the
 pairs lexicographically, and breaks remaining ties toward the smallest
-server id. One routing sweep from the previous host covers all
-candidates; the advice carries it, so placing the step on any server
-needs no second sweep.
+server id. One `route_all` from the previous host covers all
+candidates, usually a route-table lookup; the advice carries its paths,
+so placing the step on any server needs no second sweep.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from .placement import (PlacementEpisodeState, PlacementOutcome, apply_action,
-                        fail_step, fits, route_all, step_scores)
-from .substrate import SubstrateNetwork
+                        fail_step, route_all, server_closeness)
+from .substrate import _EPS, SubstrateNetwork
 from .traffic import SliceRequest
 
 
@@ -32,23 +34,32 @@ class HeuristicAdvice:
 
 def heu_select(state: PlacementEpisodeState,
                net: SubstrateNetwork) -> HeuristicAdvice:
-    """Best feasible server for the pending VNF, or none."""
+    """Best feasible server for the pending VNF, or none.
+
+    One pass over the substrate's residual lists applies the `fits`
+    test and scores (delta_b, delta_c) as `step_scores` does, with the
+    same float expressions.
+    """
     v = state.next_vnf
     req_cpu, req_ram = state.request.vnfs[v - 1]
-    paths = (None if v == 1 else
-             route_all(net, state.hosts[-1], state.request.vls[v - 2]))
+    if v == 1:
+        paths = None
+        closeness = repeat(1.0)
+    else:
+        src = state.hosts[-1]
+        paths = route_all(net, src, state.request.vls[v - 2])
+        closeness = server_closeness(net, src, paths)
+    cpu, ram, max_cpu, max_ram = net.cpu, net.ram, net.max_cpu, net.max_ram
     best = None
-    best_score = None
-    for sid in net.servers:
-        node = net.nodes[sid]
-        if not fits(node, req_cpu, req_ram):
+    best_b = best_c = -math.inf
+    for sid, delta_c in zip(net.servers, closeness):
+        c = cpu[sid]
+        r = ram[sid]
+        if delta_c is None or not (c + _EPS >= req_cpu and r + _EPS >= req_ram):
             continue
-        path = () if paths is None else paths.get(sid)
-        if path is None:
-            continue
-        score = step_scores(node, path)
-        if best_score is None or score > best_score:
-            best, best_score = sid, score
+        delta_b = c / max_cpu[sid] + r / max_ram[sid]
+        if delta_b > best_b or (delta_b == best_b and delta_c > best_c):
+            best, best_b, best_c = sid, delta_b, delta_c
     return HeuristicAdvice(best, paths)
 
 

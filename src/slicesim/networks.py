@@ -16,8 +16,8 @@ Everything is plain float64 numpy with hand-written gradients. The
 forward pass takes a stack of T observations, so an episode's update is
 one batched forward and one closed-form backward: the output-layer
 gradient C^T G over the (T, 60|N| + ...) concatenations has rank <= T;
-the actor keeps it as its two factors, which the SGD step multiplies out
-in cache-sized row blocks, and each graph-convolution layer's gradient
+a large actor keeps it as its two factors, which the SGD step multiplies
+out in cache-sized row blocks, and each graph-convolution layer's gradient
 is a GEMM over the stacked (T*|N|, 60) node features. `forward` is the
 one-observation case used at action selection; it can hand its GCN
 activations to a later batched pass over the same observations, which
@@ -50,6 +50,13 @@ LOAD_INPUT_WIDTH = 300
 # block is 258 KB, small enough to stay in cache between its product,
 # its scaling and its subtraction
 SGD_BLOCK_ROWS = 256
+
+# the factored form pays only for a large product: below this many bytes
+# the dense C^T G is applied faster (one vCPU, T = 1-5: 6-14 us dense vs
+# 12-19 us factored for desk's 45 KB, 84-200 vs 97-235 us at 781 KB, but
+# 336-562 vs 232-518 us at 1.9 MB and 1.9-3.0 vs 1.1-2.5 ms for the
+# reference actor's 9 MB)
+DENSE_GRADIENT_BYTES = 1 << 20
 
 
 def normalized_propagation(adjacency: np.ndarray) -> np.ndarray:
@@ -313,7 +320,8 @@ class SliceNet:
         grad_out is (T, n_outputs), the loss gradient with respect to
         the batch's outputs; the results replace `params.grads`. The
         output weights' gradient combined^T g_out is stored as its
-        factors (combined, g_out) when they hold fewer values than it.
+        factors (combined, g_out) when they hold fewer values than it
+        and it would exceed DENSE_GRADIENT_BYTES.
         """
         p = self.params
         grads = {}
@@ -321,9 +329,12 @@ class SliceNet:
         if self.activation == "relu":
             g = (acts.out > 0.0) * g
         # C^T G has rank <= T: when its factors are the smaller form (the
-        # actor's many scores), keep them for sgd_step to form in blocks
+        # actor's many scores) and the product is large, keep them for
+        # sgd_step to form in blocks
         t, width = acts.combined.shape
-        if t * (width + g.shape[1]) < width * g.shape[1]:
+        product = width * g.shape[1]
+        if (t * (width + g.shape[1]) < product
+                and product * g.itemsize > DENSE_GRADIENT_BYTES):
             grads["out.w"] = (acts.combined, g)
         else:
             grads["out.w"] = acts.combined.T @ g

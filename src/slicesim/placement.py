@@ -21,11 +21,11 @@ step pays -100 unscaled.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigurationError
-from .substrate import (_EPS, NodeKind, ResourceDelta, SubstrateNetwork,
-                        SubstrateNode)
+from .substrate import _EPS, NodeKind, ResourceDelta, SubstrateNetwork
 from .traffic import SliceRequest
 
 SUCCESS_REWARD = 100.0
@@ -46,38 +46,73 @@ def route(net: SubstrateNetwork, src: int, dst: int, bw: float):
 
 
 def route_all(net: SubstrateNetwork, src: int, bw: float) -> dict[int, tuple]:
-    """Feasible min-hop paths from src to every reachable node, one sweep.
+    """Feasible min-hop paths from src to every reachable node.
 
-    src itself maps to the empty tuple. The sweep is breadth-first over
-    the sorted adjacency, so nodes leave the queue ordered by (hops,
-    path), and the first node to reach a neighbour lies on that
-    neighbour's lexicographically smallest min-hop path.
+    src itself maps to the empty tuple. When every link holds bw, the
+    answer is the unconstrained sweep from src, which `net.route_table`
+    caches: the returned dict is then shared by every caller, so callers
+    must treat it as read-only. Otherwise one sweep runs over the links
+    that hold bw.
     """
+    if min(net.bw, default=math.inf) + _EPS >= bw:
+        entry = net.route_table.get(src)
+        if entry is None:
+            paths = _sweep(net, src, -math.inf)
+            entry = net.route_table[src] = (paths, _closeness(net, paths))
+        return entry[0]
+    return _sweep(net, src, bw)
+
+
+def _sweep(net: SubstrateNetwork, src: int, bw: float) -> dict[int, tuple]:
+    """Breadth-first over the sorted adjacency and the links that hold
+    bw, so nodes leave the queue ordered by (hops, path), and the first
+    node to reach a neighbour lies on that neighbour's lexicographically
+    smallest min-hop path."""
+    residual = net.bw
     paths = {src: (src,)}
     queue = [src]
     for node in queue:              # the loop also visits appended nodes
         head = paths[node]
-        for nbr in net.adjacency[node]:
-            if nbr in paths:
-                continue
-            key = (node, nbr) if node < nbr else (nbr, node)
-            if net.links[key].cap_bw + _EPS >= bw:
+        for nbr, link in zip(net.adjacency[node], net.incident[node]):
+            if nbr not in paths and residual[link] + _EPS >= bw:
                 paths[nbr] = head + (nbr,)
                 queue.append(nbr)
     paths[src] = ()
     return paths
 
 
-def fits(node: SubstrateNode, cpu: float, ram: float) -> bool:
-    """Does the node's residual cpu and ram cover this demand?"""
-    return node.cap_cpu + _EPS >= cpu and node.cap_ram + _EPS >= ram
-
-
-def step_scores(node: SubstrateNode, path: tuple) -> tuple[float, float]:
-    """(delta_b, delta_c) of a step onto node over path, before its commit."""
+def path_closeness(path: tuple) -> float:
+    """delta_c of a step over path: 1/hops, 1.0 when co-located."""
     hops = len(path) - 1
-    return (node.cap_cpu / node.max_cpu + node.cap_ram / node.max_ram,
-            1.0 / hops if hops > 0 else 1.0)
+    return 1.0 / hops if hops > 0 else 1.0
+
+
+def server_closeness(net: SubstrateNetwork, src: int,
+                     paths: dict[int, tuple]) -> list:
+    """delta_c onto each of net.servers over `route_all(net, src, ...)`'s
+    paths, None where unreachable; read from the route table when paths
+    is its cached sweep."""
+    entry = net.route_table.get(src)
+    if entry is not None and entry[0] is paths:
+        return entry[1]
+    return _closeness(net, paths)
+
+
+def _closeness(net: SubstrateNetwork, paths: dict[int, tuple]) -> list:
+    return [None if path is None else path_closeness(path)
+            for path in map(paths.get, net.servers)]
+
+
+def fits(net: SubstrateNetwork, node: int, cpu: float, ram: float) -> bool:
+    """Does the node's residual cpu and ram cover this demand?"""
+    return net.cpu[node] + _EPS >= cpu and net.ram[node] + _EPS >= ram
+
+
+def step_scores(net: SubstrateNetwork, node: int,
+                path: tuple) -> tuple[float, float]:
+    """(delta_b, delta_c) of a step onto node over path, before its commit."""
+    return (net.cpu[node] / net.max_cpu[node]
+            + net.ram[node] / net.max_ram[node], path_closeness(path))
 
 
 @dataclass
@@ -141,7 +176,7 @@ def _evaluate(state: PlacementEpisodeState, net: SubstrateNetwork, target: int,
     step is routed here.
     """
     v = state.next_vnf
-    if not fits(net.nodes[target], *state.request.vnfs[v - 1]):
+    if not fits(net, target, *state.request.vnfs[v - 1]):
         return None
     if v == 1:
         return ()
@@ -173,7 +208,7 @@ def apply_action(state: PlacementEpisodeState, net: SubstrateNetwork,
         return fail_step(state, net)
 
     # delta_b reads the residuals the agent saw, before this commit
-    delta_b, delta_c = step_scores(net.nodes[target], path)
+    delta_b, delta_c = step_scores(net, target, path)
     v = state.next_vnf
     delta = ResourceDelta()
     req_cpu, req_ram = state.request.vnfs[v - 1]

@@ -128,7 +128,7 @@ def _parse_topology(raw, path: str) -> TopologyCounts:
                 f"{path}.profile: unknown profile {profile!r} "
                 f"(choices: {sorted(PROFILES)})")
         return PROFILES[profile]
-    return TopologyCounts(
+    counts = dict(
         edc_count=_number(raw, "edc_count", path, _whole),
         servers_per_edc=_number(raw, "servers_per_edc", path, _whole),
         cdc_count=_number(raw, "cdc_count", path, _whole, 0),
@@ -137,6 +137,10 @@ def _parse_topology(raw, path: str) -> TopologyCounts:
         server_cpu=_number(raw, "server_cpu", path, float, 50.0),
         server_ram=_number(raw, "server_ram", path, float, 300.0),
     )
+    try:
+        return TopologyCounts(**counts)
+    except ConfigurationError as exc:
+        raise ScenarioError(f"{path}: {exc}") from exc
 
 
 def _parse_class(raw, idx: int) -> SliceClass:
@@ -249,8 +253,12 @@ def _read_yaml(text: str, source: str):
 def load_scenario(ref: str) -> Scenario:
     """Load a scenario from a file path or a bundled name."""
     if os.path.exists(ref):
-        with open(ref) as fh:
-            raw = _read_yaml(fh.read(), ref)
+        try:
+            with open(ref, encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ScenarioError(f"{ref}: not UTF-8 text ({exc})") from exc
+        raw = _read_yaml(text, ref)
         name = os.path.splitext(os.path.basename(ref))[0]
         return parse_scenario(raw, name)
     bundled = bundled_scenario_path(ref)

@@ -198,12 +198,13 @@ class Simulation:
                         for r in self.records],
             "policy": self.policy.state_manifest(),
         }
-        residuals = self.net.residuals()
-        link_keys = sorted(self.net.links)
+        net = self.net
         arrays = {
-            "net.cpu": np.asarray(residuals["cpu"], dtype=np.float64),
-            "net.ram": np.asarray(residuals["ram"], dtype=np.float64),
-            "net.bw": np.asarray([residuals["bw"][k] for k in link_keys],
+            "net.cpu": np.asarray(net.cpu, dtype=np.float64),
+            "net.ram": np.asarray(net.ram, dtype=np.float64),
+            # by sorted link key, as the snapshot format has it
+            "net.bw": np.asarray([net.bw[net.links[k].index]
+                                  for k in sorted(net.links)],
                                  dtype=np.float64),
         }
         arrays.update({f"policy.{k}": v

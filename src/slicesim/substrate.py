@@ -9,8 +9,11 @@ other, so a simulation can always restore the exact pre-placement state.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
-from dataclasses import dataclass, field
+import math
+import numbers
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 import numpy as np
@@ -34,23 +37,77 @@ class NodeKind(Enum):
     SERVER = "server"
 
 
-@dataclass
 class SubstrateNode:
-    id: int
-    kind: NodeKind
-    dc_id: int | None = None
-    max_cpu: float = 0.0
-    max_ram: float = 0.0
-    cap_cpu: float = 0.0
-    cap_ram: float = 0.0
+    """A node's identity; its capacities are views onto the network's
+    per-node lists, so reading or writing cap_cpu reads or writes
+    `SubstrateNetwork.cpu[id]`."""
+
+    __slots__ = ("id", "kind", "dc_id", "_net")
+
+    def __init__(self, net: "SubstrateNetwork", id: int, kind: NodeKind,
+                 dc_id: int | None = None):
+        self._net = net
+        self.id = id
+        self.kind = kind
+        self.dc_id = dc_id
+
+    @property
+    def max_cpu(self) -> float:
+        return self._net.max_cpu[self.id]
+
+    @property
+    def max_ram(self) -> float:
+        return self._net.max_ram[self.id]
+
+    @property
+    def cap_cpu(self) -> float:
+        return self._net.cpu[self.id]
+
+    @cap_cpu.setter
+    def cap_cpu(self, value: float) -> None:
+        self._net.cpu[self.id] = float(value)
+
+    @property
+    def cap_ram(self) -> float:
+        return self._net.ram[self.id]
+
+    @cap_ram.setter
+    def cap_ram(self, value: float) -> None:
+        self._net.ram[self.id] = float(value)
+
+    def __repr__(self) -> str:
+        return (f"SubstrateNode(id={self.id}, kind={self.kind}, "
+                f"dc_id={self.dc_id}, cap_cpu={self.cap_cpu}, "
+                f"cap_ram={self.cap_ram})")
 
 
-@dataclass
 class SubstrateLink:
-    a: int
-    b: int
-    max_bw: float
-    cap_bw: float
+    """An undirected link a < b; its bandwidth is a view onto the
+    network's per-link lists at `index`, its position in `links`."""
+
+    __slots__ = ("a", "b", "index", "_net")
+
+    def __init__(self, net: "SubstrateNetwork", a: int, b: int, index: int):
+        self._net = net
+        self.a = a
+        self.b = b
+        self.index = index
+
+    @property
+    def max_bw(self) -> float:
+        return self._net.max_bw[self.index]
+
+    @property
+    def cap_bw(self) -> float:
+        return self._net.bw[self.index]
+
+    @cap_bw.setter
+    def cap_bw(self, value: float) -> None:
+        self._net.bw[self.index] = float(value)
+
+    def __repr__(self) -> str:
+        return (f"SubstrateLink(a={self.a}, b={self.b}, "
+                f"cap_bw={self.cap_bw})")
 
 
 @dataclass
@@ -119,14 +176,31 @@ class ResourceDelta:
 
 
 class SubstrateNetwork:
-    """Weighted undirected graph of data-center nodes and capacitated links."""
+    """Weighted undirected graph of data-center nodes and capacitated links.
+
+    Every capacity is held once, in flat lists of Python numbers: cpu,
+    ram, max_cpu and max_ram by node id, bw and max_bw by link index (the
+    link's position in `links`). Node and link objects are views onto
+    them. route_table maps a source to its unconstrained routing sweep
+    and that sweep's closeness to every server; `placement.route_all`
+    fills it on first use, and adding a node or link clears it.
+    """
 
     def __init__(self):
         self.nodes: list[SubstrateNode] = []
         self.links: dict[tuple[int, int], SubstrateLink] = {}
         self.adjacency: list[list[int]] = []
+        # incident[n][k]: index of the link from n to adjacency[n][k]
+        self.incident: list[list[int]] = []
         self.data_centers: dict[int, DataCenter] = {}
         self.servers: list[int] = []
+        self.cpu: list[float] = []
+        self.ram: list[float] = []
+        self.max_cpu: list[float] = []
+        self.max_ram: list[float] = []
+        self.bw: list[float] = []
+        self.max_bw: list[float] = []
+        self.route_table: dict[int, tuple] = {}
 
     # -- construction -------------------------------------------------
 
@@ -134,13 +208,16 @@ class SubstrateNetwork:
                  max_cpu: float = 0.0, max_ram: float = 0.0) -> int:
         if kind is not NodeKind.SERVER and (max_cpu or max_ram):
             raise ConfigurationError("only servers may carry CPU/RAM capacity")
-        node = SubstrateNode(id=len(self.nodes), kind=kind, dc_id=dc_id,
-                             max_cpu=max_cpu, max_ram=max_ram,
-                             cap_cpu=max_cpu, cap_ram=max_ram)
+        node = SubstrateNode(self, len(self.nodes), kind, dc_id)
         self.nodes.append(node)
         self.adjacency.append([])
+        self.incident.append([])
+        for record, value in ((self.max_cpu, max_cpu), (self.cpu, max_cpu),
+                              (self.max_ram, max_ram), (self.ram, max_ram)):
+            record.append(value)
         if kind is NodeKind.SERVER:
             self.servers.append(node.id)
+        self.route_table.clear()
         return node.id
 
     def add_link(self, a: int, b: int, max_bw: float) -> None:
@@ -149,11 +226,15 @@ class SubstrateNetwork:
         key = _link_key(a, b)
         if key in self.links:
             raise ConfigurationError(f"duplicate link {key}")
-        self.links[key] = SubstrateLink(key[0], key[1], max_bw, max_bw)
-        self.adjacency[a].append(b)
-        self.adjacency[b].append(a)
-        self.adjacency[a].sort()
-        self.adjacency[b].sort()
+        index = len(self.bw)
+        self.links[key] = SubstrateLink(self, key[0], key[1], index)
+        self.max_bw.append(max_bw)
+        self.bw.append(max_bw)
+        for u, v in ((a, b), (b, a)):
+            k = bisect.bisect(self.adjacency[u], v)
+            self.adjacency[u].insert(k, v)
+            self.incident[u].insert(k, index)
+        self.route_table.clear()
 
     # -- lookups ------------------------------------------------------
 
@@ -164,19 +245,19 @@ class SubstrateNetwork:
         """Sum of residual bandwidth over all links incident to node n."""
         if not 0 <= n < len(self.nodes):
             raise KeyError(f"unknown node id {n}")
-        return sum(self.links[_link_key(n, m)].cap_bw for m in self.adjacency[n])
+        return sum(self.bw[i] for i in self.incident[n])
 
     def max_outgoing_bw(self, n: int) -> float:
-        return sum(self.links[_link_key(n, m)].max_bw for m in self.adjacency[n])
+        return sum(self.max_bw[i] for i in self.incident[n])
 
     def total_capacity(self, resource: str) -> float:
         """Total installed capacity of one resource across the substrate."""
         if resource == "cpu":
-            return sum(n.max_cpu for n in self.nodes)
+            return sum(self.max_cpu)
         if resource == "ram":
-            return sum(n.max_ram for n in self.nodes)
+            return sum(self.max_ram)
         if resource == "bw":
-            return sum(l.max_bw for l in self.links.values())
+            return sum(self.max_bw)
         raise KeyError(f"unknown resource {resource!r}")
 
     def is_connected(self) -> bool:
@@ -203,66 +284,74 @@ class SubstrateNetwork:
 
     def commit(self, delta: ResourceDelta) -> None:
         """Atomically decrement residuals; raises CapacityError untouched on any shortfall."""
+        cpu, ram, bw, links = self.cpu, self.ram, self.bw, self.links
         for n, d in delta.node_cpu.items():
-            if d > self.nodes[n].cap_cpu + _EPS:
+            if d > cpu[n] + _EPS:
                 raise CapacityError(
-                    f"node {n}: cpu commit {d} exceeds residual {self.nodes[n].cap_cpu}")
+                    f"node {n}: cpu commit {d} exceeds residual {cpu[n]}")
         for n, d in delta.node_ram.items():
-            if d > self.nodes[n].cap_ram + _EPS:
+            if d > ram[n] + _EPS:
                 raise CapacityError(
-                    f"node {n}: ram commit {d} exceeds residual {self.nodes[n].cap_ram}")
+                    f"node {n}: ram commit {d} exceeds residual {ram[n]}")
         for key, d in delta.link_bw.items():
-            if key not in self.links:
+            if key not in links:
                 raise CapacityError(f"no link {key}")
-            if d > self.links[key].cap_bw + _EPS:
+            i = links[key].index
+            if d > bw[i] + _EPS:
                 raise CapacityError(
-                    f"link {key}: bw commit {d} exceeds residual {self.links[key].cap_bw}")
+                    f"link {key}: bw commit {d} exceeds residual {bw[i]}")
         for n, d in delta.node_cpu.items():
-            self.nodes[n].cap_cpu -= d
+            cpu[n] -= d
         for n, d in delta.node_ram.items():
-            self.nodes[n].cap_ram -= d
+            ram[n] -= d
         for key, d in delta.link_bw.items():
-            self.links[key].cap_bw -= d
+            bw[links[key].index] -= d
 
     def release(self, delta: ResourceDelta) -> None:
         """Inverse of commit; raises AccountingError untouched if a residual would exceed its maximum."""
+        cpu, ram, bw, links = self.cpu, self.ram, self.bw, self.links
         for n, d in delta.node_cpu.items():
-            if self.nodes[n].cap_cpu + d > self.nodes[n].max_cpu + _EPS:
+            if cpu[n] + d > self.max_cpu[n] + _EPS:
                 raise AccountingError(
-                    f"node {n}: cpu release {d} would exceed max {self.nodes[n].max_cpu}")
+                    f"node {n}: cpu release {d} would exceed max {self.max_cpu[n]}")
         for n, d in delta.node_ram.items():
-            if self.nodes[n].cap_ram + d > self.nodes[n].max_ram + _EPS:
+            if ram[n] + d > self.max_ram[n] + _EPS:
                 raise AccountingError(
-                    f"node {n}: ram release {d} would exceed max {self.nodes[n].max_ram}")
+                    f"node {n}: ram release {d} would exceed max {self.max_ram[n]}")
         for key, d in delta.link_bw.items():
-            if key not in self.links:
+            if key not in links:
                 raise AccountingError(f"no link {key}")
-            if self.links[key].cap_bw + d > self.links[key].max_bw + _EPS:
+            i = links[key].index
+            if bw[i] + d > self.max_bw[i] + _EPS:
                 raise AccountingError(
-                    f"link {key}: bw release {d} would exceed max {self.links[key].max_bw}")
+                    f"link {key}: bw release {d} would exceed max {self.max_bw[i]}")
         for n, d in delta.node_cpu.items():
-            self.nodes[n].cap_cpu += d
+            cpu[n] += d
         for n, d in delta.node_ram.items():
-            self.nodes[n].cap_ram += d
+            ram[n] += d
         for key, d in delta.link_bw.items():
-            self.links[key].cap_bw += d
+            bw[links[key].index] += d
 
     # -- state handling -------------------------------------------------
 
     def residuals(self) -> dict:
+        """A copy of the residuals: cpu and ram by node id, bw by link key."""
         return {
-            "cpu": [n.cap_cpu for n in self.nodes],
-            "ram": [n.cap_ram for n in self.nodes],
-            "bw": {k: l.cap_bw for k, l in self.links.items()},
+            "cpu": list(self.cpu),
+            "ram": list(self.ram),
+            "bw": dict(zip(self.links, self.bw)),
         }
 
     def set_residuals(self, state: dict) -> None:
-        for n, v in zip(self.nodes, state["cpu"]):
-            n.cap_cpu = v
-        for n, v in zip(self.nodes, state["ram"]):
-            n.cap_ram = v
-        for k, v in state["bw"].items():
-            self.links[k].cap_bw = v
+        """Overwrite the residuals with a `residuals()` copy."""
+        cpu = [float(v) for v in state["cpu"]]
+        ram = [float(v) for v in state["ram"]]
+        bw = [float(state["bw"][key]) for key in self.links]
+        if len(cpu) != len(self.nodes) or len(ram) != len(self.nodes):
+            raise ConfigurationError(
+                f"residuals hold {len(cpu)} cpu and {len(ram)} ram values "
+                f"for {len(self.nodes)} nodes")
+        self.cpu[:], self.ram[:], self.bw[:] = cpu, ram, bw
 
     def fingerprint(self) -> str:
         """Hash of the immutable topology (wiring and maximum capacities)."""
@@ -270,8 +359,7 @@ class SubstrateNetwork:
         for n in self.nodes:
             h.update(f"{n.id}:{n.kind.value}:{n.dc_id}:{n.max_cpu}:{n.max_ram};".encode())
         for key in sorted(self.links):
-            l = self.links[key]
-            h.update(f"{key}:{l.max_bw};".encode())
+            h.update(f"{key}:{self.links[key].max_bw};".encode())
         return h.hexdigest()
 
 
@@ -285,6 +373,23 @@ class TopologyCounts:
     ccp_servers: int = 0
     server_cpu: float = SERVER_CPU
     server_ram: float = SERVER_RAM
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int":
+                ok = (isinstance(value, numbers.Integral)
+                      and not isinstance(value, bool) and value >= 0)
+                if not ok:
+                    raise ConfigurationError(
+                        f"TopologyCounts.{f.name}: must be a whole number >= 0, "
+                        f"got {value!r}")
+            elif not (isinstance(value, numbers.Real)
+                      and not isinstance(value, bool)
+                      and math.isfinite(value) and value > 0):
+                raise ConfigurationError(
+                    f"TopologyCounts.{f.name}: must be a finite number > 0, "
+                    f"got {value!r}")
 
 
 PROFILES = {
@@ -326,8 +431,6 @@ def build_reference_topology(scale: str | TopologyCounts = "full") -> SubstrateN
         counts = scale
     else:
         raise ConfigurationError(f"invalid topology scale {scale!r}")
-    if counts.edc_count < 0 or counts.cdc_count < 0 or counts.ccp_servers < 0:
-        raise ConfigurationError("topology counts must be non-negative")
     if counts.edc_count == 0 and counts.cdc_count == 0 and counts.ccp_servers == 0:
         raise ConfigurationError("topology has no data centers")
 

@@ -28,7 +28,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ScenarioError
 
 RESOURCES = ("cpu", "ram", "bw")
 
@@ -303,24 +303,31 @@ def load_events(path, classes: Iterable[SliceClass]) -> list[Event]:
 
     Request demands are reconstructed from the class definitions; lifetimes
     from the matching departure record. Arrivals whose departure fell past
-    the exported horizon get no departure event.
+    the exported horizon get no departure event. A malformed line raises
+    a ScenarioError naming the file, the line and the field.
     """
     by_id = {c.id: c for c in classes}
     rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append(json.loads(line))
-    departures = {r["uid"]: r["time"] for r in rows if r["kind"] == "departure"}
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for number, line in enumerate(fh, 1):
+                line = line.strip()
+                if line:
+                    where = f"{path}, line {number}"
+                    rows.append((where, _event_record(line, where)))
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{path}: not UTF-8 text ({exc})") from exc
+    departures = {r["uid"]: r["time"] for _, r in rows
+                  if r["kind"] == "departure"}
     events: list[Event] = []
-    for r in rows:
+    for where, r in rows:
         if r["kind"] != "arrival":
             continue
         cls = by_id.get(r["class"])
         if cls is None:
-            raise ConfigurationError(
-                f"event stream references unknown class {r['class']}")
+            raise ScenarioError(
+                f"{where}: field 'class': event stream references unknown "
+                f"class {r['class']}")
         dep = departures.get(r["uid"])
         lifetime = (dep - r["time"]) if dep is not None else cls.mean_lifetime
         req = request_from_class(cls, r["uid"], r["time"], lifetime)
@@ -329,6 +336,31 @@ def load_events(path, classes: Iterable[SliceClass]) -> list[Event]:
             events.append(Departure(dep, req.uid, cls.id))
     events.sort(key=event_sort_key)
     return events
+
+
+def _event_record(line: str, where: str) -> dict:
+    """One exported event line, its four fields checked."""
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ScenarioError(f"{where}: not a JSON event record ({exc})") from exc
+    if not isinstance(record, dict):
+        raise ScenarioError(f"{where}: not a JSON event record")
+    for name in ("time", "kind", "uid", "class"):
+        if name not in record:
+            raise ScenarioError(f"{where}: field {name!r}: missing")
+        value = record[name]
+        if name == "kind":
+            ok = value in ("arrival", "departure")
+        elif name == "time":
+            ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+                  and math.isfinite(value))
+        else:
+            ok = isinstance(value, int) and not isinstance(value, bool)
+        if not ok:
+            raise ScenarioError(f"{where}: field {name!r}: invalid value "
+                                f"{value!r}")
+    return record
 
 
 def reference_classes() -> list[SliceClass]:

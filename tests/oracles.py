@@ -93,6 +93,39 @@ def brute_heu_choice(state, net):
     return best
 
 
+def audit_ledger(sim, eps=1e-6):
+    """Accounting problems of a simulation, as readable strings.
+
+    Every residual must equal its maximum minus what the accepted-slice
+    ledger holds on it, within eps, and none may be negative. The sums
+    are taken here from the ledger's deltas, not by the package.
+    """
+    net = sim.net
+    held = {}
+    for delta in sim.ledger.values():
+        for kind, part in (("cpu", delta.node_cpu), ("ram", delta.node_ram),
+                           ("bw", delta.link_bw)):
+            for where, amount in part.items():
+                held[kind, where] = held.get((kind, where), 0.0) + amount
+    checks = []
+    for node in net.nodes:
+        checks.append((f"node {node.id} cpu", node.cap_cpu,
+                       node.max_cpu - held.get(("cpu", node.id), 0.0)))
+        checks.append((f"node {node.id} ram", node.cap_ram,
+                       node.max_ram - held.get(("ram", node.id), 0.0)))
+    for key, link in net.links.items():
+        checks.append((f"link {key} bw", link.cap_bw,
+                       link.max_bw - held.get(("bw", key), 0.0)))
+    problems = []
+    for where, residual, want in checks:
+        if residual < -eps:
+            problems.append(f"{where}: residual {residual!r} < 0")
+        if abs(residual - want) > eps:
+            problems.append(f"{where}: residual {residual!r} != max - held "
+                            f"{want!r}")
+    return problems
+
+
 def finite_diff_grad(f, x, h=1e-5):
     """Central-difference gradient of scalar f at flat parameter vector x."""
     x = np.asarray(x, dtype=np.float64)

@@ -50,6 +50,9 @@ def test_closeness_breaks_capacity_ties():
     apply_action(state, net, 1)
     advice = heu_select(state, net)
     assert advice.server == 1
+    # every link holds the demand: the sweep came from the route table,
+    # where the previous host's empty path is hop 0, not unreachable
+    assert advice.paths is net.route_table[1][0]
 
 
 def test_equal_scores_fall_to_smallest_id():

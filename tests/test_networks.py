@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from slicesim import CheckpointError, ConfigurationError
+from slicesim import networks
 from slicesim.networks import (
+    DENSE_GRADIENT_BYTES,
     GCN_LAYERS,
     GCN_WIDTH,
     LOAD_FC_WIDTH,
@@ -131,9 +133,11 @@ def test_factored_gradient_steps_like_the_dense_product():
     assert not params.grads
 
 
-def test_backward_factors_the_output_gradient_when_smaller():
+def test_backward_factors_the_output_gradient_when_smaller(monkeypatch):
     """Four scores over 304 inputs: 3 x (304 + 4) factor values beat the
-    304 x 4 product. One relu value: the 304 x 1 product is smaller."""
+    304 x 4 product. One relu value: the 304 x 1 product is smaller.
+    The size floor is lifted here so that the value-count rule decides."""
+    monkeypatch.setattr(networks, "DENSE_GRADIENT_BYTES", 0)
     rng = np.random.default_rng(2)
     psn = rng.random((3, 5, PSN_FEATURES))
     nspr = rng.random((3, NSPR_INPUT_WIDTH))
@@ -153,6 +157,24 @@ def test_backward_factors_the_output_gradient_when_smaller():
     assert isinstance(dense, np.ndarray)
     np.testing.assert_array_equal(dense,
                                   acts.combined.T @ ((out > 0.0) * grad_out))
+
+
+def test_backward_keeps_a_small_output_gradient_dense():
+    """Below DENSE_GRADIENT_BYTES the product is stored dense even where
+    its factors hold fewer values; above it the factors are kept."""
+    rng = np.random.default_rng(2)
+    psn = rng.random((3, 5, PSN_FEATURES))
+    nspr = rng.random((3, NSPR_INPUT_WIDTH))
+    for n_actions in (4, 500):
+        actor = make_net(n=5, n_actions=n_actions)
+        _, acts = actor.forward_batch(psn, nspr)
+        grad_out = rng.standard_normal((3, n_actions))
+        actor.backward(acts, grad_out)
+        stored = actor.params.grads["out.w"]
+        large = acts.combined.shape[1] * n_actions * 8 > DENSE_GRADIENT_BYTES
+        assert isinstance(stored, tuple) == large == (n_actions == 500)
+        if not large:
+            np.testing.assert_array_equal(stored, acts.combined.T @ grad_out)
 
 
 # -- forward semantics -------------------------------------------------------------

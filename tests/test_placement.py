@@ -13,9 +13,14 @@ from slicesim import (
     episode_reward,
     fail_step,
     is_feasible,
+    HeuristicPolicy,
+    Simulation,
+    load_scenario,
     route,
     route_all,
 )
+from slicesim import placement
+from slicesim.placement import server_closeness
 
 from conftest import line_net, make_request, random_substrate, uniform_request
 from oracles import brute_route
@@ -131,6 +136,60 @@ def test_route_all_agrees_with_route():
             for dst in range(len(net.nodes)):
                 expect = route(net, src, dst, 1.0)
                 assert paths.get(dst) == expect
+
+
+def test_cached_route_all_equals_the_sweep_and_brute_force():
+    """On random graphs and random residual states, route_all equals an
+    uncached sweep (same paths, same order) and the brute-force router.
+    When every link holds bw, its answer is the route table's entry."""
+    rng = np.random.default_rng(41)
+    nets = [random_substrate(rng, max_servers=5) for _ in range(15)]
+    nets += [ring_with_chords(rng, int(rng.integers(4, 8)))
+             for _ in range(10)]
+    nets += [bipartite_partly_saturated(rng, int(rng.integers(2, 4)),
+                                        int(rng.integers(2, 5)))
+             for _ in range(10)]
+    for net in nets:
+        for _ in range(3):
+            delta = ResourceDelta()
+            for a, b in net.links:
+                if rng.random() < 0.3:
+                    delta.add_link(a, b, float(rng.uniform(0.0, 1.0))
+                                   * net.link(a, b).cap_bw)
+            net.commit(delta)
+            low = min(net.bw)
+            for bw in (low - 0.5, low, low + 1e-9, low + 1e-8, 1.0, 3.0):
+                for src in range(len(net.nodes)):
+                    paths = route_all(net, src, bw)
+                    swept = placement._sweep(net, src, bw)
+                    assert list(paths.items()) == list(swept.items())
+                    entry = net.route_table.get(src)
+                    assert (entry is not None and paths is entry[0]) == \
+                        (low + 1e-9 >= bw)
+                    for dst in range(len(net.nodes)):
+                        assert paths.get(dst) == \
+                            brute_route(net, src, dst, bw), (src, dst, bw)
+                    hops = [len(paths[s]) - 1 if s in paths else None
+                            for s in net.servers]
+                    assert server_closeness(net, src, paths) == [
+                        None if h is None else 1.0 / h if h > 0 else 1.0
+                        for h in hops]
+
+
+def test_no_caller_mutates_a_cached_sweep():
+    """After 2,000 heuristic arrivals on reference, every route-table
+    entry still equals the one a fresh substrate builds."""
+    scenario = load_scenario("reference")
+    net = scenario.build_network()
+    Simulation(net, scenario.generate_events(seed=1),
+               HeuristicPolicy()).run(max_arrivals=2000)
+    assert len(net.route_table) > 50
+    fresh = scenario.build_network()
+    for src, (paths, closeness) in net.route_table.items():
+        want = route_all(fresh, src, 0.0)
+        assert want is fresh.route_table[src][0]
+        assert list(paths.items()) == list(want.items())
+        assert closeness == fresh.route_table[src][1]
 
 
 # -- step application ----------------------------------------------------------

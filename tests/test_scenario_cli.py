@@ -255,6 +255,30 @@ def test_cli_names_a_yaml_syntax_error(tmp_path):
     assert "while parsing a flow mapping at line 25, column 14" in proc.stderr
 
 
+def test_cli_names_a_scenario_that_is_not_utf8(tmp_path):
+    """A scenario file that is not UTF-8 fails with a one-line error
+    naming the file, not a decoding traceback."""
+    path = tmp_path / "utf16.scenario"
+    path.write_bytes(b"\xff\xfe" + "name: x\n".encode("utf-16-le"))
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-m", "slicesim.cli", "simulate", "--scenario",
+         str(path), "--arrivals", "3", "--out-dir", str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode != 0
+    assert "Traceback" not in proc.stderr
+    assert f"error: {path}: not UTF-8 text" in proc.stderr
+
+
+def test_negative_topology_count_names_the_field():
+    doc = scenario_doc()
+    doc["topology"] = {"edc_count": 1, "servers_per_edc": -2}
+    with pytest.raises(ScenarioError,
+                       match="topology: TopologyCounts.servers_per_edc: "
+                             "must be a whole number >= 0"):
+        parse_scenario(doc)
+
+
 def test_cli_export_events(tmp_path, capsys):
     out = tmp_path / "events.jsonl"
     rv = run_cli("export-events", "--scenario", "tiny", "--horizon", "200",

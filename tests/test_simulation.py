@@ -26,6 +26,7 @@ from slicesim import (
 )
 
 from slicesim.networks import load_checkpoint, save_checkpoint
+from oracles import audit_ledger
 from test_agent import tiny_classes
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -336,6 +337,36 @@ def test_frozen_agent_snapshot_bytes_keep_their_format(tmp_path):
     sim.snapshot(snap)
     assert hashlib.sha256(snap.read_bytes()).hexdigest() == \
         "c1f5dec0ea718043721c2514851efddfc2b1419c94fec74a2e92e427f00a10de"
+
+
+@pytest.mark.parametrize("variant, arrivals", [("heuristic", 2000),
+                                               ("ha-edrl", 25)])
+def test_ledger_audit_holds_after_every_event(variant, arrivals):
+    """On reference, after every event each residual is its maximum minus
+    the ledger's holdings and none is negative, for the heuristic and
+    for a training hybrid that rolls back partial placements."""
+    scenario = load_scenario("reference")
+    net = scenario.build_network()
+    events = scenario.generate_events(seed=1)
+    steps = []
+    if variant == "heuristic":
+        policy = HeuristicPolicy(trace_sink=steps.append)
+    else:
+        agent = Agent(AgentConfig.for_variant(variant), net,
+                      scenario.build_load_model(net))
+        policy = AgentPolicy(agent, train=True, trace_sink=steps.append)
+    sim = Simulation(net, events, policy)
+    departures = 0
+    while sim.arrivals_seen < arrivals:
+        departures += isinstance(events[sim.cursor], Departure)
+        assert sim.step()
+        problems = audit_ledger(sim)
+        assert not problems, (sim.cursor, problems[:5])
+    assert any(r.accepted for r in sim.records)
+    if variant == "heuristic":
+        assert departures > 0
+    else:       # failures after a commit, each rolled back
+        assert any(not s["success"] and s["step"] >= 2 for s in steps)
 
 
 # -- the frozen reference trajectory ----------------------------------------------

@@ -12,6 +12,7 @@ from slicesim import (
     SubstrateNetwork,
     TopologyCounts,
     build_reference_topology,
+    route_all,
 )
 
 from conftest import line_net
@@ -261,3 +262,54 @@ def test_residuals_set_residuals_round_trip(small_net):
     small_net.set_residuals(saved)
     assert small_net.nodes[small_net.servers[0]].cap_cpu == \
         small_net.nodes[small_net.servers[0]].max_cpu - 7.0
+
+
+def test_capacities_are_views_onto_one_record(small_net):
+    """cap_* read and write the network's flat lists; there is no second
+    copy, and every read is a Python float."""
+    s = small_net.servers[1]
+    node = small_net.nodes[s]
+    node.cap_cpu -= 1.0
+    assert small_net.cpu[s] == node.max_cpu - 1.0
+    small_net.ram[s] = 12.5
+    assert node.cap_ram == 12.5
+    key, link = next(iter(small_net.links.items()))
+    link.cap_bw = 3
+    assert small_net.bw[link.index] == 3.0
+    assert small_net.residuals()["bw"][key] == 3.0
+    for value in (node.cap_cpu, node.cap_ram, node.max_cpu, link.cap_bw,
+                  link.max_bw):
+        assert type(value) is float
+    # residuals() hands out a copy
+    copy = small_net.residuals()
+    copy["cpu"][s] = -1.0
+    assert node.cap_cpu == node.max_cpu - 1.0
+
+
+def test_set_residuals_checks_lengths(small_net):
+    state = small_net.residuals()
+    state["cpu"] = state["cpu"][:-1]
+    before = small_net.residuals()
+    with pytest.raises(ConfigurationError, match="residuals hold"):
+        small_net.set_residuals(state)
+    assert small_net.residuals() == before
+
+
+def test_wiring_clears_the_route_table():
+    net = line_net(3, bw=1.0)
+    assert route_all(net, 0, 1.0)[2] == (0, 1, 2)
+    assert 0 in net.route_table
+    net.add_link(0, 2, 1.0)
+    assert not net.route_table
+    assert route_all(net, 0, 1.0)[2] == (0, 2)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("edc_count", float("nan")), ("edc_count", 1.5), ("edc_count", -1),
+    ("servers_per_edc", True), ("ccp_servers", "2"),
+    ("server_cpu", float("inf")), ("server_ram", 0.0), ("server_cpu", None),
+])
+def test_topology_counts_check_their_fields(field, value):
+    kwargs = {"edc_count": 1, "servers_per_edc": 2, field: value}
+    with pytest.raises(ConfigurationError, match=f"TopologyCounts.{field}"):
+        TopologyCounts(**kwargs)

@@ -12,6 +12,7 @@ from slicesim import (
     Departure,
     DynamicArrival,
     LoadModel,
+    ScenarioError,
     SliceClass,
     StaticArrival,
     arrival_rate,
@@ -314,4 +315,40 @@ def test_load_events_unknown_class(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"time": 1.0, "kind": "arrival", "uid": 0, "class": 7}\n')
     with pytest.raises(ConfigurationError):
+        load_events(path, [volatile()])
+
+
+@pytest.mark.parametrize("line, fragment", [
+    ('{"time": 1.0, "kind": "arrival", "uid": 0}', "field 'class': missing"),
+    ('{"time": 1.0, "kind": "arrival", "class": 0}', "field 'uid': missing"),
+    ('{"kind": "arrival", "uid": 0, "class": 0}', "field 'time': missing"),
+    ('{"time": 1.0, "uid": 0, "class": 0}', "field 'kind': missing"),
+    ('{"time": 1.0, "kind": "arrival", "uid": 0, "class": 0',
+     "not a JSON event record"),
+    ('[1.0, "arrival", 0, 0]', "not a JSON event record"),
+    ('{"time": "soon", "kind": "arrival", "uid": 0, "class": 0}',
+     "field 'time': invalid value 'soon'"),
+    ('{"time": NaN, "kind": "arrival", "uid": 0, "class": 0}',
+     "field 'time': invalid value nan"),
+    ('{"time": 1.0, "kind": "arrival", "uid": 0.5, "class": 0}',
+     "field 'uid': invalid value 0.5"),
+    ('{"time": 1.0, "kind": "leave", "uid": 0, "class": 0}',
+     "field 'kind': invalid value 'leave'"),
+    ('{"time": 1.0, "kind": "arrival", "uid": 0, "class": 7}',
+     "field 'class': event stream references unknown class 7"),
+])
+def test_load_events_names_the_file_line_and_field(tmp_path, line, fragment):
+    path = tmp_path / "events.jsonl"
+    good = '{"time": 0.5, "kind": "arrival", "uid": 9, "class": 0}'
+    path.write_text(good + "\n\n" + line + "\n")
+    with pytest.raises(ScenarioError) as info:
+        load_events(path, [volatile()])
+    assert str(info.value).startswith(f"{path}, line 3: ")
+    assert fragment in str(info.value)
+
+
+def test_load_events_names_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "events.jsonl"
+    path.write_bytes(b"\xff\xfe{}\n")
+    with pytest.raises(ScenarioError, match="not UTF-8 text"):
         load_events(path, [volatile()])
