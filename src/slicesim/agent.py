@@ -117,10 +117,10 @@ class FeatureScaler:
         self.bw = max(net.max_outgoing_bw(n.id) for n in net.nodes)
         # incident[k, n]: index of node n's k-th link in adjacency order,
         # or len(net.bw) (a 0.0 pad) past its degree
-        degree = max(len(links) for links in net.incident)
+        degree = max(len(nbrs) for nbrs in net.adjacency)
         self.incident = np.full((degree, len(net.nodes)), len(net.bw))
-        for n, links in enumerate(net.incident):
-            self.incident[:len(links), n] = links
+        for n, nbrs in enumerate(net.adjacency):
+            self.incident[:len(nbrs), n] = [net.link_index[n][m] for m in nbrs]
 
     def psn_features(self, net: SubstrateNetwork,
                      state: PlacementEpisodeState) -> np.ndarray:

@@ -68,13 +68,14 @@ def _sweep(net: SubstrateNetwork, src: int, bw: float) -> dict[int, tuple]:
     bw, so nodes leave the queue ordered by (hops, path), and the first
     node to reach a neighbour lies on that neighbour's lexicographically
     smallest min-hop path."""
-    residual = net.bw
+    residual, adjacency, link_index = net.bw, net.adjacency, net.link_index
     paths = {src: (src,)}
     queue = [src]
     for node in queue:              # the loop also visits appended nodes
         head = paths[node]
-        for nbr, link in zip(net.adjacency[node], net.incident[node]):
-            if nbr not in paths and residual[link] + _EPS >= bw:
+        links = link_index[node]
+        for nbr in adjacency[node]:
+            if nbr not in paths and residual[links[nbr]] + _EPS >= bw:
                 paths[nbr] = head + (nbr,)
                 queue.append(nbr)
     paths[src] = ()

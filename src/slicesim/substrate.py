@@ -9,7 +9,6 @@ other, so a simulation can always restore the exact pre-placement state.
 
 from __future__ import annotations
 
-import bisect
 import hashlib
 import math
 import numbers
@@ -190,8 +189,8 @@ class SubstrateNetwork:
         self.nodes: list[SubstrateNode] = []
         self.links: dict[tuple[int, int], SubstrateLink] = {}
         self.adjacency: list[list[int]] = []
-        # incident[n][k]: index of the link from n to adjacency[n][k]
-        self.incident: list[list[int]] = []
+        # link_index[n][m]: index of the link between n and m
+        self.link_index: list[dict[int, int]] = []
         self.data_centers: dict[int, DataCenter] = {}
         self.servers: list[int] = []
         self.cpu: list[float] = []
@@ -211,7 +210,7 @@ class SubstrateNetwork:
         node = SubstrateNode(self, len(self.nodes), kind, dc_id)
         self.nodes.append(node)
         self.adjacency.append([])
-        self.incident.append([])
+        self.link_index.append({})
         for record, value in ((self.max_cpu, max_cpu), (self.cpu, max_cpu),
                               (self.max_ram, max_ram), (self.ram, max_ram)):
             record.append(value)
@@ -230,10 +229,11 @@ class SubstrateNetwork:
         self.links[key] = SubstrateLink(self, key[0], key[1], index)
         self.max_bw.append(max_bw)
         self.bw.append(max_bw)
-        for u, v in ((a, b), (b, a)):
-            k = bisect.bisect(self.adjacency[u], v)
-            self.adjacency[u].insert(k, v)
-            self.incident[u].insert(k, index)
+        self.link_index[a][b] = self.link_index[b][a] = index
+        self.adjacency[a].append(b)
+        self.adjacency[b].append(a)
+        self.adjacency[a].sort()
+        self.adjacency[b].sort()
         self.route_table.clear()
 
     # -- lookups ------------------------------------------------------
@@ -245,10 +245,12 @@ class SubstrateNetwork:
         """Sum of residual bandwidth over all links incident to node n."""
         if not 0 <= n < len(self.nodes):
             raise KeyError(f"unknown node id {n}")
-        return sum(self.bw[i] for i in self.incident[n])
+        links = self.link_index[n]
+        return sum(self.bw[links[m]] for m in self.adjacency[n])
 
     def max_outgoing_bw(self, n: int) -> float:
-        return sum(self.max_bw[i] for i in self.incident[n])
+        links = self.link_index[n]
+        return sum(self.max_bw[links[m]] for m in self.adjacency[n])
 
     def total_capacity(self, resource: str) -> float:
         """Total installed capacity of one resource across the substrate."""
