@@ -5,16 +5,16 @@ import pytest
 
 from slicesim import (
     ConfigurationError,
+    HeuristicPolicy,
     NodeKind,
     PlacementEpisodeState,
     ResourceDelta,
+    Simulation,
     SubstrateNetwork,
     apply_action,
     episode_reward,
     fail_step,
     is_feasible,
-    HeuristicPolicy,
-    Simulation,
     load_scenario,
     route,
     route_all,
