@@ -32,7 +32,8 @@ from .errors import CheckpointError, ConfigurationError
 from .heuristic import HeuristicAdvice, heu_select
 from .networks import (SliceNet, load_checkpoint, log_softmax, manifest_field,
                        normalized_propagation, save_checkpoint, softmax)
-from .placement import PlacementEpisodeState, apply_action, episode_reward
+from .placement import (PlacementEpisodeState, apply_action, episode_reward,
+                        rollback)
 from .substrate import SubstrateNetwork
 from .traffic import LoadModel, SliceRequest
 
@@ -115,19 +116,19 @@ class FeatureScaler:
         self.cpu = max(n.max_cpu for n in servers)
         self.ram = max(n.max_ram for n in servers)
         self.bw = max(net.max_outgoing_bw(n.id) for n in net.nodes)
-        # incident[k, n]: index of node n's k-th link in adjacency order,
-        # or len(net.bw) (a 0.0 pad) past its degree
-        degree = max(len(nbrs) for nbrs in net.adjacency)
+        # incident[k, n]: index of the link to node n's k-th neighbour in
+        # ascending order, or len(net.bw) (a 0.0 pad) past its degree
+        degree = max(len(links) for links in net.link_index)
         self.incident = np.full((degree, len(net.nodes)), len(net.bw))
-        for n, nbrs in enumerate(net.adjacency):
-            self.incident[:len(nbrs), n] = [net.link_index[n][m] for m in nbrs]
+        for n, links in enumerate(net.link_index):
+            self.incident[:len(links), n] = list(links.values())
 
     def psn_features(self, net: SubstrateNetwork,
                      state: PlacementEpisodeState) -> np.ndarray:
         """(|N|, 4) rows of residual cpu, ram, incident bw, and the share
         of the request's VNFs already placed on the node.
 
-        The incident bw of a node sums its links in adjacency order, as
+        The incident bw of a node sums its links in neighbour order, as
         `net.outgoing_bw` does: reducing over axis 0 adds the gathered
         rows one after another, so every sum rounds the same way.
         """
@@ -245,29 +246,34 @@ class Agent:
         On acceptance the commits stay on the substrate and
         state.committed is the ledger the departure releases; a failed
         step has already rolled everything back. trace_sink, when given,
-        receives one record dict per step.
+        receives one record dict per step. An exception raised
+        mid-episode rolls the request back first.
         """
         state = PlacementEpisodeState(request)
         trace = EpisodeTrace()
         outcomes = []
         forecast = self.forecast(t)         # t is fixed within an episode
-        while not state.done:
-            vnf_index = state.next_vnf
-            advice = None
-            if uses_heuristic(self.config.variant):
-                advice = heu_select(state, net)
-                self.heu_queries += 1
-            psn, nspr, load = self.observe(state, net, forecast)
-            target, step = self.select_action(psn, nspr, load, advice)
-            trace.steps.append(step)
-            # the advice's route sweep holds the path to any target
-            outcome = apply_action(state, net, target,
-                                   None if advice is None else advice.paths)
-            outcomes.append(outcome)
-            if trace_sink is not None:
-                trace_sink(outcome.to_record(request.uid, vnf_index, target))
-            if not outcome.success:
-                break
+        try:
+            while not state.done:
+                vnf_index = state.next_vnf
+                advice = None
+                if uses_heuristic(self.config.variant):
+                    advice = heu_select(state, net)
+                    self.heu_queries += 1
+                psn, nspr, load = self.observe(state, net, forecast)
+                target, step = self.select_action(psn, nspr, load, advice)
+                trace.steps.append(step)
+                # the advice's route sweep holds the path to any target
+                outcome = apply_action(state, net, target,
+                                       None if advice is None else advice.paths)
+                outcomes.append(outcome)
+                if trace_sink is not None:
+                    trace_sink(outcome.to_record(request.uid, vnf_index, target))
+                if not outcome.success:
+                    break
+        except BaseException:
+            rollback(state, net)
+            raise
         rewards = episode_reward(outcomes, request.vnf_count)
         for step, r in zip(trace.steps, rewards):
             step.reward = r
@@ -371,8 +377,7 @@ class Agent:
 
     @classmethod
     def load(cls, path, net: SubstrateNetwork,
-             load_model: LoadModel | None = None,
-             config: AgentConfig | None = None) -> "Agent":
+             load_model: LoadModel | None = None) -> "Agent":
         manifest, arrays = load_checkpoint(path)
 
         def field(name, convert=None):
@@ -393,18 +398,13 @@ class Agent:
             raise CheckpointError(
                 "agent checkpoint field 'allow_any_node' must be false: "
                 "actions target servers only")
-        if config is None:
-            try:
-                config = AgentConfig.for_variant(
-                    variant, gamma=field("gamma", number),
-                    xi=field("xi", number), eta=field("eta", number),
-                    beta=field("beta", number))
-            except ConfigurationError as exc:
-                raise CheckpointError(f"agent checkpoint: {exc}") from exc
-        elif config.variant != variant:
-            raise CheckpointError(
-                f"checkpoint holds variant {variant!r}, "
-                f"config asks for {config.variant!r}")
+        try:
+            config = AgentConfig.for_variant(
+                variant, gamma=field("gamma", number),
+                xi=field("xi", number), eta=field("eta", number),
+                beta=field("beta", number))
+        except ConfigurationError as exc:
+            raise CheckpointError(f"agent checkpoint: {exc}") from exc
         agent = cls(config, net, load_model)
         n_actions = manifest_field(field("actor"), "n_actions",
                                    "agent checkpoint actor")

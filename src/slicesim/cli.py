@@ -20,7 +20,7 @@ import json
 import os
 import sys
 
-from .agent import VARIANTS, Agent, AgentConfig, uses_load
+from .agent import VARIANTS, Agent, AgentConfig
 from .errors import SliceSimError
 from .metrics import write_phase_csv, write_plot_json, write_records_csv
 from .networks import load_checkpoint
@@ -102,25 +102,26 @@ def _write_outputs(scenario: Scenario, args, records, base: str,
           f"gar={sum(r.accepted for r in records) / max(len(records), 1):.4f}")
 
 
-def _open_trace(args):
-    if args.export_trace is None:
-        return None, None
-    fh = open(args.export_trace, "w")
-    return fh, (lambda rec: fh.write(json.dumps(rec) + "\n"))
+def _run(args, net, events, policy, on_arrival=None, trace=True):
+    """Run policy over events within --arrivals and --horizon; with
+    trace and --export-trace, its per-step records go to that file."""
+    fh = open(args.export_trace, "w") if trace and args.export_trace else None
+    if fh is not None:
+        policy.trace_sink = lambda rec: fh.write(json.dumps(rec) + "\n")
+    try:
+        return Simulation(net, events, policy).run(
+            max_arrivals=args.arrivals, horizon=args.horizon,
+            on_arrival=on_arrival)
+    finally:
+        if fh is not None:
+            fh.close()
 
 
 def cmd_simulate(args) -> int:
     scenario = load_scenario(args.scenario)
     events, seed = _events_for(scenario, args)
-    net = scenario.build_network()
-    trace_fh, sink = _open_trace(args)
-    try:
-        policy = HeuristicPolicy(trace_sink=sink)
-        sim = Simulation(net, events, policy)
-        records = sim.run(max_arrivals=args.arrivals, horizon=args.horizon)
-    finally:
-        if trace_fh:
-            trace_fh.close()
+    policy = HeuristicPolicy()
+    records = _run(args, scenario.build_network(), events, policy)
     base = f"{scenario.name}-{policy.name}-seed{seed}"
     _write_outputs(scenario, args, records, base, policy.name, seed)
     return 0
@@ -133,11 +134,8 @@ def cmd_train(args) -> int:
         config = _agent_config(scenario, args, seed_shift=i)
         events, seed = _events_for(scenario, args, seed_shift=i)
         net = scenario.build_network()
-        load_model = scenario.build_load_model(net)
-        agent = Agent(config, net,
-                      load_model if uses_load(config.variant) else None)
-        trace_fh, sink = _open_trace(args) if i == 0 else (None, None)
-        policy = AgentPolicy(agent, train=True, trace_sink=sink)
+        # an agent of a variant without the load branch drops the model
+        agent = Agent(config, net, scenario.build_load_model(net))
         base = f"{scenario.name}-{config.variant}-seed{seed}"
         ckpt_path = os.path.join(out, base + ".ckpt")
 
@@ -146,13 +144,8 @@ def cmd_train(args) -> int:
             def hooks(n, sim, _agent=agent, _base=base):
                 if n % args.checkpoint_every == 0:
                     _agent.save(os.path.join(out, f"{_base}.ep{n}.ckpt"))
-        try:
-            sim = Simulation(net, events, policy)
-            records = sim.run(max_arrivals=args.arrivals,
-                              horizon=args.horizon, on_arrival=hooks)
-        finally:
-            if trace_fh:
-                trace_fh.close()
+        records = _run(args, net, events, AgentPolicy(agent, train=True),
+                       on_arrival=hooks, trace=i == 0)
         agent.save(ckpt_path)
         _write_outputs(scenario, args, records, base, config.variant, seed,
                        checkpoint=ckpt_path,
@@ -171,15 +164,9 @@ def cmd_evaluate(args) -> int:
     events, seed = _events_for(scenario, args)
     net = scenario.build_network()
     load_model = scenario.build_load_model(net)
-    trace_fh, sink = _open_trace(args)
-    try:
-        agent = Agent.load(args.checkpoint, net, load_model)
-        policy = AgentPolicy(agent, train=False, trace_sink=sink)
-        sim = Simulation(net, events, policy)
-        records = sim.run(max_arrivals=args.arrivals, horizon=args.horizon)
-    finally:
-        if trace_fh:
-            trace_fh.close()
+    agent = Agent.load(args.checkpoint, net, load_model)
+    policy = AgentPolicy(agent, train=False)
+    records = _run(args, net, events, policy)
     base = f"{scenario.name}-{policy.name}-eval-seed{seed}"
     _write_outputs(scenario, args, records, base, policy.name, seed,
                    checkpoint=args.checkpoint,

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from itertools import repeat
 
 from .placement import (PlacementEpisodeState, PlacementOutcome, apply_action,
-                        fail_step, route_all, server_closeness)
+                        fail_step, rollback, route_all, server_closeness)
 from .substrate import _EPS, SubstrateNetwork
 from .traffic import SliceRequest
 
@@ -71,23 +71,27 @@ def heu_place_full(request: SliceRequest, net: SubstrateNetwork,
     engine's failure path rolls back anything already committed. On
     acceptance the commits stay and state.committed is the ledger a later
     departure releases. trace_sink, when given, receives one record dict
-    per step.
+    per step. An exception raised mid-request rolls it back first.
     """
     state = PlacementEpisodeState(request)
     outcomes: list[PlacementOutcome] = []
-    while not state.done:
-        step = state.next_vnf
-        advice = heu_select(state, net)
-        if not advice.exists:
-            outcome = fail_step(state, net)
+    try:
+        while not state.done:
+            step = state.next_vnf
+            advice = heu_select(state, net)
+            if not advice.exists:
+                outcome = fail_step(state, net)
+                outcomes.append(outcome)
+                if trace_sink is not None:
+                    trace_sink(outcome.to_record(request.uid, step, -1))
+                return False, state, outcomes
+            outcome = apply_action(state, net, advice.server, advice.paths)
             outcomes.append(outcome)
             if trace_sink is not None:
-                trace_sink(outcome.to_record(request.uid, step, -1))
-            return False, state, outcomes
-        outcome = apply_action(state, net, advice.server, advice.paths)
-        outcomes.append(outcome)
-        if trace_sink is not None:
-            trace_sink(outcome.to_record(request.uid, step, advice.server))
-        if not outcome.success:
-            return False, state, outcomes
+                trace_sink(outcome.to_record(request.uid, step, advice.server))
+            if not outcome.success:
+                return False, state, outcomes
+    except BaseException:
+        rollback(state, net)
+        raise
     return True, state, outcomes

@@ -63,15 +63,6 @@ def complete_phases(records: list[AcceptanceRecord],
     return len(records) // phase_size
 
 
-def per_class_ratio(records: list[AcceptanceRecord],
-                    class_id: int) -> float | None:
-    """Class-filtered cumulative ratio; None when the class never arrived."""
-    mine = [r for r in records if r.class_id == class_id]
-    if not mine:
-        return None
-    return sum(r.accepted for r in mine) / len(mine)
-
-
 def per_class_tar(records: list[AcceptanceRecord], class_id: int, phase: int,
                   phase_size: int = DEFAULT_PHASE_SIZE) -> float | None:
     """Class-filtered ratio within one phase; None for partial phases and

@@ -186,8 +186,7 @@ class SliceNet:
 
     def __init__(self, propagation: np.ndarray, n_actions: int,
                  use_load: bool, activation: str,
-                 rng: np.random.Generator,
-                 gcn_layers: int = GCN_LAYERS, gcn_width: int = GCN_WIDTH):
+                 rng: np.random.Generator, gcn_width: int = GCN_WIDTH):
         if activation not in ("tanh", "relu"):
             raise ConfigurationError(f"unknown activation {activation!r}")
         self.propagation = np.asarray(propagation, dtype=np.float64)
@@ -195,12 +194,11 @@ class SliceNet:
         self.n_actions = n_actions
         self.use_load = use_load
         self.activation = activation
-        self.gcn_layers = gcn_layers
         self.gcn_width = gcn_width
         self.params = ParameterSet()
 
         width_in = PSN_FEATURES
-        for layer in range(gcn_layers):
+        for layer in range(GCN_LAYERS):
             self.params.add(f"gcn.{layer}.w", glorot(rng, width_in, gcn_width))
             self.params.add(f"gcn.{layer}.b", np.zeros(gcn_width))
             width_in = gcn_width
@@ -228,21 +226,12 @@ class SliceNet:
         """K propagation layers over stacked (T, |N|, 4) node features;
         saved, when given, receives each layer's (A·H_{k-1}, H_k)."""
         p = self.params
-        for layer in range(self.gcn_layers):
+        for layer in range(GCN_LAYERS):
             ax = self.propagation @ x
             x = self._act(ax @ p[f"gcn.{layer}.w"] + p[f"gcn.{layer}.b"])
             if saved is not None:
                 saved.append((ax, x))
         return x
-
-    def gcn_forward(self, node_features: np.ndarray) -> np.ndarray:
-        """K propagation layers over the fixed graph; (|N|, 60) output."""
-        x = np.asarray(node_features, dtype=np.float64)
-        if x.shape != (self.n_nodes, PSN_FEATURES):
-            raise ConfigurationError(
-                f"node features must be {(self.n_nodes, PSN_FEATURES)}, "
-                f"got {x.shape}")
-        return self._gcn(x[None])[0]
 
     def forward(self, psn: np.ndarray, nspr: np.ndarray,
                 load: np.ndarray | None = None,
@@ -285,10 +274,10 @@ class SliceNet:
             gcn = []
             nodes = self._gcn(psn, gcn)
         else:
-            if (len(gcn) != self.gcn_layers or gcn[-1][1].shape
+            if (len(gcn) != GCN_LAYERS or gcn[-1][1].shape
                     != (t, self.n_nodes, self.gcn_width)):
                 raise ConfigurationError(
-                    f"saved GCN activations must be {self.gcn_layers} layers "
+                    f"saved GCN activations must be {GCN_LAYERS} layers "
                     f"of shape {(t, self.n_nodes, self.gcn_width)}")
             nodes = gcn[-1][1]
         nspr_out = self._act(nspr @ p["nspr.w"] + p["nspr.b"])
@@ -352,7 +341,7 @@ class SliceNet:
             grads[f"{name}.b"] = g_pre.sum(axis=0)
 
         g_h = g_combined[:, :gcn_end].reshape(t, self.n_nodes, self.gcn_width)
-        for layer in range(self.gcn_layers - 1, -1, -1):
+        for layer in range(GCN_LAYERS - 1, -1, -1):
             ax, h = acts.gcn[layer]
             g_pre = self._act_grad(h, g_h)
             width_in = ax.shape[-1]
@@ -369,7 +358,7 @@ class SliceNet:
             "n_actions": self.n_actions,
             "use_load": self.use_load,
             "activation": self.activation,
-            "gcn_layers": self.gcn_layers,
+            "gcn_layers": GCN_LAYERS,
             "gcn_width": self.gcn_width,
         }
 

@@ -64,18 +64,17 @@ def route_all(net: SubstrateNetwork, src: int, bw: float) -> dict[int, tuple]:
 
 
 def _sweep(net: SubstrateNetwork, src: int, bw: float) -> dict[int, tuple]:
-    """Breadth-first over the sorted adjacency and the links that hold
-    bw, so nodes leave the queue ordered by (hops, path), and the first
-    node to reach a neighbour lies on that neighbour's lexicographically
-    smallest min-hop path."""
-    residual, adjacency, link_index = net.bw, net.adjacency, net.link_index
+    """Breadth-first over the neighbours in ascending order and the links
+    that hold bw, so nodes leave the queue ordered by (hops, path), and
+    the first node to reach a neighbour lies on that neighbour's
+    lexicographically smallest min-hop path."""
+    residual, link_index = net.bw, net.link_index
     paths = {src: (src,)}
     queue = [src]
     for node in queue:              # the loop also visits appended nodes
         head = paths[node]
-        links = link_index[node]
-        for nbr in adjacency[node]:
-            if nbr not in paths and residual[links[nbr]] + _EPS >= bw:
+        for nbr, link in link_index[node].items():
+            if nbr not in paths and residual[link] + _EPS >= bw:
                 paths[nbr] = head + (nbr,)
                 queue.append(nbr)
     paths[src] = ()

@@ -14,7 +14,7 @@ import importlib.resources
 import json
 import math
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 import yaml
 
@@ -36,7 +36,6 @@ class Scenario:
     horizon: float
     seed: int = 0
     phase_size: int = 10_000
-    lifetime_dist: str = "exponential"
     agent_defaults: dict = field(default_factory=dict)
 
     def build_network(self) -> SubstrateNetwork:
@@ -49,8 +48,7 @@ class Scenario:
                         horizon: float | None = None) -> list[Event]:
         model = self.build_load_model()
         return generate_events(model, horizon or self.horizon,
-                               self.seed if seed is None else seed,
-                               lifetime_dist=self.lifetime_dist)
+                               self.seed if seed is None else seed)
 
     def result_fields(self) -> dict:
         """Everything that affects simulation output, in canonical form."""
@@ -70,7 +68,8 @@ class Scenario:
             "horizon": self.horizon,
             "seed": self.seed,
             "phase_size": self.phase_size,
-            "lifetime_dist": self.lifetime_dist,
+            # a field of the hash format; lifetimes are always exponential
+            "lifetime_dist": "exponential",
             "agent_defaults": dict(sorted(self.agent_defaults.items())),
         }
 
@@ -79,20 +78,18 @@ class Scenario:
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+_TOP_KEYS = {"name", "seed", "horizon", "phase_size", "topology", "classes",
+             "agent"}
 _TOPOLOGY_KEYS = {"profile"} | {f.name for f in fields(TopologyCounts)}
 _AGENT_KEYS = {f.name for f in fields(AgentConfig)}
 
 
-def _number(mapping: dict, key: str, path: str, convert=float,
-            default=None):
+def _number(mapping: dict, key: str, path: str, convert=float):
     """mapping[key] through convert and finite, else a ScenarioError
-    naming the dotted field; default stands in for an absent optional
-    key, and a key without one is required."""
+    naming the dotted field, also when the key is absent."""
     where = f"{path}.{key}" if path else key
     if key not in mapping:
-        if default is None:
-            raise ScenarioError(f"{where}: missing required field")
-        return default
+        raise ScenarioError(f"{where}: missing required field")
     raw = mapping[key]
     try:
         value = convert(raw)
@@ -110,10 +107,28 @@ def _whole(raw) -> int:
     return int(raw)
 
 
+_CONVERTERS = {"int": _whole, "float": float}
+
+
+def _numbers(mapping: dict, record, path: str, required: bool = True) -> dict:
+    """The int and float fields of dataclass record that mapping holds,
+    each read by _number (an int through _whole). With required, a field
+    without a default must be present; an absent field is left out, so
+    the dataclass default applies."""
+    found = {}
+    for f in fields(record):
+        convert = _CONVERTERS.get(f.type)
+        if convert is not None and (
+                f.name in mapping or (required and f.default is MISSING)):
+            found[f.name] = _number(mapping, f.name, path, convert)
+    return found
+
+
 def _reject_unknown(mapping: dict, known: set, path: str) -> None:
     unknown = sorted(str(k) for k in mapping if k not in known)
     if unknown:
-        raise ScenarioError(f"{path}.{unknown[0]}: unknown field "
+        where = f"{path}.{unknown[0]}" if path else unknown[0]
+        raise ScenarioError(f"{where}: unknown field "
                             f"(known: {', '.join(sorted(known))})")
 
 
@@ -128,15 +143,7 @@ def _parse_topology(raw, path: str) -> TopologyCounts:
                 f"{path}.profile: unknown profile {profile!r} "
                 f"(choices: {sorted(PROFILES)})")
         return PROFILES[profile]
-    counts = dict(
-        edc_count=_number(raw, "edc_count", path, _whole),
-        servers_per_edc=_number(raw, "servers_per_edc", path, _whole),
-        cdc_count=_number(raw, "cdc_count", path, _whole, 0),
-        servers_per_cdc=_number(raw, "servers_per_cdc", path, _whole, 0),
-        ccp_servers=_number(raw, "ccp_servers", path, _whole, 0),
-        server_cpu=_number(raw, "server_cpu", path, float, 50.0),
-        server_ram=_number(raw, "server_ram", path, float, 300.0),
-    )
+    counts = _numbers(raw, TopologyCounts, path)
     try:
         return TopologyCounts(**counts)
     except ConfigurationError as exc:
@@ -152,19 +159,14 @@ def _parse_class(raw, idx: int) -> SliceClass:
         raise ScenarioError(f"{path}.arrival: must be a mapping with a kind")
     kind = arrival_raw["kind"]
     if kind == "dynamic":
-        arrival = DynamicArrival(
-            amplitude=_number(arrival_raw, "amplitude", f"{path}.arrival"),
-            period=_number(arrival_raw, "period", f"{path}.arrival"))
+        law = DynamicArrival
     elif kind == "static":
-        arrival = StaticArrival(
-            rate=_number(arrival_raw, "rate", f"{path}.arrival"))
+        law = StaticArrival
     else:
         raise ScenarioError(
             f"{path}.arrival.kind: must be 'static' or 'dynamic', got {kind!r}")
-    numbers = {key: _number(raw, key, path, _whole)
-               for key in ("id", "vnf_count")}
-    numbers.update({key: _number(raw, key, path) for key in
-                    ("req_cpu", "req_ram", "req_bw", "mean_lifetime")})
+    arrival = law(**_numbers(arrival_raw, law, f"{path}.arrival"))
+    numbers = _numbers(raw, SliceClass, path)
     try:
         return SliceClass(name=str(raw.get("name", f"class-{idx}")),
                           arrival=arrival, **numbers)
@@ -175,6 +177,7 @@ def _parse_class(raw, idx: int) -> SliceClass:
 def parse_scenario(raw: dict, name: str = "scenario") -> Scenario:
     if not isinstance(raw, dict):
         raise ScenarioError("scenario document must be a mapping")
+    _reject_unknown(raw, _TOP_KEYS, "")
     if "topology" not in raw:
         raise ScenarioError("topology: missing section")
     topology = _parse_topology(raw["topology"], "topology")
@@ -182,8 +185,8 @@ def parse_scenario(raw: dict, name: str = "scenario") -> Scenario:
     if not isinstance(classes_raw, list) or not classes_raw:
         raise ScenarioError("classes: must be a non-empty list")
     classes = [_parse_class(c, i) for i, c in enumerate(classes_raw)]
-    horizon = _number(raw, "horizon", "")
-    if horizon <= 0:
+    numbers = _numbers(raw, Scenario, "")
+    if numbers["horizon"] <= 0:
         raise ScenarioError("horizon: must be > 0")
     agent_defaults = raw.get("agent", {})
     if agent_defaults is None:
@@ -191,26 +194,16 @@ def parse_scenario(raw: dict, name: str = "scenario") -> Scenario:
     if not isinstance(agent_defaults, dict):
         raise ScenarioError("agent: must be a mapping")
     _reject_unknown(agent_defaults, _AGENT_KEYS, "agent")
-    for key in sorted(_AGENT_KEYS - {"variant"}):
-        if key in agent_defaults:
-            _number(agent_defaults, key, "agent",
-                    _whole if key == "seed" else float)
+    _numbers(agent_defaults, AgentConfig, "agent", required=False)
     scenario = Scenario(
         name=str(raw.get("name", name)),
         topology=topology,
         classes=classes,
-        horizon=horizon,
-        seed=_number(raw, "seed", "", _whole, 0),
-        phase_size=_number(raw, "phase_size", "", _whole, 10_000),
-        lifetime_dist=str(raw.get("lifetime_dist", "exponential")),
         agent_defaults=dict(agent_defaults),
+        **numbers,
     )
     if scenario.phase_size < 1:
         raise ScenarioError("phase_size: must be >= 1")
-    if scenario.lifetime_dist not in ("exponential", "fixed"):
-        raise ScenarioError(
-            f"lifetime_dist: must be 'exponential' or 'fixed', "
-            f"got {scenario.lifetime_dist!r}")
     # the load bound needs the built topology's capacities
     net = scenario.build_network()
     for i, cls in enumerate(classes):
@@ -277,7 +270,6 @@ class RunManifest:
     policy: str
     seed: int
     arrivals: int
-    start_arrival: int = 0
     checkpoint: str | None = None
     extra: dict = field(default_factory=dict)
 
@@ -288,7 +280,8 @@ class RunManifest:
             "policy": self.policy,
             "seed": self.seed,
             "arrivals": self.arrivals,
-            "start_arrival": self.start_arrival,
+            # a field of the format; a run starts at its first arrival
+            "start_arrival": 0,
             "checkpoint": self.checkpoint,
         }
         doc.update(self.extra)

@@ -167,13 +167,6 @@ class Simulation:
                     break
         return self.records
 
-    def held_resources(self) -> ResourceDelta:
-        """Union of all in-system ledger entries (conservation checks)."""
-        total = ResourceDelta()
-        for delta in self.ledger.values():
-            total.merge(delta)
-        return total
-
     # -- snapshots ------------------------------------------------------------
 
     def _events_digest(self) -> str:

@@ -188,8 +188,8 @@ class SubstrateNetwork:
     def __init__(self):
         self.nodes: list[SubstrateNode] = []
         self.links: dict[tuple[int, int], SubstrateLink] = {}
-        self.adjacency: list[list[int]] = []
-        # link_index[n][m]: index of the link between n and m
+        # link_index[n][m]: index of the link between n and m, keyed in
+        # ascending neighbour order
         self.link_index: list[dict[int, int]] = []
         self.data_centers: dict[int, DataCenter] = {}
         self.servers: list[int] = []
@@ -209,7 +209,6 @@ class SubstrateNetwork:
             raise ConfigurationError("only servers may carry CPU/RAM capacity")
         node = SubstrateNode(self, len(self.nodes), kind, dc_id)
         self.nodes.append(node)
-        self.adjacency.append([])
         self.link_index.append({})
         for record, value in ((self.max_cpu, max_cpu), (self.cpu, max_cpu),
                               (self.max_ram, max_ram), (self.ram, max_ram)):
@@ -229,11 +228,9 @@ class SubstrateNetwork:
         self.links[key] = SubstrateLink(self, key[0], key[1], index)
         self.max_bw.append(max_bw)
         self.bw.append(max_bw)
-        self.link_index[a][b] = self.link_index[b][a] = index
-        self.adjacency[a].append(b)
-        self.adjacency[b].append(a)
-        self.adjacency[a].sort()
-        self.adjacency[b].sort()
+        for n, m in ((a, b), (b, a)):
+            self.link_index[n][m] = index
+            self.link_index[n] = dict(sorted(self.link_index[n].items()))
         self.route_table.clear()
 
     # -- lookups ------------------------------------------------------
@@ -245,12 +242,10 @@ class SubstrateNetwork:
         """Sum of residual bandwidth over all links incident to node n."""
         if not 0 <= n < len(self.nodes):
             raise KeyError(f"unknown node id {n}")
-        links = self.link_index[n]
-        return sum(self.bw[links[m]] for m in self.adjacency[n])
+        return sum(self.bw[k] for k in self.link_index[n].values())
 
     def max_outgoing_bw(self, n: int) -> float:
-        links = self.link_index[n]
-        return sum(self.max_bw[links[m]] for m in self.adjacency[n])
+        return sum(self.max_bw[k] for k in self.link_index[n].values())
 
     def total_capacity(self, resource: str) -> float:
         """Total installed capacity of one resource across the substrate."""
@@ -269,7 +264,7 @@ class SubstrateNetwork:
         stack = [0]
         while stack:
             u = stack.pop()
-            for v in self.adjacency[u]:
+            for v in self.link_index[u]:
                 if v not in seen:
                     seen.add(v)
                     stack.append(v)

@@ -243,30 +243,22 @@ def class_rng(seed: int, class_id: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(class_id,)))
 
 
-def generate_events(model: LoadModel, horizon: float, seed: int,
-                    lifetime_dist: str = "exponential") -> list[Event]:
+def generate_events(model: LoadModel, horizon: float, seed: int) -> list[Event]:
     """Generate the merged arrival/departure stream over [0, horizon).
 
-    Lifetimes are exponential with the class mean by default
-    (lifetime_dist="fixed" makes every lifetime the class mean). Departures
-    of all arrivals are included, even past the horizon. The stream is
-    sorted by time, departures first at equal times, then class id, then
-    uid.
+    Lifetimes are exponential with the class mean. Departures of all
+    arrivals are included, even past the horizon. The stream is sorted by
+    time, departures first at equal times, then class id, then uid.
     """
     if horizon <= 0:
         raise ConfigurationError("horizon must be > 0")
-    if lifetime_dist not in ("exponential", "fixed"):
-        raise ConfigurationError(f"unknown lifetime_dist {lifetime_dist!r}")
 
     per_class: list[tuple[SliceClass, float, float]] = []
     for cls in model.classes:
         rng = class_rng(seed, cls.id)
         times = sample_arrivals(lambda t: arrival_rate(cls, t), cls.rate_bound(),
                                 horizon, rng)
-        if lifetime_dist == "exponential":
-            lifetimes = rng.exponential(cls.mean_lifetime, size=len(times))
-        else:
-            lifetimes = np.full(len(times), cls.mean_lifetime)
+        lifetimes = rng.exponential(cls.mean_lifetime, size=len(times))
         per_class.extend((cls, t, lt) for t, lt in zip(times, lifetimes))
 
     # uids are dense in global arrival order

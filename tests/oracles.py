@@ -11,6 +11,7 @@ these oracles only).
 import numpy as np
 
 from slicesim.autodiff import Tensor, concat, log_softmax
+from slicesim.networks import GCN_LAYERS
 
 _EPS = 1e-9
 
@@ -22,7 +23,7 @@ def all_feasible_paths(net, src, dst, bw):
     found = []
 
     def walk(node, seen, acc):
-        for nxt in net.adjacency[node]:
+        for nxt in net.link_index[node]:
             if nxt in seen:
                 continue
             if net.link(node, nxt).cap_bw + _EPS < bw:
@@ -150,6 +151,12 @@ def gradcheck(f, grad_f, x, h=1e-5, tol=1e-4):
     return float(rel.max()), analytic, numeric
 
 
+def gcn_forward(net, node_features):
+    """A SliceNet's K propagation layers over one (|N|, 4) observation;
+    (|N|, width) output."""
+    return net._gcn(np.asarray(node_features, dtype=np.float64)[None])[0]
+
+
 def tape_forward(net, params, psn, nspr, load=None):
     """A SliceNet's forward pass built on the autodiff tape.
 
@@ -158,7 +165,7 @@ def tape_forward(net, params, psn, nspr, load=None):
     act = (lambda t: t.tanh()) if net.activation == "tanh" else \
         (lambda t: t.relu())
     x = Tensor(psn)
-    for layer in range(net.gcn_layers):
+    for layer in range(GCN_LAYERS):
         x = act(Tensor(net.propagation) @ x @ params[f"gcn.{layer}.w"]
                 + params[f"gcn.{layer}.b"])
     parts = [x.reshape(-1), act(Tensor(nspr) @ params["nspr.w"]

@@ -35,7 +35,8 @@ from slicesim.traffic import LoadModel
 from slicesim.substrate import build_reference_topology
 
 from conftest import line_net, make_request, random_substrate, uniform_request
-from oracles import brute_feasible, brute_heu_choice, finite_diff_grad
+from oracles import (brute_feasible, brute_heu_choice, finite_diff_grad,
+                     gcn_forward)
 
 TOTAL_CPU = 6300.0  # 126 servers x 50
 
@@ -280,8 +281,8 @@ def test_criterion_6_gcn_permutation_equivariance():
                             gcn_width=8)
         permuted.params.load_arrays(base.params.arrays())
 
-        out_base = base.gcn_forward(x)
-        out_perm = permuted.gcn_forward(x[perm])
+        out_base = gcn_forward(base, x)
+        out_perm = gcn_forward(permuted, x[perm])
         worst = max(worst, float(np.abs(out_perm - out_base[perm]).max()))
     assert worst <= 1e-12
     print(f"criterion 6: PASS - 50 graphs up to 20 nodes, max equivariance "

@@ -171,6 +171,23 @@ def test_place_full_rejects_and_restores(tiny_net):
     assert state.committed.is_empty()
 
 
+def test_place_full_rolls_back_when_a_step_raises(tiny_net):
+    """A trace sink that fails at step 2 leaves the substrate as it was."""
+    before = tiny_net.residuals()
+    seen = []
+
+    def sink(record):
+        if record["step"] == 2:
+            seen.append(tiny_net.residuals())
+            raise OSError("trace file not writable")
+
+    with pytest.raises(OSError, match="not writable"):
+        heu_place_full(uniform_request(3, 5.0, 5.0, 1.0), tiny_net,
+                       trace_sink=sink)
+    assert seen[0] != before                # steps 1 and 2 had committed
+    assert tiny_net.residuals() == before
+
+
 def test_place_full_traces_each_step(tiny_net):
     rows = []
     req = uniform_request(2, 5.0, 5.0, 1.0, uid=42)

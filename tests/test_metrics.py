@@ -10,7 +10,6 @@ from slicesim import (
     complete_phases,
     gar,
     gar_series,
-    per_class_ratio,
     per_class_tar,
     plot_data,
     tar,
@@ -72,13 +71,6 @@ def test_complete_phases_counts_full_windows():
     assert complete_phases(records, phase_size=4) == 1
     assert complete_phases(records, phase_size=7) == 0
     assert complete_phases([], phase_size=1) == 0
-
-
-def test_per_class_ratio_and_missing_class():
-    records = mixed_records()
-    assert per_class_ratio(records, 0) == 3 / 4
-    assert per_class_ratio(records, 1) == 1 / 2
-    assert per_class_ratio(records, 2) is None
 
 
 def test_per_class_tar_none_markers():

@@ -35,7 +35,7 @@ def test_route_same_node_is_empty(tiny_net):
 
 def test_route_through_switch(tiny_net):
     s0, s1 = tiny_net.servers[:2]
-    switch = tiny_net.adjacency[s0][0]
+    switch = list(tiny_net.link_index[s0])[0]
     assert route(tiny_net, s0, s1, 1.0) == (s0, switch, s1)
 
 

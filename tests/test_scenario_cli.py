@@ -168,6 +168,17 @@ def test_parse_errors_name_the_field(mutate, path_fragment):
         parse_scenario(doc)
 
 
+def test_unknown_top_level_key_is_an_error():
+    """A misspelt key fails instead of leaving the default in force."""
+    doc = scenario_doc()
+    doc["phase_sise"] = 3
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario(doc)
+    assert str(info.value) == (
+        "phase_sise: unknown field (known: agent, classes, horizon, name, "
+        "phase_size, seed, topology)")
+
+
 def test_whole_floats_are_accepted_as_integers():
     doc = scenario_doc()
     doc["seed"] = 3.0
@@ -225,6 +236,7 @@ def test_run_manifest_write(tmp_path):
     assert doc["seed"] == 7
     assert doc["arrivals"] == 12
     assert doc["checkpoint"] is None
+    assert doc["start_arrival"] == 0
     assert doc["note"] == "x"
 
 

@@ -43,20 +43,8 @@ def tiny_stream(horizon=400.0, seed=0):
 def test_resources_conserved_at_every_event():
     net, events = tiny_stream()
     sim = Simulation(net, events, HeuristicPolicy())
-    cpu_total = net.total_capacity("cpu")
-    ram_total = net.total_capacity("ram")
-    bw_total = net.total_capacity("bw")
     while sim.step():
-        held = sim.held_resources()
-        free_cpu = sum(n.cap_cpu for n in net.nodes)
-        free_ram = sum(n.cap_ram for n in net.nodes)
-        free_bw = sum(l.cap_bw for l in net.links.values())
-        assert free_cpu + sum(held.node_cpu.values()) == pytest.approx(
-            cpu_total, abs=1e-9)
-        assert free_ram + sum(held.node_ram.values()) == pytest.approx(
-            ram_total, abs=1e-9)
-        assert free_bw + sum(held.link_bw.values()) == pytest.approx(
-            bw_total, abs=1e-9)
+        assert audit_ledger(sim, eps=1e-9) == []
 
 
 def test_substrate_returns_to_empty_after_all_departures():

@@ -46,7 +46,7 @@ def test_every_server_is_a_star_leaf(full_net_template):
     net = full_net_template
     for dc in net.data_centers.values():
         for s in dc.servers:
-            assert net.adjacency[s] == [dc.switch]
+            assert list(net.link_index[s]) == [dc.switch]
 
 
 def test_server_capacities(full_net_template):
@@ -132,7 +132,7 @@ def test_commit_release_round_trip(small_net):
     delta = ResourceDelta()
     s = small_net.servers[0]
     delta.add_node(s, cpu=10.0, ram=20.0)
-    delta.add_link(s, small_net.adjacency[s][0], 3.0)
+    delta.add_link(s, list(small_net.link_index[s])[0], 3.0)
     small_net.commit(delta)
     assert small_net.nodes[s].cap_cpu == small_net.nodes[s].max_cpu - 10.0
     assert small_net.residuals() != before
@@ -184,13 +184,14 @@ def test_random_commit_release_walk_is_lossless(small_net):
         else:
             s = int(rng.choice(small_net.servers))
             node = small_net.nodes[s]
-            link = small_net.link(s, small_net.adjacency[s][0])
+            switch = list(small_net.link_index[s])[0]
+            link = small_net.link(s, switch)
             # integer demands, like real traffic: release order then
             # cannot lose precision
             delta = ResourceDelta()
             delta.add_node(s, cpu=float(rng.integers(0, int(node.cap_cpu) + 1)),
                            ram=float(rng.integers(0, int(node.cap_ram) + 1)))
-            delta.add_link(s, small_net.adjacency[s][0],
+            delta.add_link(s, switch,
                            float(rng.integers(0, int(link.cap_bw) + 1)))
             if delta.is_empty():
                 continue
@@ -234,8 +235,10 @@ def test_adjacency_matrix(small_net):
     assert m.shape == (len(small_net.nodes),) * 2
     assert np.array_equal(m, m.T)
     assert not m.diagonal().any()
-    for i in range(len(small_net.nodes)):
-        assert m[i].sum() == len(small_net.adjacency[i])
+    for i, links in enumerate(small_net.link_index):
+        assert m[i].sum() == len(links)
+        # neighbours ascend, whatever order add_link was called in
+        assert list(links) == sorted(links)
 
 
 def test_fingerprint_identifies_topology_not_load():

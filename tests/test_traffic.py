@@ -206,16 +206,7 @@ def test_event_stream_sorted_departures_first():
     assert event_sort_key(dep) < event_sort_key(arr)
 
 
-def test_fixed_lifetimes():
-    events = generate_events(one_class_model(longterm()), horizon=2000.0,
-                             seed=1, lifetime_dist="fixed")
-    arrivals = {e.uid: e.time for e in events if isinstance(e, Arrival)}
-    for e in events:
-        if isinstance(e, Departure):
-            assert e.time == pytest.approx(arrivals[e.uid] + 500.0, abs=1e-12)
-    with pytest.raises(ConfigurationError):
-        generate_events(one_class_model(longterm()), horizon=10.0, seed=1,
-                        lifetime_dist="weibull")
+def test_generate_events_needs_a_positive_horizon():
     with pytest.raises(ConfigurationError):
         generate_events(one_class_model(longterm()), horizon=0.0, seed=1)
 
