@@ -19,7 +19,8 @@ from .metrics import (AcceptanceRecord, complete_phases, gar, gar_series,
 from .placement import (PlacementEpisodeState, PlacementOutcome, apply_action,
                         episode_reward, fail_step, is_feasible, rollback,
                         route, route_all)
-from .scenario import RunManifest, Scenario, load_scenario, parse_scenario
+from .scenario import (TOOL_VERSION, RunManifest, Scenario, load_scenario,
+                       parse_scenario)
 from .simulation import AgentPolicy, HeuristicPolicy, Simulation
 from .substrate import (PROFILES, DataCenter, NodeKind, ResourceDelta,
                         SubstrateLink, SubstrateNetwork, SubstrateNode,
@@ -30,7 +31,7 @@ from .traffic import (Arrival, Departure, DynamicArrival, LoadModel,
                       generate_events, load_events, reference_classes,
                       request_from_class, sample_arrivals)
 
-__version__ = "0.1.0"
+__version__ = TOOL_VERSION
 
 __all__ = [
     "Agent", "AgentConfig", "EpisodeTrace", "VARIANTS",

@@ -20,6 +20,7 @@ import yaml
 
 from .agent import AgentConfig
 from .errors import ConfigurationError, ScenarioError
+from .metrics import DEFAULT_PHASE_SIZE
 from .substrate import (PROFILES, SubstrateNetwork, TopologyCounts,
                         build_reference_topology)
 from .traffic import (DynamicArrival, Event, LoadModel, SliceClass,
@@ -35,7 +36,7 @@ class Scenario:
     classes: list[SliceClass]
     horizon: float
     seed: int = 0
-    phase_size: int = 10_000
+    phase_size: int = DEFAULT_PHASE_SIZE
     agent_defaults: dict = field(default_factory=dict)
 
     def build_network(self) -> SubstrateNetwork:
@@ -47,7 +48,8 @@ class Scenario:
     def generate_events(self, seed: int | None = None,
                         horizon: float | None = None) -> list[Event]:
         model = self.build_load_model()
-        return generate_events(model, horizon or self.horizon,
+        return generate_events(model,
+                               self.horizon if horizon is None else horizon,
                                self.seed if seed is None else seed)
 
     def result_fields(self) -> dict:
@@ -82,6 +84,7 @@ _TOP_KEYS = {"name", "seed", "horizon", "phase_size", "topology", "classes",
              "agent"}
 _TOPOLOGY_KEYS = {"profile"} | {f.name for f in fields(TopologyCounts)}
 _AGENT_KEYS = {f.name for f in fields(AgentConfig)}
+_CLASS_KEYS = {f.name for f in fields(SliceClass)}
 
 
 def _number(mapping: dict, key: str, path: str, convert=float):
@@ -154,6 +157,7 @@ def _parse_class(raw, idx: int) -> SliceClass:
     path = f"classes[{idx}]"
     if not isinstance(raw, dict):
         raise ScenarioError(f"{path}: must be a mapping")
+    _reject_unknown(raw, _CLASS_KEYS, path)
     arrival_raw = raw.get("arrival")
     if not isinstance(arrival_raw, dict) or "kind" not in arrival_raw:
         raise ScenarioError(f"{path}.arrival: must be a mapping with a kind")
@@ -165,6 +169,8 @@ def _parse_class(raw, idx: int) -> SliceClass:
     else:
         raise ScenarioError(
             f"{path}.arrival.kind: must be 'static' or 'dynamic', got {kind!r}")
+    _reject_unknown(arrival_raw, {"kind"} | {f.name for f in fields(law)},
+                    f"{path}.arrival")
     arrival = law(**_numbers(arrival_raw, law, f"{path}.arrival"))
     numbers = _numbers(raw, SliceClass, path)
     try:

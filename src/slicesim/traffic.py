@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass
+from functools import partial
 from typing import Callable, Iterable
 
 import numpy as np
@@ -217,25 +218,34 @@ class Departure:
 Event = Arrival | Departure
 
 
-def sample_arrivals(rate_fn: Callable[[float], float], rate_bound: float,
-                    horizon: float, rng: np.random.Generator) -> list[float]:
+def sample_arrivals(rate_fn: Callable[[np.ndarray], np.ndarray],
+                    rate_bound: float, horizon: float,
+                    rng: np.random.Generator) -> list[float]:
     """Sample a non-homogeneous Poisson process on [0, horizon) by thinning.
 
     Candidate points come from a homogeneous process at rate_bound; each
     candidate at time t survives with probability rate_fn(t) / rate_bound.
-    rate_fn must never exceed rate_bound.
+    rate_fn takes an array of times and must never exceed rate_bound.
+
+    Draw order: every candidate draws one exponential gap and then one
+    uniform, whatever its fate, and the gap that passes the horizon draws
+    no uniform. So the generator's stream does not depend on which
+    candidates survive: the loop only collects the (t, u) pairs, and the
+    survivors are picked in one array pass. The draws stay scalar and
+    interleaved, because bulk draws would consume the stream in another
+    order.
     """
     if rate_bound <= 0:
         return []
-    times = []
-    t = 0.0
-    while True:
-        t += rng.exponential(1.0 / rate_bound)
-        if t >= horizon:
-            break
-        if rng.random() * rate_bound <= rate_fn(t):
-            times.append(t)
-    return times
+    gap = 1.0 / rate_bound
+    times, draws = [], []
+    t = rng.exponential(gap)
+    while t < horizon:
+        times.append(t)
+        draws.append(rng.random())
+        t += rng.exponential(gap)
+    t, u = np.array(times), np.array(draws)
+    return t[u * rate_bound <= rate_fn(t)].tolist()
 
 
 def class_rng(seed: int, class_id: int) -> np.random.Generator:
@@ -247,29 +257,54 @@ def generate_events(model: LoadModel, horizon: float, seed: int) -> list[Event]:
     """Generate the merged arrival/departure stream over [0, horizon).
 
     Lifetimes are exponential with the class mean. Departures of all
-    arrivals are included, even past the horizon. The stream is sorted by
-    time, departures first at equal times, then class id, then uid.
+    arrivals are included, even past the horizon. uids are dense in
+    arrival order (time, then class id). The stream is sorted by
+    event_sort_key: time, departures first at equal times, then class
+    id, then uid. Every such key is unique, so one lexsort over the four
+    columns gives that order. The requests of one class share one pair
+    of demand tuples.
     """
-    if horizon <= 0:
-        raise ConfigurationError("horizon must be > 0")
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise ConfigurationError("horizon must be a finite number > 0")
 
-    per_class: list[tuple[SliceClass, float, float]] = []
+    times: list[float] = []
+    lifetimes: list[float] = []
+    class_ids: list[int] = []
+    vnfs, vls = {}, {}
     for cls in model.classes:
         rng = class_rng(seed, cls.id)
-        times = sample_arrivals(lambda t: arrival_rate(cls, t), cls.rate_bound(),
-                                horizon, rng)
-        lifetimes = rng.exponential(cls.mean_lifetime, size=len(times))
-        per_class.extend((cls, t, lt) for t, lt in zip(times, lifetimes))
+        arrivals = sample_arrivals(partial(arrival_rate, cls),
+                                   cls.rate_bound(), horizon, rng)
+        times += arrivals
+        lifetimes += rng.exponential(cls.mean_lifetime,
+                                     size=len(arrivals)).tolist()
+        class_ids += [cls.id] * len(arrivals)
+        vnfs[cls.id] = ((cls.req_cpu, cls.req_ram),) * cls.vnf_count
+        vls[cls.id] = (cls.req_bw,) * (cls.vnf_count - 1)
 
-    # uids are dense in global arrival order
-    per_class.sort(key=lambda item: (item[1], item[0].id))
-    events: list[Event] = []
-    for uid, (cls, t, lifetime) in enumerate(per_class):
-        req = request_from_class(cls, uid, t, float(lifetime))
-        events.append(Arrival(t, req))
-        events.append(Departure(t + float(lifetime), req.uid, cls.id))
-    events.sort(key=event_sort_key)
-    return events
+    time, lifetime, class_id = (np.array(times), np.array(lifetimes),
+                                np.array(class_ids, dtype=np.int64))
+    by_uid = np.lexsort((class_id, time))
+    time, lifetime, class_id = time[by_uid], lifetime[by_uid], class_id[by_uid]
+    departure = time + lifetime
+
+    n = len(time)
+    t, c = time.tolist(), class_id.tolist()
+    requests = map(SliceRequest, range(n), c, t, lifetime.tolist(),
+                   [vnfs[k] for k in c], [vls[k] for k in c])
+    both = [*map(Arrival, t, requests),
+            *map(Departure, departure.tolist(), range(n), c)]
+
+    uid = np.arange(n)
+    order = np.lexsort((np.concatenate((uid, uid)),
+                        np.concatenate((class_id, class_id)),
+                        np.repeat(np.array([1, 0]), n),
+                        np.concatenate((time, departure))))
+    # Reordered in place: the list was made before its items, so the
+    # collector has already moved it to its oldest generation, where young
+    # collections do not traverse its 2n entries again.
+    both[:] = [both[i] for i in order.tolist()]
+    return both
 
 
 def event_sort_key(ev: Event):
@@ -309,7 +344,7 @@ def load_events(path, classes: Iterable[SliceClass]) -> list[Event]:
                     rows.append((where, _event_record(line, where)))
     except UnicodeDecodeError as exc:
         raise ScenarioError(f"{path}: not UTF-8 text ({exc})") from exc
-    departures = {r["uid"]: r["time"] for _, r in rows
+    departures = {r["uid"]: (r["time"], where) for where, r in rows
                   if r["kind"] == "departure"}
     events: list[Event] = []
     for where, r in rows:
@@ -320,8 +355,12 @@ def load_events(path, classes: Iterable[SliceClass]) -> list[Event]:
             raise ScenarioError(
                 f"{where}: field 'class': event stream references unknown "
                 f"class {r['class']}")
-        dep = departures.get(r["uid"])
+        dep, dep_where = departures.get(r["uid"], (None, None))
         lifetime = (dep - r["time"]) if dep is not None else cls.mean_lifetime
+        if not lifetime > 0:
+            raise ScenarioError(
+                f"{dep_where}: field 'time': departure at {dep!r} is not "
+                f"after the arrival of uid {r['uid']} at {r['time']!r}")
         req = request_from_class(cls, r["uid"], r["time"], lifetime)
         events.append(Arrival(r["time"], req))
         if dep is not None:
@@ -345,8 +384,11 @@ def _event_record(line: str, where: str) -> dict:
         if name == "kind":
             ok = value in ("arrival", "departure")
         elif name == "time":
-            ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
-                  and math.isfinite(value))
+            try:
+                ok = (isinstance(value, (int, float))
+                      and not isinstance(value, bool) and math.isfinite(value))
+            except OverflowError:   # an int beyond the float range
+                ok = False
         else:
             ok = isinstance(value, int) and not isinstance(value, bool)
         if not ok:

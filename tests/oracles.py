@@ -3,15 +3,18 @@
 Everything here is deliberately naive: exhaustive simple-path search
 instead of a priority queue, full enumeration instead of greedy pruning,
 central finite differences and a per-step autodiff tape instead of the
-networks' batched closed-form gradients. Slow is fine, shared code with
-the package under test is not (the tape in slicesim.autodiff is kept for
-these oracles only).
+networks' batched closed-form gradients, one candidate at a time and a
+keyed sort instead of the traffic generator's array passes. Slow is
+fine, shared code with the package under test is not (the tape in
+slicesim.autodiff is kept for these oracles only).
 """
 
 import numpy as np
 
 from slicesim.autodiff import Tensor, concat, log_softmax
 from slicesim.networks import GCN_LAYERS
+from slicesim.traffic import (Arrival, Departure, arrival_rate, class_rng,
+                              event_sort_key, request_from_class)
 
 _EPS = 1e-9
 
@@ -125,6 +128,41 @@ def audit_ledger(sim, eps=1e-6):
             problems.append(f"{where}: residual {residual!r} != max - held "
                             f"{want!r}")
     return problems
+
+
+def sample_arrivals_scalar(rate_fn, rate_bound, horizon, rng):
+    """Thinning one candidate at a time: rate_fn gets each scalar time."""
+    if rate_bound <= 0:
+        return []
+    times = []
+    t = 0.0
+    while True:
+        t += rng.exponential(1.0 / rate_bound)
+        if t >= horizon:
+            break
+        if rng.random() * rate_bound <= rate_fn(t):
+            times.append(t)
+    return times
+
+
+def generate_events_scalar(model, horizon, seed):
+    """The event stream built one request at a time and ordered by a
+    keyed sort: uids by (time, class id), events by event_sort_key."""
+    per_class = []
+    for cls in model.classes:
+        rng = class_rng(seed, cls.id)
+        times = sample_arrivals_scalar(lambda t: arrival_rate(cls, t),
+                                       cls.rate_bound(), horizon, rng)
+        lifetimes = rng.exponential(cls.mean_lifetime, size=len(times))
+        per_class.extend((cls, t, lt) for t, lt in zip(times, lifetimes))
+    per_class.sort(key=lambda item: (item[1], item[0].id))
+    events = []
+    for uid, (cls, t, lifetime) in enumerate(per_class):
+        req = request_from_class(cls, uid, t, float(lifetime))
+        events.append(Arrival(t, req))
+        events.append(Departure(t + float(lifetime), req.uid, cls.id))
+    events.sort(key=event_sort_key)
+    return events
 
 
 def finite_diff_grad(f, x, h=1e-5):

@@ -160,6 +160,17 @@ def test_parse_uses_filename_when_unnamed(tmp_path):
      "phase_size: must be a whole number"),
     (lambda d: d.__setitem__("agent", {"seed": 0.25}),
      "agent.seed: must be a whole number"),
+    # unknown class and arrival keys, also those of the other arrival law
+    (lambda d: d["classes"][0].__setitem__("nmae", "volatile"),
+     "classes\\[0\\].nmae: unknown field \\(known: arrival, id, "
+     "mean_lifetime, name, req_bw, req_cpu, req_ram, vnf_count\\)"),
+    (lambda d: d["classes"][0]["arrival"].__setitem__("rate", 9.0),
+     "classes\\[0\\].arrival.rate: unknown field \\(known: amplitude, "
+     "kind, period\\)"),
+    (lambda d: d["classes"][1]["arrival"].__setitem__("period", 96.0),
+     "classes\\[1\\].arrival.period: unknown field \\(known: kind, rate\\)"),
+    (lambda d: d["classes"][1]["arrival"].__setitem__("amplitude", 1.0),
+     "classes\\[1\\].arrival.amplitude: unknown field"),
 ])
 def test_parse_errors_name_the_field(mutate, path_fragment):
     doc = scenario_doc()
@@ -300,6 +311,21 @@ def test_cli_export_events(tmp_path, capsys):
     events = load_events(str(out), load_scenario("tiny").classes)
     assert events
     assert all(e.time < 200.0 or not hasattr(e, "request") for e in events)
+
+
+@pytest.mark.parametrize("horizon", ["0", "-5", "inf", "nan"])
+def test_cli_rejects_a_horizon_that_is_not_finite_and_positive(tmp_path,
+                                                                horizon):
+    """0 used to export the full horizon, inf and nan to loop for ever."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = tmp_path / "events.jsonl"
+    proc = subprocess.run(
+        [sys.executable, "-m", "slicesim.cli", "export-events", "--scenario",
+         "tiny", f"--horizon={horizon}", "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: horizon must be a finite number > 0\n"
+    assert not out.exists()
 
 
 def test_cli_simulate_heuristic_outputs(tmp_path):

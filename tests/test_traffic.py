@@ -1,11 +1,13 @@
 """Traffic: slice classes, offered load, Poisson thinning, event streams."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 import scipy.stats
 
+from oracles import generate_events_scalar, sample_arrivals_scalar
 from slicesim import (
     Arrival,
     ConfigurationError,
@@ -21,8 +23,10 @@ from slicesim import (
     export_events,
     generate_events,
     load_events,
+    load_scenario,
     reference_classes,
     request_from_class,
+    sample_arrivals,
 )
 
 LONGTERM_CPU_LOAD = 2500.0 / 6300.0
@@ -207,8 +211,20 @@ def test_event_stream_sorted_departures_first():
 
 
 def test_generate_events_needs_a_positive_horizon():
+    # inf and nan used to loop for ever: no candidate time reaches them
+    for horizon in (0.0, -5.0, math.inf, math.nan):
+        with pytest.raises(ConfigurationError,
+                           match="horizon must be a finite number > 0"):
+            generate_events(one_class_model(longterm()), horizon=horizon,
+                            seed=1)
+
+
+def test_scenario_horizon_override_is_not_dropped():
+    """--horizon 0 used to fall back to the scenario's full horizon."""
+    tiny = load_scenario("tiny")
     with pytest.raises(ConfigurationError):
-        generate_events(one_class_model(longterm()), horizon=0.0, seed=1)
+        tiny.generate_events(horizon=0.0)
+    assert tiny.generate_events() == tiny.generate_events(horizon=tiny.horizon)
 
 
 def test_adding_a_class_leaves_other_streams_alone():
@@ -327,6 +343,11 @@ def test_load_events_unknown_class(tmp_path):
      "field 'kind': invalid value 'leave'"),
     ('{"time": 1.0, "kind": "arrival", "uid": 0, "class": 7}',
      "field 'class': event stream references unknown class 7"),
+    ('{"time": 1%s, "kind": "arrival", "uid": 0, "class": 0}' % ("0" * 400),
+     "field 'time': invalid value 1000"),
+    ('{"time": 0.25, "kind": "departure", "uid": 9, "class": 0}',
+     "field 'time': departure at 0.25 is not after the arrival of uid 9 "
+     "at 0.5"),
 ])
 def test_load_events_names_the_file_line_and_field(tmp_path, line, fragment):
     path = tmp_path / "events.jsonl"
@@ -343,3 +364,82 @@ def test_load_events_names_a_file_that_is_not_utf8(tmp_path):
     path.write_bytes(b"\xff\xfe{}\n")
     with pytest.raises(ScenarioError, match="not UTF-8 text"):
         load_events(path, [volatile()])
+
+
+# -- the array generator against the scalar one ---------------------------------
+
+# The seeds that a benchmark run adds, 1000 apart, to its own seed.
+BENCH_SEEDS = [1000 * k for k in range(1, 8)]
+
+
+def assert_same_stream(events, expected):
+    assert events == expected
+    for ev in events:
+        assert type(ev.time) is float
+        if isinstance(ev, Arrival):
+            assert type(ev.request.arrival_time) is float
+            assert type(ev.request.lifetime) is float
+
+
+@pytest.mark.parametrize("name", ["tiny", "desk"])
+@pytest.mark.parametrize("seed", list(range(8)) + BENCH_SEEDS)
+def test_generate_events_matches_the_scalar_generator(name, seed):
+    scenario = load_scenario(name)
+    model = scenario.build_load_model()
+    assert_same_stream(generate_events(model, scenario.horizon, seed),
+                       generate_events_scalar(model, scenario.horizon, seed))
+
+
+@pytest.mark.parametrize("seed", [1, 1001, 7])
+def test_generate_events_matches_the_scalar_generator_on_reference(seed):
+    model = load_scenario("reference").build_load_model()
+    assert_same_stream(generate_events(model, 5000.0, seed),
+                       generate_events_scalar(model, 5000.0, seed))
+
+
+def test_requests_of_a_class_share_their_demand_tuples():
+    events = generate_events(reference_model(), horizon=500.0, seed=3)
+    requests = [e.request for e in events if isinstance(e, Arrival)]
+    for class_id in (0, 1):
+        own = [r for r in requests if r.class_id == class_id]
+        assert len({id(r.vnfs) for r in own}) == 1
+        assert len({id(r.vls) for r in own}) == 1
+
+
+@pytest.mark.parametrize("name, seed, digest", [
+    ("desk", 0,
+     "a3e059be2d8c8876383ef13556ecbfc24e459af0a8cf73e56dcc93d5c8301add"),
+    ("reference", 1,
+     "7e06a801cc501b6d3f208b7410718e0f2bb67e8b5375e24936e6b32fd2935160"),
+])
+def test_exported_stream_bytes_are_pinned(tmp_path, name, seed, digest):
+    """Full-horizon streams, byte for byte as the scalar generator wrote
+    them: rate_fn's sin over an array gives the bits it gave per value."""
+    path = tmp_path / "events.jsonl"
+    export_events(load_scenario(name).generate_events(seed=seed), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_a_zero_amplitude_class_draws_nothing():
+    silent = SliceClass(id=2, vnf_count=2, req_cpu=1.0, req_ram=1.0,
+                        req_bw=1.0, mean_lifetime=5.0,
+                        arrival=DynamicArrival(amplitude=0.0, period=96.0))
+    rng = np.random.default_rng(4)
+    state = rng.bit_generator.state
+    assert sample_arrivals(lambda t: arrival_rate(silent, t),
+                           silent.rate_bound(), 100.0, rng) == []
+    assert rng.bit_generator.state == state
+    model = one_class_model(silent)
+    assert generate_events(model, 100.0, 4) == []
+    model = LoadModel([silent, volatile()], model.total_capacity)
+    assert_same_stream(generate_events(model, 300.0, 4),
+                       generate_events_scalar(model, 300.0, 4))
+
+
+def test_sample_arrivals_takes_the_constant_rate_of_criterion_2():
+    """A rate_fn that returns one scalar broadcasts over the array."""
+    got = sample_arrivals(lambda t: 0.02, 0.02, 5000.0,
+                          np.random.default_rng(8))
+    assert got == sample_arrivals_scalar(lambda t: 0.02, 0.02, 5000.0,
+                                         np.random.default_rng(8))
+    assert len(got) > 50
