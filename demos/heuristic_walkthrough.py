@@ -38,7 +38,7 @@ def place(request):
 
 
 def request(uid, n_vnfs, cpu, ram, bw):
-    return SliceRequest(uid=uid, class_id=0, arrival_time=0.0, lifetime=50.0,
+    return SliceRequest(uid=uid, class_id=0, time=0.0,
                         vnfs=((cpu, ram),) * n_vnfs, vls=(bw,) * (n_vnfs - 1))
 
 

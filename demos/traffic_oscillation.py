@@ -7,7 +7,7 @@ and 0.99 with a 96 time-unit period.
 
 import numpy as np
 
-from slicesim import Arrival, build_reference_topology, reference_classes
+from slicesim import SliceRequest, build_reference_topology, reference_classes
 from slicesim.traffic import LoadModel, generate_events
 
 net = build_reference_topology("full")
@@ -21,7 +21,7 @@ for t in np.arange(0.0, 97.0, 8.0):
 
 # one day of traffic, counted per quarter period
 events = generate_events(model, horizon=96.0, seed=7)
-arrivals = [e for e in events if isinstance(e, Arrival)]
+arrivals = [e for e in events if isinstance(e, SliceRequest)]
 print(f"\none period sampled with seed 7: {len(arrivals)} arrivals")
 for lo in range(0, 96, 24):
     n = sum(1 for a in arrivals if lo <= a.time < lo + 24)

@@ -25,11 +25,11 @@ from .simulation import AgentPolicy, HeuristicPolicy, Simulation
 from .substrate import (PROFILES, DataCenter, NodeKind, ResourceDelta,
                         SubstrateLink, SubstrateNetwork, SubstrateNode,
                         TopologyCounts, build_reference_topology)
-from .traffic import (Arrival, Departure, DynamicArrival, LoadModel,
-                      SliceClass, SliceRequest, StaticArrival, arrival_rate,
-                      class_rng, event_sort_key, export_events,
-                      generate_events, load_events, reference_classes,
-                      request_from_class, sample_arrivals)
+from .traffic import (Departure, DynamicArrival, LoadModel, SliceClass,
+                      SliceRequest, StaticArrival, arrival_rate, class_rng,
+                      event_sort_key, export_events, generate_events,
+                      load_events, reference_classes, request_from_class,
+                      sample_arrivals)
 
 __version__ = TOOL_VERSION
 
@@ -50,7 +50,7 @@ __all__ = [
     "PROFILES", "DataCenter", "NodeKind", "ResourceDelta", "SubstrateLink",
     "SubstrateNetwork", "SubstrateNode", "TopologyCounts",
     "build_reference_topology",
-    "Arrival", "Departure", "DynamicArrival", "LoadModel", "SliceClass",
+    "Departure", "DynamicArrival", "LoadModel", "SliceClass",
     "SliceRequest", "StaticArrival", "arrival_rate", "class_rng",
     "event_sort_key", "export_events", "generate_events", "load_events",
     "reference_classes", "request_from_class", "sample_arrivals",

@@ -240,7 +240,7 @@ class Agent:
     # -- episode rollout -----------------------------------------------------
 
     def run_episode(self, request: SliceRequest, net: SubstrateNetwork,
-                    t: float, trace_sink=None):
+                    trace_sink=None):
         """Place one request. Returns (accepted, trace, episode state).
 
         On acceptance the commits stay on the substrate and
@@ -252,7 +252,7 @@ class Agent:
         state = PlacementEpisodeState(request)
         trace = EpisodeTrace()
         outcomes = []
-        forecast = self.forecast(t)         # t is fixed within an episode
+        forecast = self.forecast(request.time)   # fixed within an episode
         try:
             while not state.done:
                 vnf_index = state.next_vnf

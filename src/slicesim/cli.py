@@ -19,6 +19,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 from .agent import VARIANTS, Agent, AgentConfig
 from .errors import SliceSimError
@@ -26,7 +27,7 @@ from .metrics import write_phase_csv, write_plot_json, write_records_csv
 from .networks import load_checkpoint
 from .scenario import RunManifest, Scenario, TOOL_VERSION, load_scenario
 from .simulation import AgentPolicy, HeuristicPolicy, Simulation
-from .traffic import Arrival, export_events, load_events
+from .traffic import SliceRequest, check_horizon, export_events, load_events
 
 
 def _out_dir(args) -> str:
@@ -60,6 +61,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 def _events_for(scenario: Scenario, args, seed_shift: int = 0):
     seed = (scenario.seed if args.seed is None else args.seed) + seed_shift
+    if args.horizon is not None:    # also cuts a replay short
+        check_horizon(args.horizon)
     if args.events:
         return load_events(args.events, scenario.classes), seed
     return scenario.generate_events(seed=seed, horizon=args.horizon), seed
@@ -147,15 +150,11 @@ def cmd_train(args) -> int:
         records = _run(args, net, events, AgentPolicy(agent, train=True),
                        on_arrival=hooks, trace=i == 0)
         agent.save(ckpt_path)
+        extra = asdict(config)
+        extra["agent_seed"] = extra.pop("seed")
+        extra["episodes"] = agent.episodes_trained
         _write_outputs(scenario, args, records, base, config.variant, seed,
-                       checkpoint=ckpt_path,
-                       extra={"variant": config.variant, "beta": config.beta,
-                              "xi": config.xi, "eta": config.eta,
-                              "gamma": config.gamma,
-                              "actor_lr": config.actor_lr,
-                              "critic_lr": config.critic_lr,
-                              "agent_seed": config.seed,
-                              "episodes": agent.episodes_trained})
+                       checkpoint=ckpt_path, extra=extra)
     return 0
 
 
@@ -179,7 +178,7 @@ def cmd_export_events(args) -> int:
     seed = scenario.seed if args.seed is None else args.seed
     events = scenario.generate_events(seed=seed, horizon=args.horizon)
     export_events(events, args.out)
-    arrivals = sum(1 for e in events if isinstance(e, Arrival))
+    arrivals = sum(1 for e in events if isinstance(e, SliceRequest))
     print(f"{args.out}: {len(events)} events ({arrivals} arrivals), "
           f"seed {seed}")
     return 0

@@ -14,7 +14,7 @@ import importlib.resources
 import json
 import math
 import os
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, asdict, astuple, dataclass, field, fields
 
 import yaml
 
@@ -53,20 +53,18 @@ class Scenario:
                                self.seed if seed is None else seed)
 
     def result_fields(self) -> dict:
-        """Everything that affects simulation output, in canonical form."""
-        t = self.topology
+        """Everything that affects simulation output, in canonical form:
+        a class's fields without its display name, its arrival law tagged
+        with its kind."""
+        classes = []
+        for c in sorted(self.classes, key=lambda c: c.id):
+            doc = asdict(c)
+            del doc["name"]
+            doc["arrival"]["kind"] = "dynamic" if c.is_dynamic else "static"
+            classes.append(doc)
         return {
-            "topology": [t.edc_count, t.servers_per_edc, t.cdc_count,
-                         t.servers_per_cdc, t.ccp_servers,
-                         t.server_cpu, t.server_ram],
-            "classes": [{
-                "id": c.id, "vnf_count": c.vnf_count, "req_cpu": c.req_cpu,
-                "req_ram": c.req_ram, "req_bw": c.req_bw,
-                "mean_lifetime": c.mean_lifetime,
-                "arrival": ({"kind": "dynamic", "amplitude": c.arrival.amplitude,
-                             "period": c.arrival.period} if c.is_dynamic
-                            else {"kind": "static", "rate": c.arrival.rate}),
-            } for c in sorted(self.classes, key=lambda c: c.id)],
+            "topology": list(astuple(self.topology)),
+            "classes": classes,
             "horizon": self.horizon,
             "seed": self.seed,
             "phase_size": self.phase_size,
@@ -280,17 +278,11 @@ class RunManifest:
     extra: dict = field(default_factory=dict)
 
     def write(self, path) -> None:
-        doc = {
-            "scenario_hash": self.scenario_hash,
-            "tool_version": self.tool_version,
-            "policy": self.policy,
-            "seed": self.seed,
-            "arrivals": self.arrivals,
-            # a field of the format; a run starts at its first arrival
-            "start_arrival": 0,
-            "checkpoint": self.checkpoint,
-        }
-        doc.update(self.extra)
+        doc = asdict(self)
+        extra = doc.pop("extra")
+        # a field of the format; a run starts at its first arrival
+        doc["start_arrival"] = 0
+        doc.update(extra)
         with open(path, "w") as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)
             fh.write("\n")

@@ -27,7 +27,7 @@ from .heuristic import heu_place_full
 from .metrics import AcceptanceRecord
 from .networks import load_checkpoint, manifest_field, save_checkpoint
 from .substrate import ResourceDelta, SubstrateNetwork
-from .traffic import Arrival, Departure, Event
+from .traffic import Departure, Event, SliceRequest
 
 _SNAPSHOT_VERSION = 1
 
@@ -36,12 +36,11 @@ class HeuristicPolicy:
     """Stateless greedy placement."""
 
     name = "heuristic"
-    trains = False
 
     def __init__(self, trace_sink=None):
         self.trace_sink = trace_sink
 
-    def place(self, request, net, t):
+    def place(self, request, net):
         accepted, state, _ = heu_place_full(request, net,
                                             trace_sink=self.trace_sink)
         return accepted, state.committed
@@ -67,9 +66,9 @@ class AgentPolicy:
         self.trace_sink = trace_sink
         self.name = agent.config.variant + ("" if train else "-frozen")
 
-    def place(self, request, net, t):
+    def place(self, request, net):
         accepted, trace, state = self.agent.run_episode(
-            request, net, t, trace_sink=self.trace_sink)
+            request, net, trace_sink=self.trace_sink)
         if self.trains:
             self.agent.update(trace)
         return accepted, state.committed
@@ -134,10 +133,10 @@ class Simulation:
             if delta is not None:       # rejected slices hold nothing
                 self.net.release(delta)
             return True
-        if not isinstance(ev, Arrival):
+        if not isinstance(ev, SliceRequest):
             raise InvariantError(f"unknown event type {type(ev).__name__}")
         self.arrivals_seen += 1
-        accepted, delta = self.policy.place(ev.request, self.net, ev.time)
+        accepted, delta = self.policy.place(ev, self.net)
         if accepted:
             if ev.uid in self.ledger:
                 raise InvariantError(f"duplicate arrival uid {ev.uid}")
@@ -158,7 +157,7 @@ class Simulation:
             ev = self.events[self.cursor]
             if horizon is not None and ev.time >= horizon:
                 break
-            was_arrival = isinstance(ev, Arrival)
+            was_arrival = isinstance(ev, SliceRequest)
             self.step()
             if was_arrival:
                 if on_arrival is not None:

@@ -108,29 +108,27 @@ def arrival_rate(cls: SliceClass, t):
 
 @dataclass(frozen=True)
 class SliceRequest:
-    """One concrete arrival: a VNF chain with demands copied from its class."""
+    """One arrival event: a VNF chain, with demands copied from its class,
+    that arrives at `time`. The matching Departure is the only record of
+    how long it holds its resources."""
     uid: int
     class_id: int
-    arrival_time: float
-    lifetime: float
+    time: float
     vnfs: tuple[tuple[float, float], ...]  # (req_cpu, req_ram) per VNF
     vls: tuple[float, ...]                 # req_bw of VL (v-1, v), v = 2..|V|
 
     def __post_init__(self):
         if len(self.vls) != len(self.vnfs) - 1:
             raise ConfigurationError("need exactly |V| - 1 virtual links")
-        if self.lifetime <= 0:
-            raise ConfigurationError("lifetime must be > 0")
 
     @property
     def vnf_count(self) -> int:
         return len(self.vnfs)
 
 
-def request_from_class(cls: SliceClass, uid: int, arrival_time: float,
-                       lifetime: float) -> SliceRequest:
+def request_from_class(cls: SliceClass, uid: int, time: float) -> SliceRequest:
     return SliceRequest(
-        uid=uid, class_id=cls.id, arrival_time=arrival_time, lifetime=lifetime,
+        uid=uid, class_id=cls.id, time=time,
         vnfs=((cls.req_cpu, cls.req_ram),) * cls.vnf_count,
         vls=(cls.req_bw,) * (cls.vnf_count - 1),
     )
@@ -157,12 +155,17 @@ class LoadModel:
         return cls(classes, caps)
 
     def check_amplitude_bound(self, cls: SliceClass) -> None:
-        """Reject dynamic amplitudes that would push a per-class load above 1."""
+        """Reject dynamic amplitudes that would push a per-class load above
+        1. A resource the class holds none of (bw, for one VNF) sets no
+        bound."""
         if not cls.is_dynamic:
             return
         mu = 1.0 / cls.mean_lifetime
         for j in RESOURCES:
-            bound = self.total_capacity[j] * mu / cls.resource_units(j)
+            units = cls.resource_units(j)
+            if units == 0:
+                continue
+            bound = self.total_capacity[j] * mu / units
             if cls.arrival.amplitude > bound + 1e-12:
                 raise ConfigurationError(
                     f"class {cls.id}: amplitude {cls.arrival.amplitude} exceeds "
@@ -195,27 +198,13 @@ class LoadModel:
 
 
 @dataclass(frozen=True)
-class Arrival:
-    time: float
-    request: SliceRequest
-
-    @property
-    def uid(self) -> int:
-        return self.request.uid
-
-    @property
-    def class_id(self) -> int:
-        return self.request.class_id
-
-
-@dataclass(frozen=True)
 class Departure:
     time: float
     uid: int
     class_id: int
 
 
-Event = Arrival | Departure
+Event = SliceRequest | Departure
 
 
 def sample_arrivals(rate_fn: Callable[[np.ndarray], np.ndarray],
@@ -253,6 +242,13 @@ def class_rng(seed: int, class_id: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(class_id,)))
 
 
+def check_horizon(horizon: float) -> None:
+    """A traffic horizon must be finite and positive: an infinite one never
+    ends the thinning loop, and a replay cut at 0 holds no arrivals."""
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise ConfigurationError("horizon must be a finite number > 0")
+
+
 def generate_events(model: LoadModel, horizon: float, seed: int) -> list[Event]:
     """Generate the merged arrival/departure stream over [0, horizon).
 
@@ -264,8 +260,7 @@ def generate_events(model: LoadModel, horizon: float, seed: int) -> list[Event]:
     columns gives that order. The requests of one class share one pair
     of demand tuples.
     """
-    if not (math.isfinite(horizon) and horizon > 0):
-        raise ConfigurationError("horizon must be a finite number > 0")
+    check_horizon(horizon)
 
     times: list[float] = []
     lifetimes: list[float] = []
@@ -289,10 +284,9 @@ def generate_events(model: LoadModel, horizon: float, seed: int) -> list[Event]:
     departure = time + lifetime
 
     n = len(time)
-    t, c = time.tolist(), class_id.tolist()
-    requests = map(SliceRequest, range(n), c, t, lifetime.tolist(),
-                   [vnfs[k] for k in c], [vls[k] for k in c])
-    both = [*map(Arrival, t, requests),
+    c = class_id.tolist()
+    both = [*map(SliceRequest, range(n), c, time.tolist(),
+                 [vnfs[k] for k in c], [vls[k] for k in c]),
             *map(Departure, departure.tolist(), range(n), c)]
 
     uid = np.arange(n)
@@ -328,10 +322,10 @@ def export_events(events: Iterable[Event], path) -> None:
 def load_events(path, classes: Iterable[SliceClass]) -> list[Event]:
     """Rebuild an event stream from an exported file.
 
-    Request demands are reconstructed from the class definitions; lifetimes
-    from the matching departure record. Arrivals whose departure fell past
-    the exported horizon get no departure event. A malformed line raises
-    a ScenarioError naming the file, the line and the field.
+    Request demands are reconstructed from the class definitions. An
+    arrival without a departure record keeps its resources to the end of
+    the run; a departure must come after its arrival. A malformed line
+    raises a ScenarioError naming the file, the line and the field.
     """
     by_id = {c.id: c for c in classes}
     rows = []
@@ -355,16 +349,14 @@ def load_events(path, classes: Iterable[SliceClass]) -> list[Event]:
             raise ScenarioError(
                 f"{where}: field 'class': event stream references unknown "
                 f"class {r['class']}")
-        dep, dep_where = departures.get(r["uid"], (None, None))
-        lifetime = (dep - r["time"]) if dep is not None else cls.mean_lifetime
-        if not lifetime > 0:
-            raise ScenarioError(
-                f"{dep_where}: field 'time': departure at {dep!r} is not "
-                f"after the arrival of uid {r['uid']} at {r['time']!r}")
-        req = request_from_class(cls, r["uid"], r["time"], lifetime)
-        events.append(Arrival(r["time"], req))
-        if dep is not None:
-            events.append(Departure(dep, req.uid, cls.id))
+        events.append(request_from_class(cls, r["uid"], r["time"]))
+        if r["uid"] in departures:
+            dep, dep_where = departures[r["uid"]]
+            if dep <= r["time"]:
+                raise ScenarioError(
+                    f"{dep_where}: field 'time': departure at {dep!r} is not "
+                    f"after the arrival of uid {r['uid']} at {r['time']!r}")
+            events.append(Departure(dep, r["uid"], cls.id))
     events.sort(key=event_sort_key)
     return events
 

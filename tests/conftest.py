@@ -32,9 +32,9 @@ def tiny_net():
     return build_reference_topology("tiny")
 
 
-def make_request(vnfs, vls, uid=0, class_id=0, t=0.0, lifetime=1.0):
-    return SliceRequest(uid=uid, class_id=class_id, arrival_time=t,
-                        lifetime=lifetime, vnfs=tuple(vnfs), vls=tuple(vls))
+def make_request(vnfs, vls, uid=0, class_id=0, time=0.0):
+    return SliceRequest(uid=uid, class_id=class_id, time=time,
+                        vnfs=tuple(vnfs), vls=tuple(vls))
 
 
 def uniform_request(n_vnfs, cpu, ram, bw, **kw):

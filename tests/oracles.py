@@ -13,7 +13,7 @@ import numpy as np
 
 from slicesim.autodiff import Tensor, concat, log_softmax
 from slicesim.networks import GCN_LAYERS
-from slicesim.traffic import (Arrival, Departure, arrival_rate, class_rng,
+from slicesim.traffic import (Departure, arrival_rate, class_rng,
                               event_sort_key, request_from_class)
 
 _EPS = 1e-9
@@ -158,9 +158,8 @@ def generate_events_scalar(model, horizon, seed):
     per_class.sort(key=lambda item: (item[1], item[0].id))
     events = []
     for uid, (cls, t, lifetime) in enumerate(per_class):
-        req = request_from_class(cls, uid, t, float(lifetime))
-        events.append(Arrival(t, req))
-        events.append(Departure(t + float(lifetime), req.uid, cls.id))
+        events.append(request_from_class(cls, uid, t))
+        events.append(Departure(t + float(lifetime), uid, cls.id))
     events.sort(key=event_sort_key)
     return events
 

@@ -262,7 +262,7 @@ def test_same_seed_same_actions():
 def test_run_episode_accepts_and_traces():
     agent, net = tiny_agent("drl", seed=1)
     req = uniform_request(2, 5.0, 5.0, 1.0, uid=3)
-    accepted, trace, state = agent.run_episode(req, net, t=0.0)
+    accepted, trace, state = agent.run_episode(req, net)
     assert trace.terminal
     assert len(trace.steps) <= 2
     if accepted:
@@ -279,22 +279,22 @@ def test_ha_variant_queries_heuristic_once_per_step():
     agent, net = tiny_agent("ha-drl", seed=2)
     req = uniform_request(3, 5.0, 5.0, 1.0)
     before = agent.heu_queries
-    accepted, trace, _ = agent.run_episode(req, net, t=0.0)
+    accepted, trace, _ = agent.run_episode(req, net)
     assert agent.heu_queries - before == len(trace.steps)
     plain, net2 = tiny_agent("drl", seed=2)
-    plain.run_episode(uniform_request(3, 5.0, 5.0, 1.0), net2, t=0.0)
+    plain.run_episode(uniform_request(3, 5.0, 5.0, 1.0), net2)
     assert plain.heu_queries == 0
 
 
 def test_edrl_episode_carries_load_features():
     agent, net = tiny_agent("edrl", seed=3)
-    req = uniform_request(2, 5.0, 5.0, 1.0)
-    _, trace, _ = agent.run_episode(req, net, t=10.0)
+    req = uniform_request(2, 5.0, 5.0, 1.0, time=10.0)
+    _, trace, _ = agent.run_episode(req, net)
     assert all(s.load is not None and s.load.shape == (300,)
                for s in trace.steps)
     drl_agent, net2 = tiny_agent("drl", seed=3)
-    _, trace2, _ = drl_agent.run_episode(uniform_request(2, 5.0, 5.0, 1.0),
-                                         net2, t=10.0)
+    _, trace2, _ = drl_agent.run_episode(
+        uniform_request(2, 5.0, 5.0, 1.0, time=10.0), net2)
     assert all(s.load is None for s in trace2.steps)
 
 
@@ -311,8 +311,7 @@ def test_episode_runs_the_actor_only(variant):
 
     agent.actor.forward = counted("actor", agent.actor.forward)
     agent.critic.forward = counted("critic", agent.critic.forward)
-    _, trace, _ = agent.run_episode(uniform_request(3, 5.0, 5.0, 1.0), net,
-                                    t=0.0)
+    _, trace, _ = agent.run_episode(uniform_request(3, 5.0, 5.0, 1.0), net)
     assert len(trace.steps) == 3
     assert calls == {"actor": 3, "critic": 0}
 
@@ -329,8 +328,7 @@ def test_update_reuses_the_actors_selection_gcn(variant):
     """The update runs the critic's graph convolutions once and the
     actor's not at all: each step kept them from selection."""
     agent, net = tiny_agent(variant, seed=6)
-    _, trace, _ = agent.run_episode(uniform_request(3, 5.0, 5.0, 1.0), net,
-                                    t=0.0)
+    _, trace, _ = agent.run_episode(uniform_request(3, 5.0, 5.0, 1.0), net)
     assert len(trace.steps) == 3
     calls = {"actor": 0, "critic": 0}
     agent.actor._gcn = counting(calls, "actor", agent.actor._gcn)
@@ -353,8 +351,8 @@ def test_episode_takes_one_forecast():
     model = agent.load_model
     model.forecast_features = counting(calls, "forecast",
                                        model.forecast_features)
-    _, trace, _ = agent.run_episode(uniform_request(3, 5.0, 5.0, 1.0), net,
-                                    t=10.0)
+    _, trace, _ = agent.run_episode(
+        uniform_request(3, 5.0, 5.0, 1.0, time=10.0), net)
     assert len(trace.steps) == 3
     assert calls == {"forecast": 1}
     np.testing.assert_array_equal(trace.steps[2].load,
@@ -371,7 +369,7 @@ def test_ha_episode_sweeps_once_per_step_after_the_first(monkeypatch):
     monkeypatch.setattr(heuristic, "route_all", counted)
     agent, net = tiny_agent("ha-drl", seed=6)
     accepted, trace, _ = agent.run_episode(
-        uniform_request(3, 5.0, 5.0, 1.0), net, t=0.0)
+        uniform_request(3, 5.0, 5.0, 1.0), net)
     assert accepted and len(trace.steps) == 3
     assert calls == {"route_all": 2}
 
@@ -450,8 +448,9 @@ def test_update_matches_tape_update(variant, critic):
             arr[:] = 0.0
     shift_rng = np.random.default_rng(5)
     for uid in range(6):
-        req = uniform_request(1 + uid % 3, 5.0, 5.0, 1.0, uid=uid)
-        accepted, trace, state = agent.run_episode(req, net, t=float(uid))
+        req = uniform_request(1 + uid % 3, 5.0, 5.0, 1.0, uid=uid,
+                              time=float(uid))
+        accepted, trace, state = agent.run_episode(req, net)
         if accepted:
             net.release(state.committed)
         for step in trace.steps[::2]:       # shaping on, also for non-HA runs
@@ -498,7 +497,7 @@ def test_run_episode_rolls_back_when_a_step_raises():
 
     agent.select_action = poisoned
     with pytest.raises(ConfigurationError, match="not a finite distribution"):
-        agent.run_episode(uniform_request(3, 5.0, 5.0, 1.0), net, 0.0)
+        agent.run_episode(uniform_request(3, 5.0, 5.0, 1.0), net)
     assert seen[1] != before                # step 1 had committed
     assert net.residuals() == before
 
@@ -515,8 +514,8 @@ def test_training_is_deterministic():
         rng = np.random.default_rng(0)
         for uid in range(10):
             req = uniform_request(int(rng.integers(1, 4)), 5.0, 5.0, 1.0,
-                                  uid=uid)
-            accepted, trace, state = agent.run_episode(req, net, t=float(uid))
+                                  uid=uid, time=float(uid))
+            accepted, trace, state = agent.run_episode(req, net)
             agent.update(trace)
             if accepted:
                 net.release(state.committed)
@@ -534,7 +533,7 @@ def test_training_is_deterministic():
 def test_agent_checkpoint_round_trip(tmp_path):
     agent, net = tiny_agent("ha-drl", seed=11, beta=2.0)
     req = uniform_request(2, 5.0, 5.0, 1.0)
-    accepted, trace, state = agent.run_episode(req, net, t=0.0)
+    accepted, trace, state = agent.run_episode(req, net)
     agent.update(trace)
     if accepted:
         net.release(state.committed)
@@ -591,7 +590,7 @@ def test_agent_checkpoint_bytes_keep_their_format(tmp_path):
     # float64 arrays in sorted-name order
     agent, net = tiny_agent("ha-drl", seed=3, beta=2.0)
     accepted, trace, state = agent.run_episode(
-        uniform_request(3, 5.0, 5.0, 1.0), net, t=0.0)
+        uniform_request(3, 5.0, 5.0, 1.0), net)
     agent.update(trace)
     path = tmp_path / "trained.ckpt"
     agent.save(path)

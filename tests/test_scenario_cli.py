@@ -15,7 +15,8 @@ from pathlib import Path
 import pytest
 import yaml
 
-from slicesim import PROFILES, ScenarioError, load_events, load_scenario
+from slicesim import (PROFILES, Agent, ScenarioError, SliceRequest,
+                      load_events, load_scenario)
 from slicesim.cli import main
 from slicesim.scenario import (RunManifest, bundled_scenario_path,
                                parse_scenario)
@@ -209,6 +210,46 @@ def test_amplitude_bound_checked_against_topology():
         parse_scenario(doc)
 
 
+def one_vnf_dynamic_doc(amplitude):
+    """scenario_doc with a dynamic one-VNF class: it holds no bandwidth.
+    The cpu bound is 150 cpu / (10 cpu x lifetime 10) = 1.5."""
+    doc = scenario_doc()
+    doc["classes"][0]["vnf_count"] = 1
+    doc["classes"][0]["arrival"]["amplitude"] = amplitude
+    return doc
+
+
+def test_a_one_vnf_dynamic_class_sets_no_bandwidth_bound(tmp_path):
+    """Its bw units are 0, and the bound used to divide by them."""
+    path = tmp_path / "one.yaml"
+    path.write_text(yaml.safe_dump(one_vnf_dynamic_doc(0.5)))
+    assert load_scenario(str(path)).classes[0].vnf_count == 1
+    assert run_cli("simulate", "--scenario", str(path),
+                   "--out-dir", str(tmp_path)) == 0
+    assert (tmp_path / "unit-heuristic-seed3.csv").exists()
+
+
+def test_a_one_vnf_dynamic_class_keeps_its_cpu_bound():
+    with pytest.raises(ScenarioError, match="classes\\[0\\].arrival.amplitude: "
+                       ".*load bound 1.5 for resource 'cpu'"):
+        parse_scenario(one_vnf_dynamic_doc(1.6))
+
+
+# Scenario.hash() of each bundled scenario, pinned: a change to the
+# result fields or their canonical form changes every hash.
+BUNDLED_HASHES = {
+    "reference":
+        "6716938b7a53b4e86c91ad6548c03930341ada3f90c89f05cf86bdac529ec9c7",
+    "desk": "1ac2c1ed840f6861d55ce301f5d94fecb2fe7d3aafc52f535d33ba1f630d7332",
+    "tiny": "049886cbe6e2297bfba3d73eba32946736c452f80e8d685b46f0b67fe383a902",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED_HASHES))
+def test_bundled_scenario_hashes_are_pinned(name):
+    assert load_scenario(name).hash() == BUNDLED_HASHES[name]
+
+
 def test_hash_tracks_result_fields_only():
     base = parse_scenario(scenario_doc())
 
@@ -310,13 +351,15 @@ def test_cli_export_events(tmp_path, capsys):
     assert "arrivals" in capsys.readouterr().out
     events = load_events(str(out), load_scenario("tiny").classes)
     assert events
-    assert all(e.time < 200.0 or not hasattr(e, "request") for e in events)
+    assert all(e.time < 200.0 for e in events if isinstance(e, SliceRequest))
 
 
 @pytest.mark.parametrize("horizon", ["0", "-5", "inf", "nan"])
 def test_cli_rejects_a_horizon_that_is_not_finite_and_positive(tmp_path,
-                                                                horizon):
-    """0 used to export the full horizon, inf and nan to loop for ever."""
+                                                                horizon,
+                                                                capsys):
+    """0 used to export the full horizon, inf and nan to loop for ever.
+    A replay used to skip the check: 0 ran no arrivals, inf and nan all."""
     env = dict(os.environ, PYTHONPATH=SRC)
     out = tmp_path / "events.jsonl"
     proc = subprocess.run(
@@ -326,6 +369,22 @@ def test_cli_rejects_a_horizon_that_is_not_finite_and_positive(tmp_path,
     assert proc.returncode == 2
     assert proc.stderr == "error: horizon must be a finite number > 0\n"
     assert not out.exists()
+
+    events = tmp_path / "tiny.jsonl"
+    assert run_cli("export-events", "--scenario", "tiny",
+                   "--out", str(events)) == 0
+    for command in ("simulate", "train"):
+        runs = tmp_path / command
+        trace = tmp_path / f"{command}.trace.jsonl"
+        capsys.readouterr()
+        rv = run_cli(command, "--scenario", "tiny", "--events", str(events),
+                     f"--horizon={horizon}", "--out-dir", str(runs),
+                     "--export-trace", str(trace))
+        assert rv == 2
+        assert capsys.readouterr().err == \
+            "error: horizon must be a finite number > 0\n"
+        assert not trace.exists()
+        assert not runs.exists() or not any(runs.iterdir())
 
 
 def test_cli_simulate_heuristic_outputs(tmp_path):
@@ -401,6 +460,24 @@ def test_cli_train_stops_after_arrivals(tmp_path):
     assert len(rows) == 1 + 7                      # header + one per arrival
     manifest = json.loads(base.with_suffix(".manifest.json").read_text())
     assert manifest["episodes"] == 7
+
+
+def test_cli_train_checkpoint_every(tmp_path):
+    rv = run_cli("train", "--scenario", "tiny", "--arrivals", "20",
+                 "--checkpoint-every", "10", "--out-dir", str(tmp_path))
+    assert rv == 0
+    scenario = load_scenario("tiny")
+    net = scenario.build_network()
+    base = tmp_path / "tiny-drl-seed0"
+    for n in (10, 20):
+        agent = Agent.load(tmp_path / f"tiny-drl-seed0.ep{n}.ckpt", net,
+                           scenario.build_load_model(net))
+        assert agent.episodes_trained == n
+    assert sorted(p.name for p in tmp_path.glob("*.ckpt")) == [
+        "tiny-drl-seed0.ckpt", "tiny-drl-seed0.ep10.ckpt",
+        "tiny-drl-seed0.ep20.ckpt"]
+    assert (tmp_path / "tiny-drl-seed0.ep20.ckpt").read_bytes() == \
+        base.with_suffix(".ckpt").read_bytes()
 
 
 def test_cli_train_multi_seed_fanout(tmp_path):

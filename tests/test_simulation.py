@@ -11,13 +11,13 @@ from slicesim import (
     Agent,
     AgentConfig,
     AgentPolicy,
-    Arrival,
     CheckpointError,
     Departure,
     HeuristicPolicy,
     InvariantError,
     LoadModel,
     Simulation,
+    SliceRequest,
     build_reference_topology,
     gar,
     generate_events,
@@ -73,7 +73,7 @@ def test_records_are_indexed_in_arrival_order():
     sim = Simulation(net, events, HeuristicPolicy())
     records = sim.run()
     assert [r.index for r in records] == list(range(1, len(records) + 1))
-    arrival_uids = [e.uid for e in events if isinstance(e, Arrival)]
+    arrival_uids = [e.uid for e in events if isinstance(e, SliceRequest)]
     assert [r.uid for r in records] == arrival_uids
 
 
@@ -88,10 +88,9 @@ def test_on_arrival_hook_fires_per_arrival():
 def test_out_of_order_stream_is_fatal():
     net, _ = tiny_stream()
     cls = tiny_classes()[1]
-    r1 = request_from_class(cls, uid=0, arrival_time=10.0, lifetime=5.0)
-    r2 = request_from_class(cls, uid=1, arrival_time=2.0, lifetime=5.0)
-    sim = Simulation(net, [Arrival(10.0, r1), Arrival(2.0, r2)],
-                     HeuristicPolicy())
+    r1 = request_from_class(cls, uid=0, time=10.0)
+    r2 = request_from_class(cls, uid=1, time=2.0)
+    sim = Simulation(net, [r1, r2], HeuristicPolicy())
     sim.step()
     with pytest.raises(InvariantError):
         sim.step()
@@ -100,10 +99,9 @@ def test_out_of_order_stream_is_fatal():
 def test_duplicate_uid_is_fatal():
     net, _ = tiny_stream()
     cls = tiny_classes()[1]
-    r1 = request_from_class(cls, uid=7, arrival_time=1.0, lifetime=50.0)
-    r2 = request_from_class(cls, uid=7, arrival_time=2.0, lifetime=50.0)
-    sim = Simulation(net, [Arrival(1.0, r1), Arrival(2.0, r2)],
-                     HeuristicPolicy())
+    r1 = request_from_class(cls, uid=7, time=1.0)
+    r2 = request_from_class(cls, uid=7, time=2.0)
+    sim = Simulation(net, [r1, r2], HeuristicPolicy())
     sim.step()
     with pytest.raises(InvariantError):
         sim.step()
@@ -121,9 +119,8 @@ def test_rejected_requests_hold_nothing():
     # request larger than the whole substrate: always rejected
     net, _ = tiny_stream()
     from conftest import uniform_request
-    big = uniform_request(1, 60.0, 10.0, 1.0, uid=0)
-    sim = Simulation(net, [Arrival(1.0, big), Departure(2.0, 0, 0)],
-                     HeuristicPolicy())
+    big = uniform_request(1, 60.0, 10.0, 1.0, uid=0, time=1.0)
+    sim = Simulation(net, [big, Departure(2.0, 0, 0)], HeuristicPolicy())
     sim.run()
     assert sim.records[0].accepted is False
     assert not sim.ledger

@@ -9,13 +9,13 @@ import scipy.stats
 
 from oracles import generate_events_scalar, sample_arrivals_scalar
 from slicesim import (
-    Arrival,
     ConfigurationError,
     Departure,
     DynamicArrival,
     LoadModel,
     ScenarioError,
     SliceClass,
+    SliceRequest,
     StaticArrival,
     arrival_rate,
     build_reference_topology,
@@ -106,7 +106,8 @@ def test_arrival_rate_shapes():
 
 
 def test_request_from_class():
-    req = request_from_class(volatile(), uid=3, arrival_time=1.5, lifetime=9.0)
+    req = request_from_class(volatile(), uid=3, time=1.5)
+    assert req.time == 1.5
     assert req.vnf_count == 5
     assert req.vnfs == ((25.0, 150.0),) * 5
     assert req.vls == (2.0,) * 4
@@ -183,7 +184,7 @@ def one_class_model(cls):
 
 def test_every_arrival_has_one_departure():
     events = generate_events(reference_model(), horizon=500.0, seed=3)
-    arrivals = {e.uid: e for e in events if isinstance(e, Arrival)}
+    arrivals = {e.uid: e for e in events if isinstance(e, SliceRequest)}
     departures = {e.uid: e for e in events if isinstance(e, Departure)}
     assert set(arrivals) == set(departures)
     for uid, arr in arrivals.items():
@@ -192,7 +193,7 @@ def test_every_arrival_has_one_departure():
 
 def test_uids_dense_in_time_class_order():
     events = generate_events(reference_model(), horizon=500.0, seed=3)
-    arrivals = [e for e in events if isinstance(e, Arrival)]
+    arrivals = [e for e in events if isinstance(e, SliceRequest)]
     assert sorted(a.uid for a in arrivals) == list(range(len(arrivals)))
     by_uid = sorted(arrivals, key=lambda a: a.uid)
     keys = [(a.time, a.class_id) for a in by_uid]
@@ -204,9 +205,7 @@ def test_event_stream_sorted_departures_first():
     keys = [event_sort_key(e) for e in events]
     assert keys == sorted(keys)
     dep = Departure(time=5.0, uid=9, class_id=1)
-    arr_req = request_from_class(volatile(), uid=10, arrival_time=5.0,
-                                 lifetime=1.0)
-    arr = Arrival(time=5.0, request=arr_req)
+    arr = request_from_class(volatile(), uid=10, time=5.0)
     assert event_sort_key(dep) < event_sort_key(arr)
 
 
@@ -231,9 +230,9 @@ def test_adding_a_class_leaves_other_streams_alone():
     """Per-class substreams: class sets can grow without reshuffling."""
     solo = generate_events(one_class_model(volatile()), horizon=300.0, seed=5)
     both = generate_events(reference_model(), horizon=300.0, seed=5)
-    solo_times = [e.time for e in solo if isinstance(e, Arrival)]
+    solo_times = [e.time for e in solo if isinstance(e, SliceRequest)]
     both_times = [e.time for e in both
-                  if isinstance(e, Arrival) and e.class_id == 0]
+                  if isinstance(e, SliceRequest) and e.class_id == 0]
     assert solo_times == both_times
 
 
@@ -250,7 +249,7 @@ def test_static_interarrivals_are_exponential():
     """KS test of inter-arrival times against Exp(0.02)."""
     events = generate_events(one_class_model(longterm()), horizon=200_000.0,
                              seed=42)
-    times = np.array([e.time for e in events if isinstance(e, Arrival)])
+    times = np.array([e.time for e in events if isinstance(e, SliceRequest)])
     gaps = np.diff(times)
     stat = scipy.stats.kstest(gaps, "expon", args=(0.0, 1.0 / 0.02))
     assert stat.pvalue > 0.001, stat
@@ -264,7 +263,7 @@ def test_dynamic_arrivals_follow_the_intensity():
     edges = np.linspace(0.0, 96.0, 9)
     for seed in range(n_seeds):
         events = generate_events(one_class_model(cls), horizon=96.0, seed=seed)
-        times = [e.time for e in events if isinstance(e, Arrival)]
+        times = [e.time for e in events if isinstance(e, SliceRequest)]
         counts += np.histogram(times, bins=edges)[0]
     # expected mass per bin: integral of the rate over the bin
     def mass(a, b):
@@ -283,7 +282,7 @@ def test_dynamic_mean_arrivals_per_period():
     n = []
     for seed in range(40):
         events = generate_events(one_class_model(cls), horizon=96.0, seed=seed)
-        n.append(sum(1 for e in events if isinstance(e, Arrival)))
+        n.append(sum(1 for e in events if isinstance(e, SliceRequest)))
     mean = np.mean(n)
     # 4 sigma of the seed-mean for a Poisson(72) count
     assert abs(mean - 72.0) < 4.0 * math.sqrt(72.0 / 40.0)
@@ -308,14 +307,14 @@ def test_export_load_round_trip(tmp_path):
         assert orig.class_id == copy.class_id
 
 
-def test_load_events_without_departure_uses_mean_lifetime(tmp_path):
-    """No departure in the file: the request still needs a lifetime, the
-    stream gets no synthetic departure event."""
+def test_load_events_without_departure_adds_none(tmp_path):
+    """No departure in the file: the stream gets no synthetic departure
+    event, so the request holds its resources to the end of the run."""
     path = tmp_path / "partial.jsonl"
     path.write_text('{"time": 1.5, "kind": "arrival", "uid": 0, "class": 1}\n')
     events = load_events(path, [volatile(), longterm()])
-    assert [type(e).__name__ for e in events] == ["Arrival"]
-    assert events[0].request.lifetime == 500.0  # class mean stands in
+    assert [type(e).__name__ for e in events] == ["SliceRequest"]
+    assert events[0].time == 1.5
 
 
 def test_load_events_unknown_class(tmp_path):
@@ -376,9 +375,6 @@ def assert_same_stream(events, expected):
     assert events == expected
     for ev in events:
         assert type(ev.time) is float
-        if isinstance(ev, Arrival):
-            assert type(ev.request.arrival_time) is float
-            assert type(ev.request.lifetime) is float
 
 
 @pytest.mark.parametrize("name", ["tiny", "desk"])
@@ -399,7 +395,7 @@ def test_generate_events_matches_the_scalar_generator_on_reference(seed):
 
 def test_requests_of_a_class_share_their_demand_tuples():
     events = generate_events(reference_model(), horizon=500.0, seed=3)
-    requests = [e.request for e in events if isinstance(e, Arrival)]
+    requests = [e for e in events if isinstance(e, SliceRequest)]
     for class_id in (0, 1):
         own = [r for r in requests if r.class_id == class_id]
         assert len({id(r.vnfs) for r in own}) == 1
