@@ -7,8 +7,7 @@ actor-critic agents (optionally heuristic-assisted) on the resulting
 accept/reject episodes.
 """
 
-from .agent import (Agent, AgentConfig, EpisodeTrace, VARIANTS,
-                    uses_heuristic, uses_load)
+from .agent import Agent, AgentConfig, VARIANTS, uses_heuristic, uses_load
 from .errors import (AccountingError, CapacityError, CheckpointError,
                      ConfigurationError, InvariantError, ScenarioError,
                      SliceSimError)
@@ -18,7 +17,7 @@ from .metrics import (AcceptanceRecord, complete_phases, gar, gar_series,
                       write_phase_csv, write_plot_json, write_records_csv)
 from .placement import (PlacementEpisodeState, PlacementOutcome, apply_action,
                         episode_reward, fail_step, is_feasible, rollback,
-                        route, route_all)
+                        route, route_all, run_steps)
 from .scenario import (TOOL_VERSION, RunManifest, Scenario, load_scenario,
                        parse_scenario)
 from .simulation import AgentPolicy, HeuristicPolicy, Simulation
@@ -34,7 +33,7 @@ from .traffic import (Departure, DynamicArrival, LoadModel, SliceClass,
 __version__ = TOOL_VERSION
 
 __all__ = [
-    "Agent", "AgentConfig", "EpisodeTrace", "VARIANTS",
+    "Agent", "AgentConfig", "VARIANTS",
     "uses_heuristic", "uses_load",
     "AccountingError", "CapacityError", "CheckpointError",
     "ConfigurationError", "InvariantError", "ScenarioError", "SliceSimError",
@@ -44,7 +43,7 @@ __all__ = [
     "write_phase_csv", "write_plot_json", "write_records_csv",
     "PlacementEpisodeState", "PlacementOutcome", "apply_action",
     "episode_reward", "fail_step", "is_feasible", "rollback", "route",
-    "route_all",
+    "route_all", "run_steps",
     "RunManifest", "Scenario", "load_scenario", "parse_scenario",
     "AgentPolicy", "HeuristicPolicy", "Simulation",
     "PROFILES", "DataCenter", "NodeKind", "ResourceDelta", "SubstrateLink",

@@ -24,7 +24,8 @@ move within an episode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import sys
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,7 +34,7 @@ from .heuristic import HeuristicAdvice, heu_select
 from .networks import (SliceNet, load_checkpoint, log_softmax, manifest_field,
                        normalized_propagation, save_checkpoint, softmax)
 from .placement import (PlacementEpisodeState, apply_action, episode_reward,
-                        rollback)
+                        run_steps)
 from .substrate import SubstrateNetwork
 from .traffic import LoadModel, SliceRequest
 
@@ -80,7 +81,8 @@ class AgentConfig:
 
     @classmethod
     def for_variant(cls, variant: str, **overrides) -> "AgentConfig":
-        if variant not in _DEFAULT_RATES:
+        # the tuple, not the dict: an unhashable variant is just unknown
+        if variant not in VARIANTS:
             raise ConfigurationError(
                 f"variant must be one of {VARIANTS}, got {variant!r}")
         actor_lr, critic_lr = _DEFAULT_RATES[variant]
@@ -98,13 +100,6 @@ class TraceStep:
     shaping: np.ndarray | None       # additive score shift, constant in grads
     gcn: list[tuple[np.ndarray, np.ndarray]]  # the actor's GCN at selection
     reward: float = 0.0
-
-
-@dataclass
-class EpisodeTrace:
-    steps: list[TraceStep] = field(default_factory=list)
-    terminal: bool = False
-    accepted: bool = False
 
 
 class FeatureScaler:
@@ -241,54 +236,35 @@ class Agent:
 
     def run_episode(self, request: SliceRequest, net: SubstrateNetwork,
                     trace_sink=None):
-        """Place one request. Returns (accepted, trace, episode state).
-
-        On acceptance the commits stay on the substrate and
-        state.committed is the ledger the departure releases; a failed
-        step has already rolled everything back. trace_sink, when given,
-        receives one record dict per step. An exception raised
-        mid-episode rolls the request back first.
-        """
-        state = PlacementEpisodeState(request)
-        trace = EpisodeTrace()
-        outcomes = []
+        """Place one request by `run_steps`. Returns (accepted, steps,
+        episode state), steps holding one TraceStep per step, rewarded."""
+        steps: list[TraceStep] = []
         forecast = self.forecast(request.time)   # fixed within an episode
-        try:
-            while not state.done:
-                vnf_index = state.next_vnf
-                advice = None
-                if uses_heuristic(self.config.variant):
-                    advice = heu_select(state, net)
-                    self.heu_queries += 1
-                psn, nspr, load = self.observe(state, net, forecast)
-                target, step = self.select_action(psn, nspr, load, advice)
-                trace.steps.append(step)
-                # the advice's route sweep holds the path to any target
-                outcome = apply_action(state, net, target,
-                                       None if advice is None else advice.paths)
-                outcomes.append(outcome)
-                if trace_sink is not None:
-                    trace_sink(outcome.to_record(request.uid, vnf_index, target))
-                if not outcome.success:
-                    break
-        except BaseException:
-            rollback(state, net)
-            raise
-        rewards = episode_reward(outcomes, request.vnf_count)
-        for step, r in zip(trace.steps, rewards):
-            step.reward = r
-        trace.terminal = True
-        trace.accepted = outcomes[-1].success
-        return trace.accepted, trace, state
+
+        def step(state):
+            advice = None
+            if uses_heuristic(self.config.variant):
+                advice = heu_select(state, net)
+                self.heu_queries += 1
+            psn, nspr, load = self.observe(state, net, forecast)
+            target, trace_step = self.select_action(psn, nspr, load, advice)
+            steps.append(trace_step)
+            # the advice's route sweep holds the path to any target
+            return target, apply_action(
+                state, net, target, None if advice is None else advice.paths)
+
+        accepted, state, outcomes = run_steps(request, net, step, trace_sink)
+        for s, r in zip(steps, episode_reward(outcomes, request.vnf_count)):
+            s.reward = r
+        return accepted, steps, state
 
     # -- learning ------------------------------------------------------------
 
-    def update(self, trace: EpisodeTrace) -> dict:
-        """One actor step and one critic step from a finished trace."""
-        if not trace.terminal or not trace.steps:
-            raise ConfigurationError("update requires a complete trace")
+    def update(self, steps: list[TraceStep]) -> dict:
+        """One actor step and one critic step from `run_episode`'s steps."""
+        if not steps:
+            raise ConfigurationError("update requires a complete episode")
         cfg = self.config
-        steps = trace.steps
         returns = np.zeros(len(steps))
         acc = 0.0
         for i in range(len(steps) - 1, -1, -1):
@@ -384,8 +360,15 @@ class Agent:
             return manifest_field(manifest, name, "agent checkpoint", convert)
 
         def number(value):
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise TypeError(f"must be a number, got {value!r}")
+            # NaN fails the comparison; an int is compared exactly
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not abs(value) <= sys.float_info.max):
+                raise TypeError(f"must be a finite float, got {value!r}")
+            return value
+
+        def whole(value):
+            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+                raise TypeError(f"must be a whole number >= 0, got {value!r}")
             return value
 
         if manifest.get("kind") != "agent":
@@ -412,5 +395,5 @@ class Agent:
             raise CheckpointError(
                 "checkpoint action space does not match this substrate")
         agent.load_arrays(arrays)
-        agent.episodes_trained = int(manifest.get("episodes_trained", 0))
+        agent.episodes_trained = field("episodes_trained", whole)
         return agent

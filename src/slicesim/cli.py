@@ -30,6 +30,18 @@ from .simulation import AgentPolicy, HeuristicPolicy, Simulation
 from .traffic import SliceRequest, check_horizon, export_events, load_events
 
 
+# the AgentConfig floats a scenario's agent: section or a train flag sets
+_AGENT_FLOATS = ("beta", "xi", "eta", "gamma", "actor_lr", "critic_lr")
+
+
+def _count(text: str) -> int:
+    """argparse type of a count: a whole number >= 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a whole number >= 1, got {text!r}")
+    return int(text)
+
+
 def _out_dir(args) -> str:
     root = args.out_dir or os.environ.get("SLICESIM_OUTPUT_ROOT", "runs")
     os.makedirs(root, exist_ok=True)
@@ -44,10 +56,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="traffic seed (default: the scenario's)")
     p.add_argument("--horizon", type=float, default=None,
                    help="traffic horizon override, time units")
-    p.add_argument("--arrivals", type=int, default=None,
+    p.add_argument("--arrivals", type=_count, default=None,
                    help="stop after this many arrivals")
-    p.add_argument("--phase-size", type=int, default=None,
-                   help="phase length in arrivals (default: scenario)")
     p.add_argument("--out-dir", default=None,
                    help="output root (default: $SLICESIM_OUTPUT_ROOT or ./runs)")
     p.add_argument("--emit-plot-data", action="store_true",
@@ -72,7 +82,7 @@ def _agent_config(scenario: Scenario, args, seed_shift: int = 0) -> AgentConfig:
     defaults = dict(scenario.agent_defaults)
     variant = getattr(args, "variant", None) or defaults.pop("variant", "drl")
     overrides = {}
-    for key in ("beta", "xi", "eta", "gamma", "actor_lr", "critic_lr"):
+    for key in _AGENT_FLOATS:
         flag = getattr(args, key, None)
         if flag is not None:
             overrides[key] = flag
@@ -89,13 +99,14 @@ def _write_outputs(scenario: Scenario, args, records, base: str,
                    policy_name: str, seed: int, checkpoint=None,
                    extra: dict | None = None) -> None:
     out = _out_dir(args)
-    phase_size = args.phase_size or scenario.phase_size
     class_ids = [c.id for c in scenario.classes]
     prefix = os.path.join(out, base)
     write_records_csv(records, prefix + ".csv")
-    write_phase_csv(records, prefix + ".phases.csv", phase_size, class_ids)
+    write_phase_csv(records, prefix + ".phases.csv", scenario.phase_size,
+                    class_ids)
     if args.emit_plot_data:
-        write_plot_json(records, prefix + ".plot.json", phase_size, class_ids)
+        write_plot_json(records, prefix + ".plot.json", scenario.phase_size,
+                        class_ids)
     manifest = RunManifest(
         scenario_hash=scenario.hash(), tool_version=TOOL_VERSION,
         policy=policy_name, seed=seed, arrivals=len(records),
@@ -143,7 +154,7 @@ def cmd_train(args) -> int:
         ckpt_path = os.path.join(out, base + ".ckpt")
 
         hooks = None
-        if args.checkpoint_every:
+        if args.checkpoint_every is not None:
             def hooks(n, sim, _agent=agent, _base=base):
                 if n % args.checkpoint_every == 0:
                     _agent.save(os.path.join(out, f"{_base}.ep{n}.ckpt"))
@@ -210,19 +221,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--variant", choices=VARIANTS, default=None,
                    help="agent variant (default: scenario)")
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--xi", type=float, default=None)
-    p.add_argument("--eta", type=float, default=None)
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--actor-lr", type=float, default=None, dest="actor_lr")
-    p.add_argument("--critic-lr", type=float, default=None, dest="critic_lr")
+    for key in _AGENT_FLOATS:
+        p.add_argument("--" + key.replace("_", "-"), type=float,
+                       default=None, dest=key,
+                       help=f"agent {key} (default: scenario)")
     p.add_argument("--agent-seed", type=int, default=None, dest="agent_seed")
-    p.add_argument("--seeds", type=int, default=1,
+    p.add_argument("--seeds", type=_count, default=1,
                    help="number of independent runs (seed, seed+1, ...)")
-    p.add_argument("--episodes", type=int, default=None, dest="arrivals",
+    p.add_argument("--episodes", type=_count, default=None, dest="arrivals",
                    help="same as --arrivals: stop each run after this "
                         "many arrivals")
-    p.add_argument("--checkpoint-every", type=int, default=None,
+    p.add_argument("--checkpoint-every", type=_count, default=None,
                    help="also checkpoint every N arrivals")
     p.set_defaults(func=cmd_train)
 
@@ -251,10 +260,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SliceSimError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (SliceSimError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -14,8 +14,8 @@ import math
 from dataclasses import dataclass, field
 from itertools import repeat
 
-from .placement import (PlacementEpisodeState, PlacementOutcome, apply_action,
-                        fail_step, rollback, route_all, server_closeness)
+from .placement import (PlacementEpisodeState, apply_action, fail_step,
+                        route_all, run_steps, server_closeness)
 from .substrate import _EPS, SubstrateNetwork
 from .traffic import SliceRequest
 
@@ -65,33 +65,14 @@ def heu_select(state: PlacementEpisodeState,
 
 def heu_place_full(request: SliceRequest, net: SubstrateNetwork,
                    trace_sink=None):
-    """Place a whole request greedily. Returns (accepted, state, outcomes).
+    """Place a whole request greedily; returns `run_steps`' (accepted,
+    state, outcomes). Each step takes `heu_select`'s server, and a step
+    without one rejects the request through the engine's failure path."""
+    def step(state):
+        advice = heu_select(state, net)
+        if not advice.exists:
+            return -1, fail_step(state, net)
+        return advice.server, apply_action(state, net, advice.server,
+                                           advice.paths)
 
-    The first step without a feasible server rejects the request; the
-    engine's failure path rolls back anything already committed. On
-    acceptance the commits stay and state.committed is the ledger a later
-    departure releases. trace_sink, when given, receives one record dict
-    per step. An exception raised mid-request rolls it back first.
-    """
-    state = PlacementEpisodeState(request)
-    outcomes: list[PlacementOutcome] = []
-    try:
-        while not state.done:
-            step = state.next_vnf
-            advice = heu_select(state, net)
-            if not advice.exists:
-                outcome = fail_step(state, net)
-                outcomes.append(outcome)
-                if trace_sink is not None:
-                    trace_sink(outcome.to_record(request.uid, step, -1))
-                return False, state, outcomes
-            outcome = apply_action(state, net, advice.server, advice.paths)
-            outcomes.append(outcome)
-            if trace_sink is not None:
-                trace_sink(outcome.to_record(request.uid, step, advice.server))
-            if not outcome.success:
-                return False, state, outcomes
-    except BaseException:
-        rollback(state, net)
-        raise
-    return True, state, outcomes
+    return run_steps(request, net, step, trace_sink)

@@ -31,6 +31,7 @@ manifest order. Round-trips are bit-exact.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 
@@ -425,13 +426,17 @@ def load_checkpoint(path):
     arrays: dict[str, np.ndarray] = {}
     for i, entry in enumerate(tensors):
         name = manifest_field(entry, "name", f"checkpoint tensors[{i}]")
+        if not isinstance(name, str):
+            raise CheckpointError(
+                f"checkpoint manifest field 'tensors[{i}].name' is not a "
+                f"string: {name!r}")
         shape = manifest_field(entry, "shape", f"checkpoint tensors[{i}]")
-        if (not isinstance(shape, list)
-                or not all(isinstance(d, int) and d >= 0 for d in shape)):
+        if not isinstance(shape, list) or not all(
+                type(d) is int and d >= 0 for d in shape):
             raise CheckpointError(
                 f"checkpoint manifest field 'tensors[{i}].shape' is not a "
                 f"list of sizes: {shape!r}")
-        size = int(np.prod(shape)) if shape else 1
+        size = math.prod(shape)         # exact: no int64 wrap-around
         end = offset + size * 8
         if end > len(raw):
             raise CheckpointError("truncated checkpoint payload")

@@ -233,6 +233,32 @@ def fail_step(state: PlacementEpisodeState, net: SubstrateNetwork) -> PlacementO
     return PlacementOutcome(False, FAILURE_REWARD, 0.0, 0.0, (), terminal=True)
 
 
+def run_steps(request: SliceRequest, net: SubstrateNetwork, step,
+              trace_sink=None):
+    """Place request VNF by VNF; returns (accepted, state, outcomes).
+
+    step(state) places the pending VNF and returns (target, outcome),
+    target -1 when there is none. The first failed step ends the episode.
+    trace_sink, when given, receives one record dict per step. An
+    exception raised mid-request rolls the request back first.
+    """
+    state = PlacementEpisodeState(request)
+    outcomes: list[PlacementOutcome] = []
+    try:
+        while not state.done:
+            vnf = state.next_vnf
+            target, outcome = step(state)
+            outcomes.append(outcome)
+            if trace_sink is not None:
+                trace_sink(outcome.to_record(request.uid, vnf, target))
+            if not outcome.success:
+                break
+    except BaseException:
+        rollback(state, net)
+        raise
+    return state.done, state, outcomes
+
+
 def rollback(state: PlacementEpisodeState, net: SubstrateNetwork) -> None:
     """Release everything this request committed; no-op on an empty ledger."""
     if not state.committed.is_empty():

@@ -67,10 +67,10 @@ class AgentPolicy:
         self.name = agent.config.variant + ("" if train else "-frozen")
 
     def place(self, request, net):
-        accepted, trace, state = self.agent.run_episode(
+        accepted, steps, state = self.agent.run_episode(
             request, net, trace_sink=self.trace_sink)
         if self.trains:
-            self.agent.update(trace)
+            self.agent.update(steps)
         return accepted, state.committed
 
     def state_manifest(self) -> dict:
@@ -116,7 +116,6 @@ class Simulation:
         self.cursor = 0
         self.ledger: dict[int, ResourceDelta] = {}
         self.records: list[AcceptanceRecord] = []
-        self.arrivals_seen = 0
 
     def step(self) -> bool:
         """Process the next event; False when the stream is exhausted."""
@@ -135,14 +134,13 @@ class Simulation:
             return True
         if not isinstance(ev, SliceRequest):
             raise InvariantError(f"unknown event type {type(ev).__name__}")
-        self.arrivals_seen += 1
         accepted, delta = self.policy.place(ev, self.net)
         if accepted:
             if ev.uid in self.ledger:
                 raise InvariantError(f"duplicate arrival uid {ev.uid}")
             self.ledger[ev.uid] = delta
         self.records.append(AcceptanceRecord(
-            index=self.arrivals_seen, uid=ev.uid, class_id=ev.class_id,
+            index=len(self.records) + 1, uid=ev.uid, class_id=ev.class_id,
             accepted=accepted, time=ev.time))
         return True
 
@@ -150,20 +148,19 @@ class Simulation:
             horizon: float | None = None, on_arrival=None) -> list[AcceptanceRecord]:
         """Drive the loop until the stream, arrival budget, or horizon ends.
 
+        max_arrivals counts every arrival this simulation has seen: the
+        loop stops right after the budget's last one, or takes none.
         on_arrival(index, simulation), when given, fires after each
         arrival (checkpoint hooks, progress display).
         """
-        while self.cursor < len(self.events):
+        while self.cursor < len(self.events) and (
+                max_arrivals is None or len(self.records) < max_arrivals):
             ev = self.events[self.cursor]
             if horizon is not None and ev.time >= horizon:
                 break
-            was_arrival = isinstance(ev, SliceRequest)
             self.step()
-            if was_arrival:
-                if on_arrival is not None:
-                    on_arrival(self.arrivals_seen, self)
-                if max_arrivals is not None and self.arrivals_seen >= max_arrivals:
-                    break
+            if on_arrival is not None and isinstance(ev, SliceRequest):
+                on_arrival(len(self.records), self)
         return self.records
 
     # -- snapshots ------------------------------------------------------------
@@ -184,7 +181,7 @@ class Simulation:
             "policy_name": self.policy.name,
             "clock": self.clock,
             "cursor": self.cursor,
-            "arrivals_seen": self.arrivals_seen,
+            "arrivals_seen": len(self.records),
             "ledger": {str(uid): d.to_dict() for uid, d in self.ledger.items()},
             "records": [[r.index, r.uid, r.class_id, int(r.accepted), r.time]
                         for r in self.records],
@@ -234,13 +231,15 @@ class Simulation:
                 f"running {self.policy.name!r}")
         clock = field("clock", float)
         cursor = field("cursor", int)
-        arrivals_seen = field("arrivals_seen", int)
         ledger = field("ledger", lambda raw: {
             int(uid): ResourceDelta.from_dict(d) for uid, d in raw.items()})
         records = field("records", lambda raw: [
             AcceptanceRecord(index=i, uid=u, class_id=c, accepted=bool(acc),
                              time=t)
             for i, u, c, acc, t in raw])
+        if field("arrivals_seen") != len(records):
+            raise CheckpointError("simulation snapshot field 'arrivals_seen' "
+                                  f"does not count its {len(records)} records")
         link_keys = sorted(self.net.links)
         residuals = {}
         for name, size in (("cpu", len(self.net.nodes)),
@@ -258,6 +257,5 @@ class Simulation:
                                {k[len("policy."):]: v for k, v in arrays.items()
                                 if k.startswith("policy.")})
         self.clock, self.cursor = clock, cursor
-        self.arrivals_seen = arrivals_seen
         self.ledger, self.records = ledger, records
         self.net.set_residuals(residuals)

@@ -213,17 +213,17 @@ def tape_forward(net, params, psn, nspr, load=None):
     return z.relu() if net.activation == "relu" else z
 
 
-def tape_update(agent, trace):
+def tape_update(agent, steps):
     """The A2C update step by step on the autodiff tape: one SGD step on
     the critic, then one on the actor, applied to the agent's arrays.
 
     Returns the actor and critic losses.
     """
     cfg = agent.config
-    returns = np.zeros(len(trace.steps))
+    returns = np.zeros(len(steps))
     acc = 0.0
-    for i in range(len(trace.steps) - 1, -1, -1):
-        acc = trace.steps[i].reward + cfg.gamma * acc
+    for i in range(len(steps) - 1, -1, -1):
+        acc = steps[i].reward + cfg.gamma * acc
         returns[i] = acc
 
     def tensors(net):
@@ -237,8 +237,8 @@ def tape_update(agent, trace):
 
     critic = tensors(agent.critic)
     critic_loss = None
-    advantages = np.zeros(len(trace.steps))
-    for i, step in enumerate(trace.steps):
+    advantages = np.zeros(len(steps))
+    for i, step in enumerate(steps):
         v = tape_forward(agent.critic, critic, step.psn, step.nspr,
                          step.load)[0]
         advantages[i] = returns[i] - float(v.data)
@@ -249,7 +249,7 @@ def tape_update(agent, trace):
 
     actor = tensors(agent.actor)
     actor_loss = None
-    for i, step in enumerate(trace.steps):
+    for i, step in enumerate(steps):
         z = tape_forward(agent.actor, actor, step.psn, step.nspr, step.load)
         if step.shaping is not None:
             z = z + Tensor(step.shaping)

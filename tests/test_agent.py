@@ -22,7 +22,7 @@ from slicesim import (
     uses_heuristic,
     uses_load,
 )
-from slicesim.agent import FeatureScaler, TraceStep, EpisodeTrace
+from slicesim.agent import FeatureScaler, TraceStep
 from slicesim.networks import load_checkpoint, save_checkpoint, softmax
 
 from conftest import uniform_request
@@ -263,16 +263,15 @@ def test_run_episode_accepts_and_traces():
     agent, net = tiny_agent("drl", seed=1)
     req = uniform_request(2, 5.0, 5.0, 1.0, uid=3)
     accepted, trace, state = agent.run_episode(req, net)
-    assert trace.terminal
-    assert len(trace.steps) <= 2
+    assert len(trace) <= 2
     if accepted:
-        assert len(trace.steps) == 2
-        assert trace.steps[-1].reward > 0.0
+        assert len(trace) == 2
+        assert trace[-1].reward > 0.0
         assert not state.committed.is_empty()
     else:
-        assert trace.steps[-1].reward == -100.0
+        assert trace[-1].reward == -100.0
         assert state.committed.is_empty()
-    assert all(s.reward == 0.0 for s in trace.steps[:-1])
+    assert all(s.reward == 0.0 for s in trace[:-1])
 
 
 def test_ha_variant_queries_heuristic_once_per_step():
@@ -280,7 +279,7 @@ def test_ha_variant_queries_heuristic_once_per_step():
     req = uniform_request(3, 5.0, 5.0, 1.0)
     before = agent.heu_queries
     accepted, trace, _ = agent.run_episode(req, net)
-    assert agent.heu_queries - before == len(trace.steps)
+    assert agent.heu_queries - before == len(trace)
     plain, net2 = tiny_agent("drl", seed=2)
     plain.run_episode(uniform_request(3, 5.0, 5.0, 1.0), net2)
     assert plain.heu_queries == 0
@@ -291,11 +290,11 @@ def test_edrl_episode_carries_load_features():
     req = uniform_request(2, 5.0, 5.0, 1.0, time=10.0)
     _, trace, _ = agent.run_episode(req, net)
     assert all(s.load is not None and s.load.shape == (300,)
-               for s in trace.steps)
+               for s in trace)
     drl_agent, net2 = tiny_agent("drl", seed=3)
     _, trace2, _ = drl_agent.run_episode(
         uniform_request(2, 5.0, 5.0, 1.0, time=10.0), net2)
-    assert all(s.load is None for s in trace2.steps)
+    assert all(s.load is None for s in trace2)
 
 
 @pytest.mark.parametrize("variant", ["drl", "ha-drl", "ha-edrl"])
@@ -312,7 +311,7 @@ def test_episode_runs_the_actor_only(variant):
     agent.actor.forward = counted("actor", agent.actor.forward)
     agent.critic.forward = counted("critic", agent.critic.forward)
     _, trace, _ = agent.run_episode(uniform_request(3, 5.0, 5.0, 1.0), net)
-    assert len(trace.steps) == 3
+    assert len(trace) == 3
     assert calls == {"actor": 3, "critic": 0}
 
 
@@ -329,7 +328,7 @@ def test_update_reuses_the_actors_selection_gcn(variant):
     actor's not at all: each step kept them from selection."""
     agent, net = tiny_agent(variant, seed=6)
     _, trace, _ = agent.run_episode(uniform_request(3, 5.0, 5.0, 1.0), net)
-    assert len(trace.steps) == 3
+    assert len(trace) == 3
     calls = {"actor": 0, "critic": 0}
     agent.actor._gcn = counting(calls, "actor", agent.actor._gcn)
     agent.critic._gcn = counting(calls, "critic", agent.critic._gcn)
@@ -340,7 +339,7 @@ def test_update_reuses_the_actors_selection_gcn(variant):
 def test_update_needs_each_steps_saved_gcn():
     agent, net = tiny_agent("drl", seed=6)
     trace = synthetic_trace(agent, net, [0.0, 1.0])
-    trace.steps[1].gcn = []
+    trace[1].gcn = []
     with pytest.raises(ConfigurationError, match="saved GCN activations"):
         agent.update(trace)
 
@@ -353,9 +352,9 @@ def test_episode_takes_one_forecast():
                                        model.forecast_features)
     _, trace, _ = agent.run_episode(
         uniform_request(3, 5.0, 5.0, 1.0, time=10.0), net)
-    assert len(trace.steps) == 3
+    assert len(trace) == 3
     assert calls == {"forecast": 1}
-    np.testing.assert_array_equal(trace.steps[2].load,
+    np.testing.assert_array_equal(trace[2].load,
                                   model.forecast_features(10.0))
 
 
@@ -370,7 +369,7 @@ def test_ha_episode_sweeps_once_per_step_after_the_first(monkeypatch):
     agent, net = tiny_agent("ha-drl", seed=6)
     accepted, trace, _ = agent.run_episode(
         uniform_request(3, 5.0, 5.0, 1.0), net)
-    assert accepted and len(trace.steps) == 3
+    assert accepted and len(trace) == 3
     assert calls == {"route_all": 2}
 
 
@@ -386,7 +385,7 @@ def synthetic_trace(agent, net, rewards):
         steps.append(TraceStep(psn=psn, nspr=nspr, load=load, action=i % 3,
                                probability=1.0, shaping=None, gcn=gcn,
                                reward=r))
-    return EpisodeTrace(steps=steps, terminal=True, accepted=True)
+    return steps
 
 
 def test_update_returns_are_discounted_sums():
@@ -417,7 +416,7 @@ def test_positive_advantage_raises_chosen_probability():
     chosen = step.action
     p_before = step.probability
     step.reward = 5.0
-    trace = EpisodeTrace(steps=[step], terminal=True, accepted=True)
+    trace = [step]
     agent.update(trace)
     z = agent.actor.forward(psn, nspr, load)
     assert softmax(z)[chosen] > p_before
@@ -426,7 +425,7 @@ def test_positive_advantage_raises_chosen_probability():
 def test_critic_moves_toward_return():
     agent, net = tiny_agent("drl", seed=10, critic_lr=0.01)
     trace = synthetic_trace(agent, net, [0.0, 6.0])
-    step = trace.steps[0]
+    step = trace[0]
     v_before = float(agent.critic.forward(step.psn, step.nspr,
                                           step.load)[0])
     returns = 6.0 * agent.config.gamma
@@ -453,7 +452,7 @@ def test_update_matches_tape_update(variant, critic):
         accepted, trace, state = agent.run_episode(req, net)
         if accepted:
             net.release(state.committed)
-        for step in trace.steps[::2]:       # shaping on, also for non-HA runs
+        for step in trace[::2]:       # shaping on, also for non-HA runs
             if step.shaping is None:
                 step.shaping = shift_rng.uniform(0.0, 2.0, len(agent.actions))
         oracle.load_arrays(agent.state_arrays())
@@ -505,7 +504,7 @@ def test_run_episode_rolls_back_when_a_step_raises():
 def test_update_requires_complete_trace():
     agent, _ = tiny_agent("drl")
     with pytest.raises(ConfigurationError):
-        agent.update(EpisodeTrace(steps=[], terminal=False))
+        agent.update([])
 
 
 def test_training_is_deterministic():
@@ -619,7 +618,7 @@ def _without(path, field):
 
 @pytest.mark.parametrize("field", ["net_fingerprint", "variant", "gamma",
                                    "xi", "eta", "beta", "allow_any_node",
-                                   "actor"])
+                                   "actor", "episodes_trained"])
 def test_agent_load_names_a_missing_field(tmp_path, field):
     agent, net = tiny_agent("drl")
     path = tmp_path / "agent.ckpt"
@@ -631,7 +630,13 @@ def test_agent_load_names_a_missing_field(tmp_path, field):
 
 @pytest.mark.parametrize("field,value", [("gamma", "x"),
                                          ("variant", "sarsa"),
-                                         ("allow_any_node", True)])
+                                         ("allow_any_node", True),
+                                         ("episodes_trained", None),
+                                         ("episodes_trained", "x"),
+                                         ("variant", []),
+                                         ("xi", float("nan")),
+                                         pytest.param("eta", 10 ** 400,
+                                                      id="eta-beyond-float")])
 def test_agent_load_names_a_bad_field(tmp_path, field, value):
     agent, net = tiny_agent("drl")
     path = tmp_path / "agent.ckpt"

@@ -1,12 +1,16 @@
-"""Property tests: arbitrary input fails with a named ScenarioError."""
+"""Property tests: arbitrary input fails with a named ScenarioError or
+CheckpointError."""
 
+import functools
 import json
 import re
+import struct
 
 from hypothesis import given, settings, strategies as st
 
-from slicesim import (DynamicArrival, ScenarioError, SliceClass,
-                      StaticArrival, load_events)
+from slicesim import (Agent, AgentConfig, CheckpointError, DynamicArrival,
+                      ScenarioError, SliceClass, StaticArrival,
+                      build_reference_topology, load_events)
 
 CLASSES = [
     SliceClass(id=0, vnf_count=5, req_cpu=25.0, req_ram=150.0, req_bw=2.0,
@@ -61,3 +65,67 @@ def test_load_events_loads_or_names_the_file_and_line(tmp_path_factory,
         assert 1 <= number <= len(lines) and lines[number - 1].strip()
     else:
         assert all(ev.class_id in (0, 1) for ev in events)
+
+
+# -- checkpoints ------------------------------------------------------------------
+
+NET = build_reference_topology("tiny")
+
+# Any JSON document, NaN and the infinities among its numbers.
+ANY_JSON = st.recursive(
+    ANY_VALUE, lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=6)
+
+# Where one value of an agent checkpoint's manifest is replaced.
+MANIFEST_PATH = st.one_of(
+    st.sampled_from(["kind", "variant", "gamma", "xi", "eta", "beta",
+                     "allow_any_node", "episodes_trained", "net_fingerprint",
+                     "actor", "critic", "tensors"]).map(lambda k: (k,)),
+    st.tuples(st.just("actor"), st.just("n_actions")),
+    st.tuples(st.just("tensors"), st.integers(0, 63),
+              st.sampled_from(["name", "shape"])))
+
+
+@functools.cache
+def fresh_checkpoint(directory) -> bytes:
+    path = directory / "fuzz-agent.ckpt"
+    Agent(AgentConfig.for_variant("drl"), NET).save(path)
+    return path.read_bytes()
+
+
+def replaced(raw: bytes, path: tuple, value) -> bytes:
+    """raw with the manifest value at path replaced by value."""
+    (length,) = struct.unpack("<I", raw[8:12])
+    manifest = json.loads(raw[12:12 + length])
+    target = manifest
+    if path[0] == "tensors" and len(path) == 3:
+        target = manifest["tensors"][path[1] % len(manifest["tensors"])]
+    elif len(path) == 2:
+        target = manifest[path[0]]
+    target[path[-1]] = value
+    blob = json.dumps(manifest).encode()
+    return raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + length:]
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(change=st.one_of(
+    st.tuples(st.just("manifest"), MANIFEST_PATH, ANY_JSON),
+    st.tuples(st.just("payload"), st.integers(-24, 24).filter(bool))))
+def test_agent_load_loads_or_names_a_checkpoint_error(tmp_path_factory,
+                                                      change):
+    directory = tmp_path_factory.getbasetemp()
+    raw = fresh_checkpoint(directory)
+    if change[0] == "manifest":
+        raw = replaced(raw, change[1], change[2])
+    elif change[1] < 0:
+        raw = raw[:change[1]]
+    else:
+        raw = raw + bytes(change[1])
+    path = directory / "fuzz-agent-changed.ckpt"
+    path.write_bytes(raw)
+    try:
+        Agent.load(path, NET)
+    except CheckpointError:
+        pass

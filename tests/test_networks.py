@@ -1,5 +1,7 @@
 """Graph encoder and FC branches: shapes, symmetry, persistence."""
 
+import json
+import re
 import struct
 
 import numpy as np
@@ -326,6 +328,18 @@ def test_checkpoint_rejects_manifest_without_tensors(tmp_path):
     path = tmp_path / "notensors.ckpt"
     path.write_bytes(b"SLNC" + struct.pack("<II", 1, len(blob)) + blob)
     with pytest.raises(CheckpointError, match="'tensors'"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("key,value,field", [
+    ("name", None, "'tensors[0].name'"), ("name", [], "'tensors[0].name'"),
+    ("shape", [True], "'tensors[0].shape'")])
+def test_checkpoint_names_a_bad_tensor_entry(tmp_path, key, value, field):
+    blob = json.dumps({"tensors": [{"name": "w", "shape": [1], key: value}]})
+    path = tmp_path / "badtensor.ckpt"
+    path.write_bytes(b"SLNC" + struct.pack("<II", 1, len(blob)) + blob.encode()
+                     + np.zeros(1).tobytes())
+    with pytest.raises(CheckpointError, match=re.escape(field)):
         load_checkpoint(path)
 
 

@@ -554,3 +554,55 @@ def test_cli_bad_checkpoint_path_exits_2(tmp_path, capsys):
                  "--out-dir", str(tmp_path))
     assert rv == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("simulate", "--arrivals", "0"), ("simulate", "--arrivals", "-3"),
+    ("simulate", "--arrivals", "2.5"), ("train", "--episodes", "0"),
+    ("train", "--seeds", "0"), ("train", "--checkpoint-every", "0"),
+    ("train", "--checkpoint-every", "-1")])
+def test_cli_refuses_a_count_below_one(tmp_path, capsys, command, flag,
+                                       value):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, "--scenario", "tiny", flag, value,
+                "--out-dir", str(out))
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["events-is-a-directory",
+                                  "out-dir-is-a-file"])
+def test_cli_reports_an_os_error_in_one_line(tmp_path, case):
+    a_file = tmp_path / "a-file"
+    a_file.write_text("")
+    where = (["--events", str(tmp_path), "--out-dir", str(tmp_path / "out")]
+             if case == "events-is-a-directory" else ["--out-dir", str(a_file)])
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-m", "slicesim.cli", "simulate", "--scenario",
+         "tiny", "--arrivals", "3", *where],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.count("\n") == 1, proc.stderr
+
+
+AGENT_FLAGS = {"beta": 1.5, "xi": 0.5, "eta": 0.25, "gamma": 0.9,
+               "actor_lr": 1e-3, "critic_lr": 2e-3, "agent_seed": 7}
+
+
+def test_cli_train_agent_flags_reach_the_manifest(tmp_path):
+    flags = [arg for key, value in AGENT_FLAGS.items()
+             for arg in ("--" + key.replace("_", "-"), str(value))]
+    for name, argv in (("set", flags), ("unset", [])):
+        assert run_cli("train", "--scenario", "desk", "--arrivals", "3",
+                       "--out-dir", str(tmp_path / name), *argv) == 0
+    written = {name: json.loads((tmp_path / name / "desk-ha-drl-seed0"
+                                 ".manifest.json").read_text())
+               for name in ("set", "unset")}
+    assert {key: written["set"][key] for key in AGENT_FLAGS} == AGENT_FLAGS
+    assert {key: written["unset"][key] for key in AGENT_FLAGS} == {
+        "beta": 2.0, "xi": 1.0, "eta": 0.0, "gamma": 0.99,
+        "actor_lr": 2.0e-4, "critic_lr": 5.0e-3, "agent_seed": 0}

@@ -68,6 +68,13 @@ def test_run_respects_arrival_budget_and_horizon():
     assert sim2.clock < 100.0
 
 
+def test_a_spent_arrival_budget_takes_no_arrival():
+    net, events = tiny_stream()
+    sim = Simulation(net, events, HeuristicPolicy())
+    assert sim.run(max_arrivals=0) == []
+    assert sim.cursor == 0
+
+
 def test_records_are_indexed_in_arrival_order():
     net, events = tiny_stream()
     sim = Simulation(net, events, HeuristicPolicy())
@@ -82,7 +89,7 @@ def test_on_arrival_hook_fires_per_arrival():
     seen = []
     sim = Simulation(net, events, HeuristicPolicy())
     sim.run(on_arrival=lambda n, s: seen.append(n))
-    assert seen == list(range(1, sim.arrivals_seen + 1))
+    assert seen == list(range(1, len(sim.records) + 1))
 
 
 def test_out_of_order_stream_is_fatal():
@@ -182,7 +189,7 @@ def test_snapshot_restore_resumes_identically(tmp_path):
     net2, events2 = tiny_stream(horizon=400.0)
     sim2 = Simulation(net2, events2, HeuristicPolicy())
     sim2.restore(snap)
-    assert sim2.arrivals_seen == 10
+    assert len(sim2.records) == 10
     redone = sim2.run(max_arrivals=25)
     assert [(r.index, r.uid, r.accepted) for r in redone] == tail
     assert net2.residuals() == end_residuals
@@ -231,6 +238,22 @@ def test_snapshot_guards(tmp_path):
     agent = Agent(AgentConfig.for_variant("drl"), net4)
     with pytest.raises(CheckpointError):
         Simulation(net4, events4, AgentPolicy(agent)).restore(snap)
+
+
+def test_snapshot_restore_checks_the_arrival_count(tmp_path):
+    net, events = tiny_stream()
+    sim = Simulation(net, events, HeuristicPolicy())
+    sim.run(max_arrivals=5)
+    snap = tmp_path / "sim.snap"
+    sim.snapshot(snap)
+    outer, arrays = load_checkpoint(snap)
+    manifest = json.loads(outer["manifest_json"])
+    assert manifest["arrivals_seen"] == 5
+    manifest["arrivals_seen"] = 6
+    save_checkpoint(snap, {"manifest_json": json.dumps(manifest)}, arrays)
+    net2, events2 = tiny_stream()
+    with pytest.raises(CheckpointError, match="'arrivals_seen'"):
+        Simulation(net2, events2, HeuristicPolicy()).restore(snap)
 
 
 def test_snapshot_rejects_agent_checkpoint(tmp_path):
@@ -342,7 +365,7 @@ def test_ledger_audit_holds_after_every_event(variant, arrivals):
         policy = AgentPolicy(agent, train=True, trace_sink=steps.append)
     sim = Simulation(net, events, policy)
     departures = 0
-    while sim.arrivals_seen < arrivals:
+    while len(sim.records) < arrivals:
         departures += isinstance(events[sim.cursor], Departure)
         assert sim.step()
         problems = audit_ledger(sim)
