@@ -7,11 +7,12 @@ and 0.99 with a 96 time-unit period.
 
 import numpy as np
 
-from slicesim import SliceRequest, build_reference_topology, reference_classes
+from slicesim import SliceRequest, build_reference_topology, load_scenario
 from slicesim.traffic import LoadModel, generate_events
 
 net = build_reference_topology("full")
-model = LoadModel.from_network(reference_classes(), net)
+classes = load_scenario("reference").classes
+model = LoadModel.from_network(classes, net)
 
 print("global cpu load over one period (96 time units):")
 for t in np.arange(0.0, 97.0, 8.0):
@@ -27,7 +28,7 @@ for lo in range(0, 96, 24):
     n = sum(1 for a in arrivals if lo <= a.time < lo + 24)
     print(f"  t in [{lo:2d}, {lo + 24:2d}): {n:3d} arrivals")
 
-by_class = {c.id: c.name for c in reference_classes()}
+by_class = {c.id: c.name for c in classes}
 for cid, name in by_class.items():
     n = sum(1 for a in arrivals if a.class_id == cid)
     print(f"  class {cid} ({name}): {n} arrivals")

@@ -16,19 +16,18 @@ from .metrics import (AcceptanceRecord, complete_phases, gar, gar_series,
                       per_class_tar, plot_data, tar,
                       write_phase_csv, write_plot_json, write_records_csv)
 from .placement import (PlacementEpisodeState, PlacementOutcome, apply_action,
-                        episode_reward, fail_step, is_feasible, rollback,
-                        route, route_all, run_steps)
+                        episode_reward, fail_step, rollback, route,
+                        route_all, run_steps)
 from .scenario import (TOOL_VERSION, RunManifest, Scenario, load_scenario,
                        parse_scenario)
 from .simulation import AgentPolicy, HeuristicPolicy, Simulation
-from .substrate import (PROFILES, DataCenter, NodeKind, ResourceDelta,
-                        SubstrateLink, SubstrateNetwork, SubstrateNode,
-                        TopologyCounts, build_reference_topology)
+from .substrate import (PROFILES, NodeKind, ResourceDelta, SubstrateLink,
+                        SubstrateNetwork, SubstrateNode, TopologyCounts,
+                        build_reference_topology)
 from .traffic import (Departure, DynamicArrival, LoadModel, SliceClass,
                       SliceRequest, StaticArrival, arrival_rate, class_rng,
                       event_sort_key, export_events, generate_events,
-                      load_events, reference_classes, request_from_class,
-                      sample_arrivals)
+                      load_events, request_from_class, sample_arrivals)
 
 __version__ = TOOL_VERSION
 
@@ -42,16 +41,16 @@ __all__ = [
     "per_class_tar", "plot_data", "tar",
     "write_phase_csv", "write_plot_json", "write_records_csv",
     "PlacementEpisodeState", "PlacementOutcome", "apply_action",
-    "episode_reward", "fail_step", "is_feasible", "rollback", "route",
-    "route_all", "run_steps",
+    "episode_reward", "fail_step", "rollback", "route", "route_all",
+    "run_steps",
     "RunManifest", "Scenario", "load_scenario", "parse_scenario",
     "AgentPolicy", "HeuristicPolicy", "Simulation",
-    "PROFILES", "DataCenter", "NodeKind", "ResourceDelta", "SubstrateLink",
+    "PROFILES", "NodeKind", "ResourceDelta", "SubstrateLink",
     "SubstrateNetwork", "SubstrateNode", "TopologyCounts",
     "build_reference_topology",
     "Departure", "DynamicArrival", "LoadModel", "SliceClass",
     "SliceRequest", "StaticArrival", "arrival_rate", "class_rng",
     "event_sort_key", "export_events", "generate_events", "load_events",
-    "reference_classes", "request_from_class", "sample_arrivals",
+    "request_from_class", "sample_arrivals",
     "__version__",
 ]

@@ -24,15 +24,15 @@ move within an episode.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import CheckpointError, ConfigurationError
 from .heuristic import HeuristicAdvice, heu_select
-from .networks import (SliceNet, load_checkpoint, log_softmax, manifest_field,
-                       normalized_propagation, save_checkpoint, softmax)
+from .networks import (SliceNet, finite_number, load_checkpoint, log_softmax,
+                       manifest_field, normalized_propagation, save_checkpoint,
+                       softmax, whole_number)
 from .placement import (PlacementEpisodeState, apply_action, episode_reward,
                         run_steps)
 from .substrate import SubstrateNetwork
@@ -72,12 +72,16 @@ class AgentConfig:
         if self.variant not in VARIANTS:
             raise ConfigurationError(
                 f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if self.actor_lr <= 0 or self.critic_lr <= 0:
-            raise ConfigurationError("learning rates must be > 0")
+        for name in ("actor_lr", "critic_lr"):
+            if getattr(self, name) <= 0:
+                raise ConfigurationError(f"{name} must be > 0")
         if not 0 < self.gamma <= 1:
             raise ConfigurationError("gamma must be in (0, 1]")
         if uses_heuristic(self.variant) and self.beta <= 0:
             raise ConfigurationError("beta must be > 0 for ha variants")
+        if self.seed < 0:
+            raise ConfigurationError(
+                f"seed must be a whole number >= 0, got {self.seed!r}")
 
     @classmethod
     def for_variant(cls, variant: str, **overrides) -> "AgentConfig":
@@ -124,8 +128,9 @@ class FeatureScaler:
         of the request's VNFs already placed on the node.
 
         The incident bw of a node sums its links in neighbour order, as
-        `net.outgoing_bw` does: reducing over axis 0 adds the gathered
-        rows one after another, so every sum rounds the same way.
+        the tests' `oracles.outgoing_bw` does: reducing over axis 0 adds
+        the gathered rows one after another, so every sum rounds the
+        same way.
         """
         bw = np.array(net.bw + [0.0])
         feats = np.empty((len(net.nodes), 4))
@@ -359,18 +364,6 @@ class Agent:
         def field(name, convert=None):
             return manifest_field(manifest, name, "agent checkpoint", convert)
 
-        def number(value):
-            # NaN fails the comparison; an int is compared exactly
-            if (isinstance(value, bool) or not isinstance(value, (int, float))
-                    or not abs(value) <= sys.float_info.max):
-                raise TypeError(f"must be a finite float, got {value!r}")
-            return value
-
-        def whole(value):
-            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-                raise TypeError(f"must be a whole number >= 0, got {value!r}")
-            return value
-
         if manifest.get("kind") != "agent":
             raise CheckpointError("checkpoint does not hold an agent")
         if field("net_fingerprint") != net.fingerprint():
@@ -383,9 +376,9 @@ class Agent:
                 "actions target servers only")
         try:
             config = AgentConfig.for_variant(
-                variant, gamma=field("gamma", number),
-                xi=field("xi", number), eta=field("eta", number),
-                beta=field("beta", number))
+                variant, gamma=field("gamma", finite_number),
+                xi=field("xi", finite_number), eta=field("eta", finite_number),
+                beta=field("beta", finite_number))
         except ConfigurationError as exc:
             raise CheckpointError(f"agent checkpoint: {exc}") from exc
         agent = cls(config, net, load_model)
@@ -395,5 +388,5 @@ class Agent:
             raise CheckpointError(
                 "checkpoint action space does not match this substrate")
         agent.load_arrays(arrays)
-        agent.episodes_trained = field("episodes_trained", whole)
+        agent.episodes_trained = field("episodes_trained", whole_number)
         return agent

@@ -26,7 +26,8 @@ from .errors import SliceSimError
 from .metrics import write_phase_csv, write_plot_json, write_records_csv
 from .networks import load_checkpoint
 from .scenario import RunManifest, Scenario, TOOL_VERSION, load_scenario
-from .simulation import AgentPolicy, HeuristicPolicy, Simulation
+from .simulation import (AgentPolicy, HeuristicPolicy, Simulation,
+                         snapshot_manifest)
 from .traffic import SliceRequest, check_horizon, export_events, load_events
 
 
@@ -34,12 +35,17 @@ from .traffic import SliceRequest, check_horizon, export_events, load_events
 _AGENT_FLOATS = ("beta", "xi", "eta", "gamma", "actor_lr", "critic_lr")
 
 
-def _count(text: str) -> int:
-    """argparse type of a count: a whole number >= 1."""
-    if not text.isdecimal() or int(text) < 1:
+def _count(text: str, minimum: int = 1) -> int:
+    """argparse type of a count: a whole number >= minimum."""
+    if not text.isdecimal() or int(text) < minimum:
         raise argparse.ArgumentTypeError(
-            f"must be a whole number >= 1, got {text!r}")
+            f"must be a whole number >= {minimum}, got {text!r}")
     return int(text)
+
+
+def _seed(text: str) -> int:
+    """argparse type of a seed: a whole number >= 0."""
+    return _count(text, minimum=0)
 
 
 def _out_dir(args) -> str:
@@ -52,7 +58,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scenario", required=True,
                    help="scenario file path or bundled name "
                         "(reference, desk, tiny)")
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=_seed, default=None,
                    help="traffic seed (default: the scenario's)")
     p.add_argument("--horizon", type=float, default=None,
                    help="traffic horizon override, time units")
@@ -198,7 +204,7 @@ def cmd_export_events(args) -> int:
 def cmd_inspect_checkpoint(args) -> int:
     manifest, arrays = load_checkpoint(args.path)
     if "manifest_json" in manifest:
-        inner = json.loads(manifest["manifest_json"])
+        inner = snapshot_manifest(manifest)
         inner["tensors"] = manifest.get("tensors", [])
         manifest = inner
     manifest["total_parameters"] = int(sum(
@@ -225,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--" + key.replace("_", "-"), type=float,
                        default=None, dest=key,
                        help=f"agent {key} (default: scenario)")
-    p.add_argument("--agent-seed", type=int, default=None, dest="agent_seed")
+    p.add_argument("--agent-seed", type=_seed, default=None, dest="agent_seed")
     p.add_argument("--seeds", type=_count, default=1,
                    help="number of independent runs (seed, seed+1, ...)")
     p.add_argument("--episodes", type=_count, default=None, dest="arrivals",
@@ -244,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export-events", help="write a traffic file")
     p.add_argument("--scenario", required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--horizon", type=float, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_export_events)

@@ -33,6 +33,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,9 +108,6 @@ class ParameterSet:
     def __getitem__(self, name: str) -> np.ndarray:
         return self.values[name]
 
-    def zero_grad(self) -> None:
-        self.grads.clear()
-
     def sgd_step(self, lr: float) -> None:
         """Descend lr along every stored gradient, then drop the gradients.
 
@@ -132,9 +130,6 @@ class ParameterSet:
                 g *= lr
                 w -= g
         self.grads.clear()
-
-    def count(self) -> int:
-        return sum(v.size for v in self.values.values())
 
     def arrays(self) -> dict[str, np.ndarray]:
         return dict(self.values)
@@ -398,6 +393,24 @@ def manifest_field(manifest: dict, name: str, what: str = "checkpoint",
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(
             f"{what} field {name!r} is malformed: {exc}") from exc
+
+
+def finite_number(value):
+    """value when it is a finite int or float, else a TypeError; a
+    `manifest_field` convert."""
+    # NaN fails the comparison; an int is compared exactly
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):
+        raise TypeError(f"must be a finite number, got {value!r}")
+    return value
+
+
+def whole_number(value):
+    """value when it is an int >= 0, else a TypeError; a
+    `manifest_field` convert."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise TypeError(f"must be a whole number >= 0, got {value!r}")
+    return value
 
 
 def load_checkpoint(path):

@@ -162,12 +162,6 @@ class PlacementOutcome:
         }
 
 
-def is_feasible(state: PlacementEpisodeState, net: SubstrateNetwork,
-                target: int) -> bool:
-    """The acceptance predicate of apply_action, without side effects."""
-    return _evaluate(state, net, target) is not None
-
-
 def _evaluate(state: PlacementEpisodeState, net: SubstrateNetwork, target: int,
               paths: dict[int, tuple] | None = None):
     """Return the feasible path for this step (possibly empty), else None.

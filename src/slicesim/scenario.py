@@ -94,9 +94,10 @@ def _number(mapping: dict, key: str, path: str, convert=float):
     raw = mapping[key]
     try:
         value = convert(raw)
+        finite = math.isfinite(value)
     except (OverflowError, TypeError, ValueError) as exc:
         raise ScenarioError(f"{where}: {exc}") from exc
-    if not math.isfinite(value):
+    if not finite:
         raise ScenarioError(f"{where}: must be finite, got {raw!r}")
     return value
 
@@ -139,7 +140,7 @@ def _parse_topology(raw, path: str) -> TopologyCounts:
     _reject_unknown(raw, _TOPOLOGY_KEYS, path)
     if "profile" in raw:
         profile = raw["profile"]
-        if profile not in PROFILES:
+        if not isinstance(profile, str) or profile not in PROFILES:
             raise ScenarioError(
                 f"{path}.profile: unknown profile {profile!r} "
                 f"(choices: {sorted(PROFILES)})")
@@ -192,13 +193,21 @@ def parse_scenario(raw: dict, name: str = "scenario") -> Scenario:
     numbers = _numbers(raw, Scenario, "")
     if numbers["horizon"] <= 0:
         raise ScenarioError("horizon: must be > 0")
+    if numbers.get("seed", 0) < 0:
+        raise ScenarioError(
+            f"seed: must be a whole number >= 0, got {raw['seed']!r}")
     agent_defaults = raw.get("agent", {})
     if agent_defaults is None:
         agent_defaults = {}
     if not isinstance(agent_defaults, dict):
         raise ScenarioError("agent: must be a mapping")
     _reject_unknown(agent_defaults, _AGENT_KEYS, "agent")
-    _numbers(agent_defaults, AgentConfig, "agent", required=False)
+    try:
+        AgentConfig.for_variant(
+            agent_defaults.get("variant", "drl"),
+            **_numbers(agent_defaults, AgentConfig, "agent", required=False))
+    except ConfigurationError as exc:
+        raise ScenarioError(f"agent: {exc}") from exc
     scenario = Scenario(
         name=str(raw.get("name", name)),
         topology=topology,
@@ -208,12 +217,16 @@ def parse_scenario(raw: dict, name: str = "scenario") -> Scenario:
     )
     if scenario.phase_size < 1:
         raise ScenarioError("phase_size: must be >= 1")
-    # the load bound needs the built topology's capacities
-    net = scenario.build_network()
+    # the built topology must hold some of every resource, and each
+    # dynamic class must stay within the load bound its capacities set
+    try:
+        net = scenario.build_network()
+        LoadModel.from_network([], net)
+    except ConfigurationError as exc:
+        raise ScenarioError(f"topology: {exc}") from exc
     for i, cls in enumerate(classes):
         try:
-            LoadModel([cls], {j: net.total_capacity(j)
-                              for j in ("cpu", "ram", "bw")})
+            LoadModel.from_network([cls], net)
         except ConfigurationError as exc:
             raise ScenarioError(
                 f"classes[{i}].arrival.amplitude: {exc}") from exc

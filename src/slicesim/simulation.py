@@ -25,7 +25,8 @@ from .agent import Agent
 from .errors import CheckpointError, InvariantError
 from .heuristic import heu_place_full
 from .metrics import AcceptanceRecord
-from .networks import load_checkpoint, manifest_field, save_checkpoint
+from .networks import (finite_number, load_checkpoint, manifest_field,
+                       save_checkpoint, whole_number)
 from .substrate import ResourceDelta, SubstrateNetwork
 from .traffic import Departure, Event, SliceRequest
 
@@ -96,13 +97,53 @@ class AgentPolicy:
         def field(name, convert):
             return manifest_field(manifest, name, "snapshot policy", convert)
 
-        episodes_trained = field("episodes_trained", int)
-        heu_queries = field("heu_queries", int)
+        episodes_trained = field("episodes_trained", whole_number)
+        heu_queries = field("heu_queries", whole_number)
         rng_state = field("rng_state", checked_rng_state)
         a.load_arrays(arrays)
         a.episodes_trained = episodes_trained
         a.heu_queries = heu_queries
         a.rng.bit_generator.state = rng_state
+
+
+def snapshot_manifest(outer: dict) -> dict:
+    """The run manifest a snapshot's outer manifest holds as JSON; a
+    CheckpointError when it is missing, not JSON or not a mapping."""
+    manifest = manifest_field(outer, "manifest_json", "simulation snapshot",
+                              json.loads)
+    if not isinstance(manifest, dict):
+        raise CheckpointError("simulation snapshot field 'manifest_json' "
+                              "does not hold a mapping")
+    return manifest
+
+
+def _ledger_entry(raw, net: SubstrateNetwork) -> ResourceDelta:
+    """A ledger entry read back by `ResourceDelta.from_dict`; a
+    ValueError unless it holds finite amounts >= 0 on this network's
+    nodes and links."""
+    delta = ResourceDelta.from_dict(raw)
+    for node in (*delta.node_cpu, *delta.node_ram):
+        if not 0 <= node < len(net.nodes):
+            raise ValueError(f"node {node} is not a node of this network")
+    for key in delta.link_bw:
+        if key not in net.links:
+            raise ValueError(f"link {key} is not a link of this network")
+    for amount in (*delta.node_cpu.values(), *delta.node_ram.values(),
+                   *delta.link_bw.values()):
+        if finite_number(amount) < 0:
+            raise ValueError(f"amount {amount!r} is negative")
+    return delta
+
+
+def _record(raw) -> AcceptanceRecord:
+    """An [index, uid, class_id, accepted, time] row of a snapshot."""
+    index, uid, class_id, accepted, time = raw
+    if whole_number(accepted) > 1:
+        raise ValueError(f"accepted flag must be 0 or 1, got {accepted!r}")
+    return AcceptanceRecord(index=whole_number(index), uid=whole_number(uid),
+                            class_id=whole_number(class_id),
+                            accepted=bool(accepted),
+                            time=float(finite_number(time)))
 
 
 class Simulation:
@@ -210,7 +251,7 @@ class Simulation:
         outer, arrays = load_checkpoint(path)
         if "manifest_json" not in outer:
             raise CheckpointError("not a simulation snapshot")
-        manifest = json.loads(outer["manifest_json"])
+        manifest = snapshot_manifest(outer)
 
         def field(name, convert=None):
             return manifest_field(manifest, name, "simulation snapshot",
@@ -229,14 +270,12 @@ class Simulation:
             raise CheckpointError(
                 f"snapshot holds policy {manifest['policy_name']!r}, "
                 f"running {self.policy.name!r}")
-        clock = field("clock", float)
-        cursor = field("cursor", int)
+        clock = field("clock", lambda raw: float(finite_number(raw)))
+        cursor = field("cursor", whole_number)
         ledger = field("ledger", lambda raw: {
-            int(uid): ResourceDelta.from_dict(d) for uid, d in raw.items()})
-        records = field("records", lambda raw: [
-            AcceptanceRecord(index=i, uid=u, class_id=c, accepted=bool(acc),
-                             time=t)
-            for i, u, c, acc, t in raw])
+            whole_number(int(uid)): _ledger_entry(d, self.net)
+            for uid, d in raw.items()})
+        records = field("records", lambda raw: [_record(r) for r in raw])
         if field("arrivals_seen") != len(records):
             raise CheckpointError("simulation snapshot field 'arrivals_seen' "
                                   f"does not count its {len(records)} records")

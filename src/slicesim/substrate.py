@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import math
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -81,15 +81,13 @@ class SubstrateNode:
 
 
 class SubstrateLink:
-    """An undirected link a < b; its bandwidth is a view onto the
-    network's per-link lists at `index`, its position in `links`."""
+    """An undirected link; its bandwidth is a view onto the network's
+    per-link lists at `index`, its position in `links`."""
 
-    __slots__ = ("a", "b", "index", "_net")
+    __slots__ = ("index", "_net")
 
-    def __init__(self, net: "SubstrateNetwork", a: int, b: int, index: int):
+    def __init__(self, net: "SubstrateNetwork", index: int):
         self._net = net
-        self.a = a
-        self.b = b
         self.index = index
 
     @property
@@ -105,16 +103,7 @@ class SubstrateLink:
         self._net.bw[self.index] = float(value)
 
     def __repr__(self) -> str:
-        return (f"SubstrateLink(a={self.a}, b={self.b}, "
-                f"cap_bw={self.cap_bw})")
-
-
-@dataclass
-class DataCenter:
-    id: int
-    tier: str  # "edc" | "cdc" | "ccp"
-    switch: int
-    servers: list[int] = field(default_factory=list)
+        return f"SubstrateLink(index={self.index}, cap_bw={self.cap_bw})"
 
 
 def _link_key(a: int, b: int) -> tuple[int, int]:
@@ -191,7 +180,6 @@ class SubstrateNetwork:
         # link_index[n][m]: index of the link between n and m, keyed in
         # ascending neighbour order
         self.link_index: list[dict[int, int]] = []
-        self.data_centers: dict[int, DataCenter] = {}
         self.servers: list[int] = []
         self.cpu: list[float] = []
         self.ram: list[float] = []
@@ -225,7 +213,7 @@ class SubstrateNetwork:
         if key in self.links:
             raise ConfigurationError(f"duplicate link {key}")
         index = len(self.bw)
-        self.links[key] = SubstrateLink(self, key[0], key[1], index)
+        self.links[key] = SubstrateLink(self, index)
         self.max_bw.append(max_bw)
         self.bw.append(max_bw)
         for n, m in ((a, b), (b, a)):
@@ -234,15 +222,6 @@ class SubstrateNetwork:
         self.route_table.clear()
 
     # -- lookups ------------------------------------------------------
-
-    def link(self, a: int, b: int) -> SubstrateLink:
-        return self.links[_link_key(a, b)]
-
-    def outgoing_bw(self, n: int) -> float:
-        """Sum of residual bandwidth over all links incident to node n."""
-        if not 0 <= n < len(self.nodes):
-            raise KeyError(f"unknown node id {n}")
-        return sum(self.bw[k] for k in self.link_index[n].values())
 
     def max_outgoing_bw(self, n: int) -> float:
         return sum(self.max_bw[k] for k in self.link_index[n].values())
@@ -437,25 +416,24 @@ def build_reference_topology(scale: str | TopologyCounts = "full") -> SubstrateN
     cdc_switches: list[int] = []
     ccp_switch: int | None = None
 
-    def add_dc(tier: str, n_servers: int, intra_bw: float) -> int:
+    # dc ids number the EDCs, then the CDCs, then the CCP
+    def add_dc(n_servers: int, intra_bw: float) -> int:
         nonlocal dc_id
-        this_id = dc_id
-        dc_id += 1
-        servers = [net.add_node(NodeKind.SERVER, this_id,
+        servers = [net.add_node(NodeKind.SERVER, dc_id,
                                 counts.server_cpu, counts.server_ram)
                    for _ in range(n_servers)]
-        switch = net.add_node(NodeKind.SWITCH, this_id)
+        switch = net.add_node(NodeKind.SWITCH, dc_id)
         for s in servers:
             net.add_link(s, switch, intra_bw)
-        net.data_centers[this_id] = DataCenter(this_id, tier, switch, servers)
+        dc_id += 1
         return switch
 
     for _ in range(counts.edc_count):
-        edc_switches.append(add_dc("edc", counts.servers_per_edc, EDC_INTRA_BW))
+        edc_switches.append(add_dc(counts.servers_per_edc, EDC_INTRA_BW))
     for _ in range(counts.cdc_count):
-        cdc_switches.append(add_dc("cdc", counts.servers_per_cdc, CDC_INTRA_BW))
+        cdc_switches.append(add_dc(counts.servers_per_cdc, CDC_INTRA_BW))
     if counts.ccp_servers > 0:
-        ccp_switch = add_dc("ccp", counts.ccp_servers, CCP_INTRA_BW)
+        ccp_switch = add_dc(counts.ccp_servers, CCP_INTRA_BW)
 
     # EDC e attaches to CDC e//3; profiles with fewer CDCs wrap around.
     if cdc_switches:

@@ -388,15 +388,3 @@ def _event_record(line: str, where: str) -> dict:
                                 f"{value!r}")
     return record
 
-
-def reference_classes() -> list[SliceClass]:
-    """The two bundled request classes: a dynamic volatile class and a
-    static long-term class, both with the eMBB per-VNF demand profile."""
-    return [
-        SliceClass(id=0, name="volatile", vnf_count=5, req_cpu=25.0,
-                   req_ram=150.0, req_bw=2.0, mean_lifetime=20.0,
-                   arrival=DynamicArrival(amplitude=1.5, period=96.0)),
-        SliceClass(id=1, name="longterm", vnf_count=10, req_cpu=25.0,
-                   req_ram=150.0, req_bw=2.0, mean_lifetime=500.0,
-                   arrival=StaticArrival(rate=0.02)),
-    ]

@@ -6,13 +6,17 @@ central finite differences and a per-step autodiff tape instead of the
 networks' batched closed-form gradients, one candidate at a time and a
 keyed sort instead of the traffic generator's array passes. Slow is
 fine, shared code with the package under test is not (the tape in
-slicesim.autodiff is kept for these oracles only).
+slicesim.autodiff is kept for these oracles only). The exception is
+`is_feasible`: it names the package's own acceptance predicate, so that
+tests can hold it against `brute_feasible`.
 """
 
 import numpy as np
 
 from slicesim.autodiff import Tensor, concat, log_softmax
 from slicesim.networks import GCN_LAYERS
+from slicesim.placement import _evaluate
+from slicesim.substrate import NodeKind
 from slicesim.traffic import (Departure, arrival_rate, class_rng,
                               event_sort_key, request_from_class)
 
@@ -29,7 +33,7 @@ def all_feasible_paths(net, src, dst, bw):
         for nxt in net.link_index[node]:
             if nxt in seen:
                 continue
-            if net.link(node, nxt).cap_bw + _EPS < bw:
+            if net.bw[net.link_index[node][nxt]] + _EPS < bw:
                 continue
             if nxt == dst:
                 found.append(tuple(acc) + (nxt,))
@@ -42,6 +46,27 @@ def all_feasible_paths(net, src, dst, bw):
 
     walk(src, {src}, [src])
     return found
+
+
+def data_centers(net):
+    """{dc_id: (switch, servers)} grouped from the nodes' dc_id, in id
+    order."""
+    members = {}
+    for node in net.nodes:
+        members.setdefault(node.dc_id, []).append(node)
+    return {dc: (next(n.id for n in nodes if n.kind is NodeKind.SWITCH),
+                 [n.id for n in nodes if n.kind is NodeKind.SERVER])
+            for dc, nodes in sorted(members.items())}
+
+
+def outgoing_bw(net, n):
+    """Residual bandwidth summed over node n's links in neighbour order."""
+    return sum(net.bw[k] for k in net.link_index[n].values())
+
+
+def is_feasible(state, net, target):
+    """The acceptance predicate of `apply_action`, without side effects."""
+    return _evaluate(state, net, target) is not None
 
 
 def brute_route(net, src, dst, bw):

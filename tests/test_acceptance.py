@@ -22,9 +22,7 @@ from slicesim import (
     episode_reward,
     gar,
     heu_select,
-    is_feasible,
     load_scenario,
-    reference_classes,
     sample_arrivals,
     tar,
 )
@@ -36,7 +34,7 @@ from slicesim.substrate import build_reference_topology
 
 from conftest import line_net, make_request, random_substrate, uniform_request
 from oracles import (brute_feasible, brute_heu_choice, finite_diff_grad,
-                     gcn_forward)
+                     gcn_forward, is_feasible)
 
 TOTAL_CPU = 6300.0  # 126 servers x 50
 
@@ -44,7 +42,7 @@ TOTAL_CPU = 6300.0  # 126 servers x 50
 # -- 1: offered load ----------------------------------------------------------
 
 def test_criterion_1_offered_load_values():
-    model = LoadModel.from_network(reference_classes(),
+    model = LoadModel.from_network(load_scenario("reference").classes,
                                    build_reference_topology("full"))
     volatile, longterm = model.classes
 
@@ -210,7 +208,7 @@ def test_criterion_5_gradients_match_finite_differences():
         nspr = feat_rng.uniform(0.0, 1.0, size=4)
 
         actor = SliceNet(prop, n_actions, False, "tanh", rng, gcn_width=2)
-        assert actor.params.count() <= 200
+        assert sum(v.size for v in actor.params.arrays().values()) <= 200
         action = int(feat_rng.integers(n_actions))
 
         def actor_loss():
@@ -224,7 +222,7 @@ def test_criterion_5_gradients_match_finite_differences():
             actor.backward(acts, grad)
 
         critic = SliceNet(prop, 1, False, "relu", rng, gcn_width=2)
-        assert critic.params.count() <= 200
+        assert sum(v.size for v in critic.params.arrays().values()) <= 200
 
         def critic_loss():
             return critic.forward(psn, nspr)[0]
@@ -236,7 +234,7 @@ def test_criterion_5_gradients_match_finite_differences():
         for net, loss, backward in ((actor, actor_loss, actor_backward),
                                     (critic, critic_loss, critic_backward)):
             x0 = flat_params(net)
-            net.params.zero_grad()
+            net.params.grads.clear()
             backward()
             analytic = flat_grads(net)
 

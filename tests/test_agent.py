@@ -26,7 +26,7 @@ from slicesim.agent import FeatureScaler, TraceStep
 from slicesim.networks import load_checkpoint, save_checkpoint, softmax
 
 from conftest import uniform_request
-from oracles import tape_update
+from oracles import outgoing_bw, tape_update
 
 
 def tiny_classes():
@@ -127,7 +127,7 @@ def test_psn_features_match_per_node_sums_on_reference():
     state.hosts.extend([net.servers[7], net.servers[7]])
     visits = {net.servers[7]: 2}
     oracle = np.array([(node.cap_cpu / scaler.cpu, node.cap_ram / scaler.ram,
-                        net.outgoing_bw(node.id) / scaler.bw,
+                        outgoing_bw(net, node.id) / scaler.bw,
                         visits.get(node.id, 0) / 3)
                        for node in net.nodes])
     assert max(len(links) for links in net.link_index) >= 8

@@ -1,16 +1,21 @@
 """Property tests: arbitrary input fails with a named ScenarioError or
 CheckpointError."""
 
+import copy
 import functools
 import json
 import re
 import struct
+from dataclasses import fields
 
+import yaml
 from hypothesis import given, settings, strategies as st
 
 from slicesim import (Agent, AgentConfig, CheckpointError, DynamicArrival,
                       ScenarioError, SliceClass, StaticArrival,
-                      build_reference_topology, load_events)
+                      TopologyCounts, build_reference_topology, load_events,
+                      parse_scenario)
+from slicesim.scenario import bundled_scenario_path
 
 CLASSES = [
     SliceClass(id=0, vnf_count=5, req_cpu=25.0, req_ram=150.0, req_bw=2.0,
@@ -129,3 +134,55 @@ def test_agent_load_loads_or_names_a_checkpoint_error(tmp_path_factory,
         Agent.load(path, NET)
     except CheckpointError:
         pass
+
+
+# -- scenario documents -----------------------------------------------------------
+
+TINY = yaml.safe_load(bundled_scenario_path("tiny").read_text())
+COUNT_KEYS = [f.name for f in fields(TopologyCounts)]
+
+# Where one value of tiny's document is replaced, or one key added.
+SCENARIO_PATH = st.one_of(
+    st.sampled_from(["name", "seed", "horizon", "phase_size", "topology",
+                     "classes", "agent", "extra"]).map(lambda k: (k,)),
+    st.tuples(st.just("topology"), st.sampled_from(["profile", "extra"])),
+    st.tuples(st.just("classes"), st.integers(0, 1)),
+    st.tuples(st.just("classes"), st.integers(0, 1),
+              st.sampled_from(sorted(TINY["classes"][0]) + ["extra"])),
+    st.tuples(st.just("classes"), st.integers(0, 1), st.just("arrival"),
+              st.sampled_from(["kind", "amplitude", "period", "rate"])),
+    st.tuples(st.just("agent"),
+              st.sampled_from(["variant", "actor_lr", "critic_lr", "gamma",
+                               "xi", "eta", "beta", "seed", "extra"])))
+
+# The builder makes as many data centres and servers as a count says, so
+# a count that reads as a number is drawn from 0-4.
+SMALL_OR_NOT_A_NUMBER = st.one_of(st.integers(0, 4), ANY_VALUE.filter(
+    lambda v: isinstance(v, bool) or not isinstance(v, (int, float))
+    or not v > 4))
+
+CHANGE = st.one_of(
+    st.tuples(SCENARIO_PATH, ANY_JSON),
+    st.tuples(st.sampled_from(COUNT_KEYS).map(lambda k: ("topology", k)),
+              SMALL_OR_NOT_A_NUMBER))
+
+# A dotted field path from a top-level key, then a colon.
+FIELD_PATH = re.compile(r"(seed|horizon|phase_size|topology|classes|agent|"
+                        r"extra)(\[\d+\])?(\..*?)?: ", re.S)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(change=CHANGE)
+def test_parse_scenario_loads_or_names_the_field(change):
+    path, value = change
+    doc = copy.deepcopy(TINY)
+    if path[-1] in COUNT_KEYS:      # tiny's topology as explicit counts
+        doc["topology"] = {"edc_count": 1, "servers_per_edc": 3}
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    try:
+        parse_scenario(doc, "fuzz")
+    except ScenarioError as exc:
+        assert FIELD_PATH.match(str(exc)), str(exc)

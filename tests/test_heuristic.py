@@ -11,11 +11,10 @@ from slicesim import (
     apply_action,
     heu_place_full,
     heu_select,
-    is_feasible,
 )
 
 from conftest import line_net, random_substrate, uniform_request
-from oracles import brute_heu_choice
+from oracles import brute_heu_choice, is_feasible
 
 
 def test_empty_substrate_picks_first_server(tiny_net):

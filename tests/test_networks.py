@@ -86,7 +86,8 @@ def test_parameter_count_actor_no_load():
         + (GCN_LAYERS - 1) * (GCN_WIDTH * GCN_WIDTH + GCN_WIDTH)
     nspr = NSPR_INPUT_WIDTH * NSPR_FC_WIDTH + NSPR_FC_WIDTH
     out = (GCN_WIDTH * 4 + NSPR_FC_WIDTH) * 3 + 3
-    assert net.params.count() == gcn + nspr + out
+    assert sum(v.size for v in net.params.arrays().values()) \
+        == gcn + nspr + out
     assert net.combined_width == GCN_WIDTH * 4 + NSPR_FC_WIDTH
 
 
@@ -115,7 +116,7 @@ def test_sgd_step_and_zero_grad():
     np.testing.assert_allclose(w, [0.95, 2.1])     # stepped in place
     assert not params.grads                        # a step uses them up
     params.grads["w"] = np.array([1.0, 1.0])
-    params.zero_grad()
+    params.grads.clear()
     assert not params.grads
 
 

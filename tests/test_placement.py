@@ -14,7 +14,6 @@ from slicesim import (
     apply_action,
     episode_reward,
     fail_step,
-    is_feasible,
     load_scenario,
     route,
     route_all,
@@ -23,6 +22,7 @@ from slicesim import placement
 from slicesim.placement import server_closeness
 
 from conftest import line_net, make_request, random_substrate, uniform_request
+from oracles import is_feasible
 from oracles import brute_route
 
 
@@ -155,7 +155,7 @@ def test_cached_route_all_equals_the_sweep_and_brute_force():
             for a, b in net.links:
                 if rng.random() < 0.3:
                     delta.add_link(a, b, float(rng.uniform(0.0, 1.0))
-                                   * net.link(a, b).cap_bw)
+                                   * net.bw[net.link_index[a][b]])
             net.commit(delta)
             low = min(net.bw)
             for bw in (low - 0.5, low, low + 1e-9, low + 1e-8, 1.0, 3.0):
@@ -227,8 +227,8 @@ def test_second_step_across_two_hops():
     assert out.delta_b == 2.0       # target judged before its own commit
     assert out.delta_c == 0.5       # two hops through the switch
     assert out.step_product() == 100.0
-    assert net.link(0, 2).cap_bw == 8.0
-    assert net.link(1, 2).cap_bw == 8.0
+    assert net.bw[net.link_index[0][2]] == 8.0
+    assert net.bw[net.link_index[1][2]] == 8.0
 
 
 def test_colocation_scores_full_closeness():
@@ -241,7 +241,7 @@ def test_colocation_scores_full_closeness():
     assert out.delta_b == pytest.approx(40.0 / 50.0 + 240.0 / 300.0)
     assert state.hosts.count(0) == 2
     # co-location consumed no bandwidth
-    assert net.link(0, 2).cap_bw == 10.0
+    assert net.bw[net.link_index[0][2]] == 10.0
 
 
 def test_infeasible_step_fails_and_rolls_back():

@@ -18,6 +18,7 @@ import yaml
 from slicesim import (PROFILES, Agent, ScenarioError, SliceRequest,
                       load_events, load_scenario)
 from slicesim.cli import main
+from slicesim.networks import save_checkpoint
 from slicesim.scenario import (RunManifest, bundled_scenario_path,
                                parse_scenario)
 
@@ -172,6 +173,25 @@ def test_parse_uses_filename_when_unnamed(tmp_path):
      "classes\\[1\\].arrival.period: unknown field \\(known: kind, rate\\)"),
     (lambda d: d["classes"][1]["arrival"].__setitem__("amplitude", 1.0),
      "classes\\[1\\].arrival.amplitude: unknown field"),
+    # seeds, a profile that is not a name, a number beyond the float
+    # range, and an agent: section that AgentConfig refuses
+    (lambda d: d.__setitem__("seed", -5),
+     "seed: must be a whole number >= 0, got -5"),
+    (lambda d: d.__setitem__("agent", {"seed": -1}),
+     "agent: seed must be a whole number >= 0, got -1"),
+    (lambda d: d.__setitem__("topology", {"profile": []}),
+     "topology.profile: unknown profile \\[\\]"),
+    (lambda d: d["classes"][0].__setitem__("id", 10 ** 400),
+     "classes\\[0\\].id: int too large"),
+    (lambda d: d.__setitem__("agent", {"variant": "zzz"}),
+     "agent: variant must be one of"),
+    (lambda d: d.__setitem__("agent", {"gamma": 5}),
+     "agent: gamma must be in"),
+    (lambda d: d.__setitem__("agent", {"actor_lr": -1}),
+     "agent: actor_lr must be > 0"),
+    (lambda d: d.__setitem__("topology", {"edc_count": 1,
+                                          "servers_per_edc": 0}),
+     "topology: total capacity of 'cpu' must be > 0"),
 ])
 def test_parse_errors_name_the_field(mutate, path_fragment):
     doc = scenario_doc()
@@ -560,7 +580,10 @@ def test_cli_bad_checkpoint_path_exits_2(tmp_path, capsys):
     ("simulate", "--arrivals", "0"), ("simulate", "--arrivals", "-3"),
     ("simulate", "--arrivals", "2.5"), ("train", "--episodes", "0"),
     ("train", "--seeds", "0"), ("train", "--checkpoint-every", "0"),
-    ("train", "--checkpoint-every", "-1")])
+    ("train", "--checkpoint-every", "-1"),
+    # seeds are whole numbers >= 0
+    ("simulate", "--seed", "-2"), ("train", "--agent-seed", "-4"),
+    ("export-events", "--seed", "-2")])
 def test_cli_refuses_a_count_below_one(tmp_path, capsys, command, flag,
                                        value):
     out = tmp_path / "out"
@@ -570,6 +593,15 @@ def test_cli_refuses_a_count_below_one(tmp_path, capsys, command, flag,
     assert exc.value.code == 2
     assert f"argument {flag}: must be " in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_inspect_checkpoint_names_a_garbled_snapshot(tmp_path, capsys):
+    snap = tmp_path / "garbled.snap"
+    save_checkpoint(snap, {"manifest_json": "{not json"}, {})
+    assert run_cli("inspect-checkpoint", str(snap)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: simulation snapshot field 'manifest_json'")
+    assert err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("case", ["events-is-a-directory",

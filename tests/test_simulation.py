@@ -296,8 +296,65 @@ def widen_actor_output(manifest, arrays):
     arrays["policy.actor.out.w"] = np.zeros((w.shape[0], w.shape[1] + 1))
 
 
-@pytest.mark.parametrize("corrupt", [drop_rng_state, widen_actor_output])
-def test_failed_restore_leaves_the_run_unchanged(tmp_path, corrupt):
+def fractional_episodes_trained(manifest, arrays):
+    manifest["policy"]["episodes_trained"] = 2.7
+
+
+def string_heu_queries(manifest, arrays):
+    manifest["policy"]["heu_queries"] = "4"
+
+
+def fractional_cursor(manifest, arrays):
+    manifest["cursor"] = 35.7
+
+
+def string_clock(manifest, arrays):
+    manifest["clock"] = str(manifest["clock"])
+
+
+def garbled_manifest_json(manifest, arrays):
+    return "{not json"
+
+
+def first_ledger_entry(manifest):
+    assert manifest["ledger"]
+    return next(iter(manifest["ledger"].values()))
+
+
+def ledger_amount_not_a_number(manifest, arrays):
+    cpu = first_ledger_entry(manifest)["node_cpu"]
+    cpu[next(iter(cpu))] = "x"
+
+
+def ledger_node_not_in_the_network(manifest, arrays):
+    cpu = first_ledger_entry(manifest)["node_cpu"]
+    cpu["999"] = cpu.pop(next(iter(cpu)))
+
+
+def ledger_amount_nan(manifest, arrays):
+    ram = first_ledger_entry(manifest)["node_ram"]
+    ram[next(iter(ram))] = float("nan")
+
+
+def record_uid_not_a_number(manifest, arrays):
+    manifest["records"][0][1] = "a"
+
+
+# each corruption, and the field its CheckpointError names
+CORRUPTIONS = [
+    (drop_rng_state, "rng_state"), (widen_actor_output, "out.w"),
+    (fractional_episodes_trained, "episodes_trained"),
+    (string_heu_queries, "heu_queries"), (fractional_cursor, "cursor"),
+    (string_clock, "clock"), (garbled_manifest_json, "manifest_json"),
+    (ledger_amount_not_a_number, "ledger"),
+    (ledger_node_not_in_the_network, "ledger"),
+    (ledger_amount_nan, "ledger"), (record_uid_not_a_number, "records")]
+
+
+@pytest.mark.parametrize("corrupt,field", [
+    pytest.param(corrupt, field, id=corrupt.__name__)
+    for corrupt, field in CORRUPTIONS])
+def test_failed_restore_leaves_the_run_unchanged(tmp_path, corrupt, field):
     def fresh():
         net, events = tiny_stream()
         agent = Agent(AgentConfig.for_variant("drl"), net)
@@ -309,8 +366,8 @@ def test_failed_restore_leaves_the_run_unchanged(tmp_path, corrupt):
     sim.snapshot(snap)
     outer, arrays = load_checkpoint(snap)
     manifest = json.loads(outer["manifest_json"])
-    corrupt(manifest, arrays)
-    save_checkpoint(snap, {"manifest_json": json.dumps(manifest)}, arrays)
+    text = corrupt(manifest, arrays) or json.dumps(manifest)
+    save_checkpoint(snap, {"manifest_json": text}, arrays)
 
     target = fresh()
     target.run(max_arrivals=3)
@@ -320,7 +377,7 @@ def test_failed_restore_leaves_the_run_unchanged(tmp_path, corrupt):
     residuals = target.net.residuals()
     actor = {k: v.copy()
              for k, v in target.policy.agent.actor.params.arrays().items()}
-    with pytest.raises(CheckpointError):
+    with pytest.raises(CheckpointError, match=f"'{field}'"):
         target.restore(snap)
     assert (target.clock, target.cursor) == (clock, cursor)
     assert {uid: d.to_dict() for uid, d in target.ledger.items()} == ledger

@@ -16,6 +16,7 @@ from slicesim import (
 )
 
 from conftest import line_net
+from oracles import data_centers, outgoing_bw
 
 
 # -- reference topology -----------------------------------------------------
@@ -31,22 +32,17 @@ def test_full_profile_counts(full_net_template):
 
 
 def test_full_profile_tiers(full_net_template):
-    tiers = {}
-    for dc in full_net_template.data_centers.values():
-        tiers.setdefault(dc.tier, []).append(dc)
-    assert len(tiers["edc"]) == 15
-    assert len(tiers["cdc"]) == 5
-    assert len(tiers["ccp"]) == 1
-    assert all(len(dc.servers) == 4 for dc in tiers["edc"])
-    assert all(len(dc.servers) == 10 for dc in tiers["cdc"])
-    assert len(tiers["ccp"][0].servers) == 16
+    # dc ids number the 15 EDCs, then the 5 CDCs, then the CCP
+    sizes = [len(servers)
+             for _, servers in data_centers(full_net_template).values()]
+    assert sizes == [4] * 15 + [10] * 5 + [16]
 
 
 def test_every_server_is_a_star_leaf(full_net_template):
     net = full_net_template
-    for dc in net.data_centers.values():
-        for s in dc.servers:
-            assert list(net.link_index[s]) == [dc.switch]
+    for switch, servers in data_centers(net).values():
+        for s in servers:
+            assert list(net.link_index[s]) == [switch]
 
 
 def test_server_capacities(full_net_template):
@@ -86,11 +82,11 @@ def test_connectivity(full_net_template):
 
 def test_cdc_ring_is_closed(full_net_template):
     net = full_net_template
-    ring = [dc.switch for dc in net.data_centers.values() if dc.tier == "cdc"]
+    ring = [switch for switch, _ in list(data_centers(net).values())[15:20]]
     assert len(ring) == 5
     for i, sw in enumerate(ring):
         nxt = ring[(i + 1) % len(ring)]
-        assert net.link(sw, nxt).max_bw == 100.0
+        assert net.max_bw[net.link_index[sw][nxt]] == 100.0
 
 
 def test_unknown_profile_rejected():
@@ -116,14 +112,13 @@ def test_builder_validation():
 # -- resource accounting ----------------------------------------------------
 
 def test_outgoing_bw_after_commit(full_net):
-    ccp = next(dc for dc in full_net.data_centers.values()
-               if dc.tier == "ccp")
-    server = ccp.servers[0]
+    switch, servers = data_centers(full_net)[20]     # the CCP
+    server = servers[0]
     assert full_net.max_outgoing_bw(server) == 100.0
     delta = ResourceDelta()
-    delta.add_link(server, ccp.switch, 2.0)
+    delta.add_link(server, switch, 2.0)
     full_net.commit(delta)
-    assert full_net.outgoing_bw(server) == 98.0
+    assert outgoing_bw(full_net, server) == 98.0
     assert full_net.max_outgoing_bw(server) == 100.0
 
 
@@ -185,14 +180,14 @@ def test_random_commit_release_walk_is_lossless(small_net):
             s = int(rng.choice(small_net.servers))
             node = small_net.nodes[s]
             switch = list(small_net.link_index[s])[0]
-            link = small_net.link(s, switch)
+            cap_bw = small_net.bw[small_net.link_index[s][switch]]
             # integer demands, like real traffic: release order then
             # cannot lose precision
             delta = ResourceDelta()
             delta.add_node(s, cpu=float(rng.integers(0, int(node.cap_cpu) + 1)),
                            ram=float(rng.integers(0, int(node.cap_ram) + 1)))
             delta.add_link(s, switch,
-                           float(rng.integers(0, int(link.cap_bw) + 1)))
+                           float(rng.integers(0, int(cap_bw) + 1)))
             if delta.is_empty():
                 continue
             small_net.commit(delta)

@@ -24,7 +24,6 @@ from slicesim import (
     generate_events,
     load_events,
     load_scenario,
-    reference_classes,
     request_from_class,
     sample_arrivals,
 )
@@ -115,7 +114,7 @@ def test_request_from_class():
 
 
 def test_reference_classes_round_numbers():
-    classes = {c.name: c for c in reference_classes()}
+    classes = {c.name: c for c in load_scenario("reference").classes}
     v, lt = classes["volatile"], classes["longterm"]
     assert (v.vnf_count, v.mean_lifetime) == (5, 20.0)
     assert (v.arrival.amplitude, v.arrival.period) == (1.5, 96.0)
