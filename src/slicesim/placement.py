@@ -204,15 +204,8 @@ def apply_action(state: PlacementEpisodeState, net: SubstrateNetwork,
     # delta_b reads the residuals the agent saw, before this commit
     delta_b, delta_c = step_scores(net, target, path)
     v = state.next_vnf
-    delta = ResourceDelta()
-    req_cpu, req_ram = state.request.vnfs[v - 1]
-    delta.add_node(target, cpu=req_cpu, ram=req_ram)
-    if path:
-        bw = state.request.vls[v - 2]
-        for a, b in zip(path, path[1:]):
-            delta.add_link(a, b, bw)
-    net.commit(delta)
-    state.committed.merge(delta)
+    bw = state.request.vls[v - 2] if v > 1 else 0.0
+    net.commit(state.committed, target, *state.request.vnfs[v - 1], path, bw)
     state.hosts.append(target)
     return PlacementOutcome(True, SUCCESS_REWARD, delta_b, delta_c, path,
                             terminal=state.done)

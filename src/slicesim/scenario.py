@@ -144,6 +144,10 @@ def _parse_topology(raw, path: str) -> TopologyCounts:
             raise ScenarioError(
                 f"{path}.profile: unknown profile {profile!r} "
                 f"(choices: {sorted(PROFILES)})")
+        counts = sorted(str(k) for k in raw if k != "profile")
+        if counts:
+            raise ScenarioError(f"{path}.{counts[0]}: a count beside "
+                                "profile; give a profile or counts, not both")
         return PROFILES[profile]
     counts = _numbers(raw, TopologyCounts, path)
     try:

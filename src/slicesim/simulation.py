@@ -279,10 +279,20 @@ class Simulation:
         if field("arrivals_seen") != len(records):
             raise CheckpointError("simulation snapshot field 'arrivals_seen' "
                                   f"does not count its {len(records)} records")
-        link_keys = sorted(self.net.links)
+        if cursor > len(self.events):
+            raise CheckpointError(
+                f"simulation snapshot field 'cursor' is {cursor}, beyond "
+                f"the {len(self.events)} events of this run")
+        arrived = sum(isinstance(ev, SliceRequest)
+                      for ev in self.events[:cursor])
+        if arrived != len(records):
+            raise CheckpointError(
+                f"simulation snapshot field 'cursor' is {cursor}, past "
+                f"{arrived} arrivals, not its {len(records)} records")
+        net = self.net
+        link_keys = sorted(net.links)
         residuals = {}
-        for name, size in (("cpu", len(self.net.nodes)),
-                           ("ram", len(self.net.nodes)),
+        for name, size in (("cpu", len(net.nodes)), ("ram", len(net.nodes)),
                            ("bw", len(link_keys))):
             array = arrays.get(f"net.{name}")
             if array is None or array.shape != (size,):
@@ -290,11 +300,12 @@ class Simulation:
                     f"simulation snapshot array 'net.{name}' is missing or "
                     f"not of length {size}")
             residuals[name] = array.tolist()
-        residuals["bw"] = dict(zip(link_keys, residuals["bw"]))
         # the policy checks its own state before it assigns any of it
         self.policy.load_state(field("policy"),
                                {k[len("policy."):]: v for k, v in arrays.items()
                                 if k.startswith("policy.")})
         self.clock, self.cursor = clock, cursor
         self.ledger, self.records = ledger, records
-        self.net.set_residuals(residuals)
+        net.cpu[:], net.ram[:] = residuals["cpu"], residuals["ram"]
+        for key, value in zip(link_keys, residuals["bw"]):
+            net.bw[net.links[key].index] = value

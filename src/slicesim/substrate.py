@@ -1,10 +1,12 @@
 """Physical substrate network: typed nodes, capacitated links, resource accounting.
 
 The substrate is a connected undirected graph. Servers carry CPU/RAM
-capacities, every link carries bandwidth. Residual capacities are mutated
-only through :meth:`SubstrateNetwork.commit` and
-:meth:`SubstrateNetwork.release`, which are atomic and inverse of each
-other, so a simulation can always restore the exact pre-placement state.
+capacities, every link carries bandwidth. During a run, residual
+capacities change only through :meth:`SubstrateNetwork.commit`, which
+takes one placement step into a request's holding, and
+:meth:`SubstrateNetwork.release`, which gives a holding back. Both are
+atomic, so releasing a request's holding restores the exact
+pre-placement state.
 """
 
 from __future__ import annotations
@@ -111,36 +113,17 @@ def _link_key(a: int, b: int) -> tuple[int, int]:
 
 
 class ResourceDelta:
-    """A set of per-node CPU/RAM and per-link bandwidth decrements.
+    """What one request holds: per-node CPU/RAM and per-link bandwidth.
 
-    Also serves as the per-slice ledger entry: committing a delta at
-    placement time and releasing the same delta at departure restores the
-    substrate exactly.
+    It is the request's ledger entry. `SubstrateNetwork.commit` adds each
+    placement step to it; `SubstrateNetwork.release` gives all of it back,
+    restoring the substrate exactly.
     """
 
     def __init__(self):
         self.node_cpu: dict[int, float] = {}
         self.node_ram: dict[int, float] = {}
         self.link_bw: dict[tuple[int, int], float] = {}
-
-    def add_node(self, node: int, cpu: float = 0.0, ram: float = 0.0) -> None:
-        if cpu:
-            self.node_cpu[node] = self.node_cpu.get(node, 0.0) + cpu
-        if ram:
-            self.node_ram[node] = self.node_ram.get(node, 0.0) + ram
-
-    def add_link(self, a: int, b: int, bw: float) -> None:
-        if bw:
-            key = _link_key(a, b)
-            self.link_bw[key] = self.link_bw.get(key, 0.0) + bw
-
-    def merge(self, other: "ResourceDelta") -> None:
-        for n, v in other.node_cpu.items():
-            self.node_cpu[n] = self.node_cpu.get(n, 0.0) + v
-        for n, v in other.node_ram.items():
-            self.node_ram[n] = self.node_ram.get(n, 0.0) + v
-        for k, v in other.link_bw.items():
-            self.link_bw[k] = self.link_bw.get(k, 0.0) + v
 
     def is_empty(self) -> bool:
         return not (self.node_cpu or self.node_ram or self.link_bw)
@@ -258,33 +241,48 @@ class SubstrateNetwork:
 
     # -- resource accounting -------------------------------------------
 
-    def commit(self, delta: ResourceDelta) -> None:
-        """Atomically decrement residuals; raises CapacityError untouched on any shortfall."""
-        cpu, ram, bw, links = self.cpu, self.ram, self.bw, self.links
-        for n, d in delta.node_cpu.items():
-            if d > cpu[n] + _EPS:
-                raise CapacityError(
-                    f"node {n}: cpu commit {d} exceeds residual {cpu[n]}")
-        for n, d in delta.node_ram.items():
-            if d > ram[n] + _EPS:
-                raise CapacityError(
-                    f"node {n}: ram commit {d} exceeds residual {ram[n]}")
-        for key, d in delta.link_bw.items():
-            if key not in links:
+    def commit(self, held: ResourceDelta, node: int, cpu: float, ram: float,
+               path: tuple = (), bw: float = 0.0) -> None:
+        """Take one step into a request's holding: cpu and ram on node, bw
+        on every link of path (a route, so no link twice).
+
+        Every amount is checked first: a shortfall, or a pair on path with
+        no link, raises CapacityError with nothing taken. held gains the
+        amounts under the node id and the link keys; a zero adds no entry.
+        """
+        bws, links = self.bw, self.links
+        if cpu > self.cpu[node] + _EPS:
+            raise CapacityError(
+                f"node {node}: cpu commit {cpu} exceeds residual {self.cpu[node]}")
+        if ram > self.ram[node] + _EPS:
+            raise CapacityError(
+                f"node {node}: ram commit {ram} exceeds residual {self.ram[node]}")
+        hops = []
+        for a, b in zip(path, path[1:]):
+            key = _link_key(a, b)
+            link = links.get(key)
+            if link is None:
                 raise CapacityError(f"no link {key}")
-            i = links[key].index
-            if d > bw[i] + _EPS:
+            if bw > bws[link.index] + _EPS:
                 raise CapacityError(
-                    f"link {key}: bw commit {d} exceeds residual {bw[i]}")
-        for n, d in delta.node_cpu.items():
-            cpu[n] -= d
-        for n, d in delta.node_ram.items():
-            ram[n] -= d
-        for key, d in delta.link_bw.items():
-            bw[links[key].index] -= d
+                    f"link {key}: bw commit {bw} exceeds residual "
+                    f"{bws[link.index]}")
+            hops.append((key, link.index))
+        if cpu:
+            self.cpu[node] -= cpu
+            held.node_cpu[node] = held.node_cpu.get(node, 0.0) + cpu
+        if ram:
+            self.ram[node] -= ram
+            held.node_ram[node] = held.node_ram.get(node, 0.0) + ram
+        if bw:
+            link_bw = held.link_bw
+            for key, i in hops:
+                bws[i] -= bw
+                link_bw[key] = link_bw.get(key, 0.0) + bw
 
     def release(self, delta: ResourceDelta) -> None:
-        """Inverse of commit; raises AccountingError untouched if a residual would exceed its maximum."""
+        """Give a request's holding back; raises AccountingError with
+        nothing returned if a residual would exceed its maximum."""
         cpu, ram, bw, links = self.cpu, self.ram, self.bw, self.links
         for n, d in delta.node_cpu.items():
             if cpu[n] + d > self.max_cpu[n] + _EPS:
@@ -317,17 +315,6 @@ class SubstrateNetwork:
             "ram": list(self.ram),
             "bw": dict(zip(self.links, self.bw)),
         }
-
-    def set_residuals(self, state: dict) -> None:
-        """Overwrite the residuals with a `residuals()` copy."""
-        cpu = [float(v) for v in state["cpu"]]
-        ram = [float(v) for v in state["ram"]]
-        bw = [float(state["bw"][key]) for key in self.links]
-        if len(cpu) != len(self.nodes) or len(ram) != len(self.nodes):
-            raise ConfigurationError(
-                f"residuals hold {len(cpu)} cpu and {len(ram)} ram values "
-                f"for {len(self.nodes)} nodes")
-        self.cpu[:], self.ram[:], self.bw[:] = cpu, ram, bw
 
     def fingerprint(self) -> str:
         """Hash of the immutable topology (wiring and maximum capacities)."""

@@ -118,11 +118,10 @@ def test_psn_features_match_per_node_sums_on_reference():
     for _ in range(300):
         src, dst = (int(s) for s in rng.choice(net.servers, 2, replace=False))
         path = route(net, src, dst, 0.0)
-        delta = ResourceDelta()
-        delta.add_node(src, cpu=rng.uniform(0.0, 1.0), ram=rng.uniform(0.0, 6.0))
+        held = ResourceDelta()
+        net.commit(held, src, rng.uniform(0.0, 1.0), rng.uniform(0.0, 6.0))
         for a, b in zip(path, path[1:]):
-            delta.add_link(a, b, rng.uniform(0.0, 0.2))
-        net.commit(delta)
+            net.commit(held, a, 0.0, 0.0, (a, b), rng.uniform(0.0, 0.2))
     state = PlacementEpisodeState(uniform_request(3, 5.0, 5.0, 1.0))
     state.hosts.extend([net.servers[7], net.servers[7]])
     visits = {net.servers[7]: 2}

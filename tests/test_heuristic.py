@@ -27,9 +27,7 @@ def test_empty_substrate_picks_first_server(tiny_net):
 def test_residual_capacity_outranks_closeness():
     # prev host is server 0; server 2 is farther but emptier
     net = line_net([(50.0, 300.0), (50.0, 300.0), (50.0, 300.0)], bw=10.0)
-    load = ResourceDelta()
-    load.add_node(1, cpu=20.0, ram=100.0)
-    net.commit(load)
+    net.commit(ResourceDelta(), 1, 20.0, 100.0)
     state = PlacementEpisodeState(uniform_request(2, 5.0, 5.0, 1.0))
     apply_action(state, net, 0)
     advice = heu_select(state, net)
@@ -63,9 +61,7 @@ def test_equal_scores_fall_to_smallest_id():
 def test_unreachable_servers_are_skipped():
     # plenty of capacity on server 2 but the second hop is too narrow
     net = line_net(3, bw=[10.0, 1.0])
-    load = ResourceDelta()
-    load.add_node(0, cpu=40.0, ram=200.0)
-    net.commit(load)
+    net.commit(ResourceDelta(), 0, 40.0, 200.0)
     state = PlacementEpisodeState(uniform_request(2, 5.0, 5.0, 2.0))
     apply_action(state, net, 0)
     advice = heu_select(state, net)
@@ -75,9 +71,8 @@ def test_unreachable_servers_are_skipped():
 def test_saturated_substrate_yields_no_advice():
     net = line_net(2, bw=10.0)
     fill = ResourceDelta()
-    fill.add_node(0, cpu=50.0)
-    fill.add_node(1, cpu=50.0)
-    net.commit(fill)
+    net.commit(fill, 0, 50.0, 0.0)
+    net.commit(fill, 1, 50.0, 0.0)
     state = PlacementEpisodeState(uniform_request(1, 5.0, 5.0, 1.0))
     advice = heu_select(state, net)
     assert not advice.exists
@@ -198,9 +193,7 @@ def test_place_full_traces_each_step(tiny_net):
 
 def test_place_full_reject_trace_marks_failure():
     net = line_net(1, bw=10.0)
-    fill = ResourceDelta()
-    fill.add_node(0, cpu=50.0)
-    net.commit(fill)
+    net.commit(ResourceDelta(), 0, 50.0, 0.0)
     rows = []
     accepted, _, _ = heu_place_full(uniform_request(1, 5.0, 5.0, 1.0),
                                     net, trace_sink=rows.append)

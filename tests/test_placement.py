@@ -69,9 +69,7 @@ def test_route_tie_breaks_to_smallest_sequence():
     assert route(net, 0, 3, 1.0) == (0, 1, 3)
     # saturating the preferred branch flips the choice
     assert route(net, 0, 3, 10.0) == (0, 1, 3)
-    delta = ResourceDelta()
-    delta.add_link(0, 1, 5.0)
-    net.commit(delta)
+    net.commit(ResourceDelta(), 1, 0.0, 0.0, (0, 1), 5.0)
     assert route(net, 0, 3, 10.0) == (0, 2, 3)
 
 
@@ -100,11 +98,10 @@ def bipartite_partly_saturated(rng, left, right):
     for a in a_side:
         for b in b_side:
             net.add_link(int(a), int(b), 4.0)
-    delta = ResourceDelta()
+    held = ResourceDelta()
     for a, b in net.links:
         if rng.random() < 0.4:
-            delta.add_link(a, b, float(rng.integers(1, 4)))
-    net.commit(delta)
+            net.commit(held, a, 0.0, 0.0, (a, b), float(rng.integers(1, 4)))
     return net
 
 
@@ -151,12 +148,12 @@ def test_cached_route_all_equals_the_sweep_and_brute_force():
              for _ in range(10)]
     for net in nets:
         for _ in range(3):
-            delta = ResourceDelta()
+            held = ResourceDelta()
             for a, b in net.links:
                 if rng.random() < 0.3:
-                    delta.add_link(a, b, float(rng.uniform(0.0, 1.0))
-                                   * net.bw[net.link_index[a][b]])
-            net.commit(delta)
+                    net.commit(held, a, 0.0, 0.0, (a, b),
+                               float(rng.uniform(0.0, 1.0))
+                               * net.bw[net.link_index[a][b]])
             low = min(net.bw)
             for bw in (low - 0.5, low, low + 1e-9, low + 1e-8, 1.0, 3.0):
                 for src in range(len(net.nodes)):

@@ -6,6 +6,7 @@ and file layout without spawning subprocesses.
 """
 
 import copy
+import hashlib
 import json
 import os
 import subprocess
@@ -181,6 +182,10 @@ def test_parse_uses_filename_when_unnamed(tmp_path):
      "agent: seed must be a whole number >= 0, got -1"),
     (lambda d: d.__setitem__("topology", {"profile": []}),
      "topology.profile: unknown profile \\[\\]"),
+    # a profile takes no counts beside it
+    (lambda d: d.__setitem__("topology", {"profile": "tiny", "edc_count": 5,
+                                          "servers_per_edc": 9}),
+     "topology.edc_count: a count beside profile"),
     (lambda d: d["classes"][0].__setitem__("id", 10 ** 400),
      "classes\\[0\\].id: int too large"),
     (lambda d: d.__setitem__("agent", {"variant": "zzz"}),
@@ -442,6 +447,28 @@ def test_cli_rerun_is_byte_identical(tmp_path):
     for suffix in (".csv", ".phases.csv", ".manifest.json"):
         name = "tiny-heuristic-seed0" + suffix
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def test_cli_heuristic_output_bytes_are_pinned(tmp_path):
+    """`simulate` on reference, seed 1, 3,000 arrivals writes the same
+    CSVs and per-step trace as before; any change to the heuristic, the
+    routing or the accounting that moves a result moves these digests."""
+    trace = tmp_path / "trace.jsonl"
+    assert run_cli("simulate", "--scenario", "reference", "--seed", "1",
+                   "--arrivals", "3000", "--out-dir", str(tmp_path),
+                   "--export-trace", str(trace)) == 0
+    base = tmp_path / "reference-heuristic-seed1"
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in (base.with_suffix(".csv"),
+                            base.with_suffix(".phases.csv"), trace)}
+    assert digests == {
+        "reference-heuristic-seed1.csv":
+            "49ce73c20199f0d149a7981baa3cdaf81725168c7846695e12ad27974bdeb96d",
+        "reference-heuristic-seed1.phases.csv":
+            "f1876f4564a07750a80945ca3d75fd5603c4bbbf53082ad78cc404d6357d4811",
+        "trace.jsonl":
+            "4c4e5ee581d4a89a294206fcce38e87fc4e878954f0809714fb94f912916c3f4",
+    }
 
 
 def test_cli_replay_matches_generated_traffic(tmp_path):

@@ -308,6 +308,18 @@ def fractional_cursor(manifest, arrays):
     manifest["cursor"] = 35.7
 
 
+def cursor_beyond_the_stream(manifest, arrays):
+    manifest["cursor"] = 1000000
+
+
+def cursor_behind_its_records(manifest, arrays):
+    manifest["cursor"] = 0
+
+
+def truncated_link_residuals(manifest, arrays):
+    arrays["net.bw"] = arrays["net.bw"][:-1]
+
+
 def string_clock(manifest, arrays):
     manifest["clock"] = str(manifest["clock"])
 
@@ -345,6 +357,8 @@ CORRUPTIONS = [
     (drop_rng_state, "rng_state"), (widen_actor_output, "out.w"),
     (fractional_episodes_trained, "episodes_trained"),
     (string_heu_queries, "heu_queries"), (fractional_cursor, "cursor"),
+    (cursor_beyond_the_stream, "cursor"), (cursor_behind_its_records, "cursor"),
+    (truncated_link_residuals, "net.bw"),
     (string_clock, "clock"), (garbled_manifest_json, "manifest_json"),
     (ledger_amount_not_a_number, "ledger"),
     (ledger_node_not_in_the_network, "ledger"),

@@ -115,9 +115,7 @@ def test_outgoing_bw_after_commit(full_net):
     switch, servers = data_centers(full_net)[20]     # the CCP
     server = servers[0]
     assert full_net.max_outgoing_bw(server) == 100.0
-    delta = ResourceDelta()
-    delta.add_link(server, switch, 2.0)
-    full_net.commit(delta)
+    full_net.commit(ResourceDelta(), server, 0.0, 0.0, (server, switch), 2.0)
     assert outgoing_bw(full_net, server) == 98.0
     assert full_net.max_outgoing_bw(server) == 100.0
 
@@ -126,9 +124,8 @@ def test_commit_release_round_trip(small_net):
     before = small_net.residuals()
     delta = ResourceDelta()
     s = small_net.servers[0]
-    delta.add_node(s, cpu=10.0, ram=20.0)
-    delta.add_link(s, list(small_net.link_index[s])[0], 3.0)
-    small_net.commit(delta)
+    small_net.commit(delta, s, 10.0, 20.0,
+                     (s, list(small_net.link_index[s])[0]), 3.0)
     assert small_net.nodes[s].cap_cpu == small_net.nodes[s].max_cpu - 10.0
     assert small_net.residuals() != before
     small_net.release(delta)
@@ -136,25 +133,36 @@ def test_commit_release_round_trip(small_net):
 
 
 def test_overcommit_rejected_atomically(small_net):
-    s0, s1 = small_net.servers[:2]
-    before = small_net.residuals()
-    delta = ResourceDelta()
-    delta.add_node(s0, cpu=1.0)
-    delta.add_node(s1, cpu=small_net.nodes[s1].max_cpu + 1.0)
-    with pytest.raises(CapacityError):
-        small_net.commit(delta)
-    # the feasible part of the delta must not have leaked through
+    """A step whose node fits but whose path link is short takes nothing."""
+    s = small_net.servers[0]
+    switch = list(small_net.link_index[s])[0]
+    held = ResourceDelta()
+    small_net.commit(held, s, 1.0, 2.0)
+    before, held_before = small_net.residuals(), held.to_dict()
+    short = small_net.bw[small_net.link_index[s][switch]] + 1.0
+    with pytest.raises(CapacityError, match="bw commit"):
+        small_net.commit(held, s, 1.0, 2.0, (s, switch), short)
+    # the node's cpu and ram, which fit, must not have leaked through
     assert small_net.residuals() == before
+    assert held.to_dict() == held_before
+
+
+def test_a_path_pair_without_a_link_is_rejected_atomically():
+    net = line_net(3, bw=5.0)
+    held = ResourceDelta()
+    before = net.residuals()
+    with pytest.raises(CapacityError, match=r"no link \(0, 2\)"):
+        net.commit(held, 2, 1.0, 1.0, (1, 0, 2), 1.0)
+    assert net.residuals() == before
+    assert held.is_empty()
 
 
 def test_over_release_rejected_atomically(small_net):
     s0 = small_net.servers[0]
-    commit = ResourceDelta()
-    commit.add_node(s0, cpu=5.0)
-    small_net.commit(commit)
+    small_net.commit(ResourceDelta(), s0, 5.0, 0.0)
     after_commit = small_net.residuals()
     bad = ResourceDelta()
-    bad.add_node(s0, cpu=6.0)
+    bad.node_cpu[s0] = 6.0
     with pytest.raises(AccountingError):
         small_net.release(bad)
     assert small_net.residuals() == after_commit
@@ -162,10 +170,8 @@ def test_over_release_rejected_atomically(small_net):
 
 def test_bandwidth_overcommit_rejected():
     net = line_net(2, bw=5.0)
-    delta = ResourceDelta()
-    delta.add_link(0, 1, 6.0)
     with pytest.raises(CapacityError):
-        net.commit(delta)
+        net.commit(ResourceDelta(), 1, 0.0, 0.0, (0, 1), 6.0)
 
 
 def test_random_commit_release_walk_is_lossless(small_net):
@@ -184,13 +190,12 @@ def test_random_commit_release_walk_is_lossless(small_net):
             # integer demands, like real traffic: release order then
             # cannot lose precision
             delta = ResourceDelta()
-            delta.add_node(s, cpu=float(rng.integers(0, int(node.cap_cpu) + 1)),
-                           ram=float(rng.integers(0, int(node.cap_ram) + 1)))
-            delta.add_link(s, switch,
-                           float(rng.integers(0, int(cap_bw) + 1)))
+            small_net.commit(
+                delta, s, float(rng.integers(0, int(node.cap_cpu) + 1)),
+                float(rng.integers(0, int(node.cap_ram) + 1)), (s, switch),
+                float(rng.integers(0, int(cap_bw) + 1)))
             if delta.is_empty():
                 continue
-            small_net.commit(delta)
             committed.append(delta)
         for n in small_net.nodes:
             assert -1e-9 <= n.cap_cpu <= n.max_cpu + 1e-9
@@ -202,19 +207,15 @@ def test_random_commit_release_walk_is_lossless(small_net):
     assert small_net.residuals() == initial
 
 
-def test_resource_delta_merge_and_dict_round_trip():
+def test_commits_add_up_in_one_holding_and_round_trip():
+    net = line_net(3, bw=10.0)
     a = ResourceDelta()
-    a.add_node(0, cpu=1.0, ram=2.0)
-    a.add_link(0, 1, 3.0)
-    b = ResourceDelta()
-    b.add_node(0, cpu=0.5)
-    b.add_node(2, ram=1.0)
-    b.add_link(1, 0, 1.0)  # same link, opposite orientation
-    a.merge(b)
-    assert a.node_cpu[0] == 1.5
-    assert a.node_ram[0] == 2.0
-    assert a.node_ram[2] == 1.0
-    assert a.link_bw[(0, 1)] == 4.0
+    assert a.is_empty()
+    net.commit(a, 0, 1.0, 2.0, (2, 1, 0), 3.0)
+    net.commit(a, 0, 0.5, 0.0, (0, 1), 1.0)  # same link, other orientation
+    assert a.node_cpu == {0: 1.5}
+    assert a.node_ram == {0: 2.0}           # a zero amount adds no entry
+    assert a.link_bw == {(1, 2): 3.0, (0, 1): 4.0}
     restored = ResourceDelta.from_dict(a.to_dict())
     assert restored.node_cpu == a.node_cpu
     assert restored.node_ram == a.node_ram
@@ -241,25 +242,12 @@ def test_fingerprint_identifies_topology_not_load():
     a = build_reference_topology("tiny")
     b = build_reference_topology("tiny")
     assert a.fingerprint() == b.fingerprint()
-    delta = ResourceDelta()
-    delta.add_node(a.servers[0], cpu=1.0)
-    a.commit(delta)
+    a.commit(ResourceDelta(), a.servers[0], 1.0, 0.0)
     assert a.fingerprint() == b.fingerprint()
     assert a.fingerprint() != build_reference_topology("small").fingerprint()
     different = TopologyCounts(edc_count=1, servers_per_edc=3,
                                server_cpu=60.0)
     assert build_reference_topology(different).fingerprint() != b.fingerprint()
-
-
-def test_residuals_set_residuals_round_trip(small_net):
-    delta = ResourceDelta()
-    delta.add_node(small_net.servers[0], cpu=7.0)
-    small_net.commit(delta)
-    saved = small_net.residuals()
-    small_net.release(delta)
-    small_net.set_residuals(saved)
-    assert small_net.nodes[small_net.servers[0]].cap_cpu == \
-        small_net.nodes[small_net.servers[0]].max_cpu - 7.0
 
 
 def test_capacities_are_views_onto_one_record(small_net):
@@ -282,15 +270,6 @@ def test_capacities_are_views_onto_one_record(small_net):
     copy = small_net.residuals()
     copy["cpu"][s] = -1.0
     assert node.cap_cpu == node.max_cpu - 1.0
-
-
-def test_set_residuals_checks_lengths(small_net):
-    state = small_net.residuals()
-    state["cpu"] = state["cpu"][:-1]
-    before = small_net.residuals()
-    with pytest.raises(ConfigurationError, match="residuals hold"):
-        small_net.set_residuals(state)
-    assert small_net.residuals() == before
 
 
 def test_wiring_clears_the_route_table():
