@@ -180,7 +180,6 @@ class Agent:
                                "relu", np.random.default_rng(critic_ss))
         self.rng = np.random.default_rng(sample_ss)
         self.episodes_trained = 0
-        self.heu_queries = 0
 
     # -- observation and action selection ---------------------------------
 
@@ -250,7 +249,6 @@ class Agent:
             advice = None
             if uses_heuristic(self.config.variant):
                 advice = heu_select(state, net)
-                self.heu_queries += 1
             psn, nspr, load = self.observe(state, net, forecast)
             target, trace_step = self.select_action(psn, nspr, load, advice)
             steps.append(trace_step)

@@ -26,8 +26,7 @@ from .errors import SliceSimError
 from .metrics import write_phase_csv, write_plot_json, write_records_csv
 from .networks import load_checkpoint
 from .scenario import RunManifest, Scenario, TOOL_VERSION, load_scenario
-from .simulation import (AgentPolicy, HeuristicPolicy, Simulation,
-                         snapshot_manifest)
+from .simulation import AgentPolicy, HeuristicPolicy, Simulation
 from .traffic import SliceRequest, check_horizon, export_events, load_events
 
 
@@ -203,10 +202,6 @@ def cmd_export_events(args) -> int:
 
 def cmd_inspect_checkpoint(args) -> int:
     manifest, arrays = load_checkpoint(args.path)
-    if "manifest_json" in manifest:
-        inner = snapshot_manifest(manifest)
-        inner["tensors"] = manifest.get("tensors", [])
-        manifest = inner
     manifest["total_parameters"] = int(sum(
         int(v.size) for v in arrays.values()))
     print(json.dumps(manifest, indent=2, sort_keys=True, default=str))

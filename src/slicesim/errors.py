@@ -30,7 +30,7 @@ class ScenarioError(ConfigurationError):
 
 
 class CheckpointError(SliceSimError):
-    """A checkpoint or snapshot is unreadable or incompatible."""
+    """A checkpoint is unreadable or incompatible."""
 
 
 class InvariantError(SliceSimError):

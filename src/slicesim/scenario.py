@@ -153,7 +153,9 @@ def _parse_topology(raw, path: str) -> TopologyCounts:
     try:
         return TopologyCounts(**counts)
     except ConfigurationError as exc:
-        raise ScenarioError(f"{path}: {exc}") from exc
+        # TopologyCounts names its field as "TopologyCounts.<field>: "
+        raise ScenarioError(
+            f"{path}.{str(exc).removeprefix('TopologyCounts.')}") from exc
 
 
 def _parse_class(raw, idx: int) -> SliceClass:

@@ -249,6 +249,13 @@ def check_horizon(horizon: float) -> None:
         raise ConfigurationError("horizon must be a finite number > 0")
 
 
+# Thinning draws about horizon × Σ rate_bound candidates, and the stream
+# costs about 0.4 KB and 5 µs per candidate (the reference scenario's
+# 152,000 take about 55 MB and 0.8 s). The bound, 13 times that, keeps a
+# scenario's rate or a --horizon from asking for memory without limit.
+MAX_CANDIDATES = 2_000_000
+
+
 def generate_events(model: LoadModel, horizon: float, seed: int) -> list[Event]:
     """Generate the merged arrival/departure stream over [0, horizon).
 
@@ -258,9 +265,16 @@ def generate_events(model: LoadModel, horizon: float, seed: int) -> list[Event]:
     event_sort_key: time, departures first at equal times, then class
     id, then uid. Every such key is unique, so one lexsort over the four
     columns gives that order. The requests of one class share one pair
-    of demand tuples.
+    of demand tuples. A stream that would draw more than MAX_CANDIDATES
+    candidates is refused before the first draw.
     """
     check_horizon(horizon)
+    candidates = horizon * sum(cls.rate_bound() for cls in model.classes)
+    if candidates > MAX_CANDIDATES:
+        raise ConfigurationError(
+            f"horizon: {horizon!r} at the classes' summed rate bound asks "
+            f"for about {candidates:.3g} candidate arrivals, more than the "
+            f"{MAX_CANDIDATES} a stream may draw")
 
     times: list[float] = []
     lifetimes: list[float] = []

@@ -16,6 +16,7 @@ from slicesim import (Agent, AgentConfig, CheckpointError, DynamicArrival,
                       TopologyCounts, build_reference_topology, load_events,
                       parse_scenario)
 from slicesim.scenario import bundled_scenario_path
+from slicesim.substrate import MAX_NODES
 
 CLASSES = [
     SliceClass(id=0, vnf_count=5, req_cpu=25.0, req_ram=150.0, req_bw=2.0,
@@ -155,16 +156,13 @@ SCENARIO_PATH = st.one_of(
               st.sampled_from(["variant", "actor_lr", "critic_lr", "gamma",
                                "xi", "eta", "beta", "seed", "extra"])))
 
-# The builder makes as many data centres and servers as a count says, so
-# a count that reads as a number is drawn from 0-4.
-SMALL_OR_NOT_A_NUMBER = st.one_of(st.integers(0, 4), ANY_VALUE.filter(
-    lambda v: isinstance(v, bool) or not isinstance(v, (int, float))
-    or not v > 4))
+COUNT = st.one_of(st.integers(0, 4), st.integers(MAX_NODES + 1, 10 ** 12),
+                  ANY_VALUE)
 
 CHANGE = st.one_of(
     st.tuples(SCENARIO_PATH, ANY_JSON),
     st.tuples(st.sampled_from(COUNT_KEYS).map(lambda k: ("topology", k)),
-              SMALL_OR_NOT_A_NUMBER))
+              COUNT))
 
 # A dotted field path from a top-level key, then a colon.
 FIELD_PATH = re.compile(r"(seed|horizon|phase_size|topology|classes|agent|"

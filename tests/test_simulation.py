@@ -1,4 +1,4 @@
-"""Event loop: conservation, ordering guards, snapshots, the golden run."""
+"""Event loop: conservation, ordering guards, pinned runs, the golden run."""
 
 import hashlib
 import json
@@ -11,7 +11,6 @@ from slicesim import (
     Agent,
     AgentConfig,
     AgentPolicy,
-    CheckpointError,
     Departure,
     HeuristicPolicy,
     InvariantError,
@@ -23,9 +22,9 @@ from slicesim import (
     generate_events,
     load_scenario,
     request_from_class,
+    write_records_csv,
 )
 
-from slicesim.networks import load_checkpoint, save_checkpoint
 from oracles import audit_ledger
 from test_agent import tiny_classes
 
@@ -174,237 +173,12 @@ def test_same_seed_same_records_for_training_agent():
     assert run() == run()
 
 
-# -- snapshots ----------------------------------------------------------------------
+# -- pinned trajectories ------------------------------------------------------------
 
-def test_snapshot_restore_resumes_identically(tmp_path):
-    net, events = tiny_stream(horizon=400.0)
-    sim = Simulation(net, events, HeuristicPolicy())
-    sim.run(max_arrivals=10)
-    snap = tmp_path / "mid.snap"
-    sim.snapshot(snap)
-    tail_records = sim.run(max_arrivals=25)
-    tail = [(r.index, r.uid, r.accepted) for r in tail_records]
-    end_residuals = net.residuals()
-
-    net2, events2 = tiny_stream(horizon=400.0)
-    sim2 = Simulation(net2, events2, HeuristicPolicy())
-    sim2.restore(snap)
-    assert len(sim2.records) == 10
-    redone = sim2.run(max_arrivals=25)
-    assert [(r.index, r.uid, r.accepted) for r in redone] == tail
-    assert net2.residuals() == end_residuals
-
-
-def test_snapshot_restores_training_agent(tmp_path):
-    def fresh():
-        net, events = tiny_stream(horizon=500.0, seed=3)
-        agent = Agent(AgentConfig.for_variant("ha-drl", seed=1), net)
-        return Simulation(net, events, AgentPolicy(agent, train=True))
-
-    sim = fresh()
-    sim.run(max_arrivals=8)
-    snap = tmp_path / "train.snap"
-    sim.snapshot(snap)
-    done = sim.run(max_arrivals=20)
-    finished = [(r.uid, r.accepted) for r in done]
-
-    sim2 = fresh()
-    sim2.restore(snap)
-    redone = sim2.run(max_arrivals=20)
-    assert [(r.uid, r.accepted) for r in redone] == finished
-    a1 = sim.policy.agent.actor.params.arrays()
-    a2 = sim2.policy.agent.actor.params.arrays()
-    for k in a1:
-        np.testing.assert_array_equal(a1[k], a2[k])
-
-
-def test_snapshot_guards(tmp_path):
-    net, events = tiny_stream()
-    sim = Simulation(net, events, HeuristicPolicy())
-    sim.run(max_arrivals=3)
-    snap = tmp_path / "sim.snap"
-    sim.snapshot(snap)
-
-    other_topo = Simulation(build_reference_topology("small"), events,
-                            HeuristicPolicy())
-    with pytest.raises(CheckpointError):
-        other_topo.restore(snap)
-
-    net3, other_events = tiny_stream(seed=9)
-    with pytest.raises(CheckpointError):
-        Simulation(net3, other_events, HeuristicPolicy()).restore(snap)
-
-    net4, events4 = tiny_stream()
-    agent = Agent(AgentConfig.for_variant("drl"), net4)
-    with pytest.raises(CheckpointError):
-        Simulation(net4, events4, AgentPolicy(agent)).restore(snap)
-
-
-def test_snapshot_restore_checks_the_arrival_count(tmp_path):
-    net, events = tiny_stream()
-    sim = Simulation(net, events, HeuristicPolicy())
-    sim.run(max_arrivals=5)
-    snap = tmp_path / "sim.snap"
-    sim.snapshot(snap)
-    outer, arrays = load_checkpoint(snap)
-    manifest = json.loads(outer["manifest_json"])
-    assert manifest["arrivals_seen"] == 5
-    manifest["arrivals_seen"] = 6
-    save_checkpoint(snap, {"manifest_json": json.dumps(manifest)}, arrays)
-    net2, events2 = tiny_stream()
-    with pytest.raises(CheckpointError, match="'arrivals_seen'"):
-        Simulation(net2, events2, HeuristicPolicy()).restore(snap)
-
-
-def test_snapshot_rejects_agent_checkpoint(tmp_path):
-    net, events = tiny_stream()
-    agent = Agent(AgentConfig.for_variant("drl"), net)
-    path = tmp_path / "agent.ckpt"
-    agent.save(path)
-    sim = Simulation(net, events, HeuristicPolicy())
-    with pytest.raises(CheckpointError):
-        sim.restore(path)
-
-
-@pytest.mark.parametrize("field", ["clock", "cursor", "ledger",
-                                   "episodes_trained", "rng_state"])
-def test_snapshot_restore_names_a_missing_field(tmp_path, field):
-    def fresh():
-        net, events = tiny_stream()
-        agent = Agent(AgentConfig.for_variant("drl"), net)
-        return Simulation(net, events, AgentPolicy(agent, train=False))
-
-    sim = fresh()
-    sim.run(max_arrivals=5)
-    snap = tmp_path / "sim.snap"
-    sim.snapshot(snap)
-    outer, arrays = load_checkpoint(snap)
-    manifest = json.loads(outer["manifest_json"])
-    section = manifest["policy"] if field in manifest["policy"] else manifest
-    del section[field]
-    save_checkpoint(snap, {"manifest_json": json.dumps(manifest)}, arrays)
-    with pytest.raises(CheckpointError, match=repr(field)):
-        fresh().restore(snap)
-
-
-def drop_rng_state(manifest, arrays):
-    del manifest["policy"]["rng_state"]
-
-
-def widen_actor_output(manifest, arrays):
-    w = arrays["policy.actor.out.w"]
-    arrays["policy.actor.out.w"] = np.zeros((w.shape[0], w.shape[1] + 1))
-
-
-def fractional_episodes_trained(manifest, arrays):
-    manifest["policy"]["episodes_trained"] = 2.7
-
-
-def string_heu_queries(manifest, arrays):
-    manifest["policy"]["heu_queries"] = "4"
-
-
-def fractional_cursor(manifest, arrays):
-    manifest["cursor"] = 35.7
-
-
-def cursor_beyond_the_stream(manifest, arrays):
-    manifest["cursor"] = 1000000
-
-
-def cursor_behind_its_records(manifest, arrays):
-    manifest["cursor"] = 0
-
-
-def truncated_link_residuals(manifest, arrays):
-    arrays["net.bw"] = arrays["net.bw"][:-1]
-
-
-def string_clock(manifest, arrays):
-    manifest["clock"] = str(manifest["clock"])
-
-
-def garbled_manifest_json(manifest, arrays):
-    return "{not json"
-
-
-def first_ledger_entry(manifest):
-    assert manifest["ledger"]
-    return next(iter(manifest["ledger"].values()))
-
-
-def ledger_amount_not_a_number(manifest, arrays):
-    cpu = first_ledger_entry(manifest)["node_cpu"]
-    cpu[next(iter(cpu))] = "x"
-
-
-def ledger_node_not_in_the_network(manifest, arrays):
-    cpu = first_ledger_entry(manifest)["node_cpu"]
-    cpu["999"] = cpu.pop(next(iter(cpu)))
-
-
-def ledger_amount_nan(manifest, arrays):
-    ram = first_ledger_entry(manifest)["node_ram"]
-    ram[next(iter(ram))] = float("nan")
-
-
-def record_uid_not_a_number(manifest, arrays):
-    manifest["records"][0][1] = "a"
-
-
-# each corruption, and the field its CheckpointError names
-CORRUPTIONS = [
-    (drop_rng_state, "rng_state"), (widen_actor_output, "out.w"),
-    (fractional_episodes_trained, "episodes_trained"),
-    (string_heu_queries, "heu_queries"), (fractional_cursor, "cursor"),
-    (cursor_beyond_the_stream, "cursor"), (cursor_behind_its_records, "cursor"),
-    (truncated_link_residuals, "net.bw"),
-    (string_clock, "clock"), (garbled_manifest_json, "manifest_json"),
-    (ledger_amount_not_a_number, "ledger"),
-    (ledger_node_not_in_the_network, "ledger"),
-    (ledger_amount_nan, "ledger"), (record_uid_not_a_number, "records")]
-
-
-@pytest.mark.parametrize("corrupt,field", [
-    pytest.param(corrupt, field, id=corrupt.__name__)
-    for corrupt, field in CORRUPTIONS])
-def test_failed_restore_leaves_the_run_unchanged(tmp_path, corrupt, field):
-    def fresh():
-        net, events = tiny_stream()
-        agent = Agent(AgentConfig.for_variant("drl"), net)
-        return Simulation(net, events, AgentPolicy(agent, train=True))
-
-    sim = fresh()
-    sim.run(max_arrivals=35)
-    snap = tmp_path / "sim.snap"
-    sim.snapshot(snap)
-    outer, arrays = load_checkpoint(snap)
-    manifest = json.loads(outer["manifest_json"])
-    text = corrupt(manifest, arrays) or json.dumps(manifest)
-    save_checkpoint(snap, {"manifest_json": text}, arrays)
-
-    target = fresh()
-    target.run(max_arrivals=3)
-    clock, cursor = target.clock, target.cursor
-    ledger = {uid: d.to_dict() for uid, d in target.ledger.items()}
-    records = list(target.records)
-    residuals = target.net.residuals()
-    actor = {k: v.copy()
-             for k, v in target.policy.agent.actor.params.arrays().items()}
-    with pytest.raises(CheckpointError, match=f"'{field}'"):
-        target.restore(snap)
-    assert (target.clock, target.cursor) == (clock, cursor)
-    assert {uid: d.to_dict() for uid, d in target.ledger.items()} == ledger
-    assert target.records == records
-    assert target.net.residuals() == residuals
-    after = target.policy.agent.actor.params.arrays()
-    for k in actor:
-        np.testing.assert_array_equal(after[k], actor[k])
-
-
-def test_frozen_agent_snapshot_bytes_keep_their_format(tmp_path):
-    """A frozen ha-edrl run on `tiny` snapshots to the same bytes as
-    before the closed-form update: same actions, same container."""
+def test_frozen_agent_run_keeps_its_actions_and_residuals(tmp_path):
+    """A frozen ha-edrl run on `tiny` keeps the same acceptance records,
+    residuals and ledger bits across code changes: the one pin on a
+    learner's actions."""
     scenario = load_scenario("tiny")
     net = scenario.build_network()
     events = scenario.generate_events(seed=scenario.seed)
@@ -412,10 +186,17 @@ def test_frozen_agent_snapshot_bytes_keep_their_format(tmp_path):
                   scenario.build_load_model(net))
     sim = Simulation(net, events, AgentPolicy(agent, train=False))
     sim.run(max_arrivals=40)
-    snap = tmp_path / "frozen.snap"
-    sim.snapshot(snap)
-    assert hashlib.sha256(snap.read_bytes()).hexdigest() == \
-        "c1f5dec0ea718043721c2514851efddfc2b1419c94fec74a2e92e427f00a10de"
+    csv = tmp_path / "records.csv"
+    write_records_csv(sim.records, csv)
+    assert hashlib.sha256(csv.read_bytes()).hexdigest() == \
+        "c8c508a98c2f1b54a4b534a079390b7bb04b9bf1702ec2dcb8d1e2b409360a22"
+    assert repr((net.cpu, net.ram, net.bw)) == \
+        "([20.0, 30.0, 40.0, 0.0], [120.0, 180.0, 240.0, 0.0], [9.0, 8.0, 9.0])"
+    assert repr([(uid, d.node_cpu, d.node_ram, d.link_bw)
+                 for uid, d in sim.ledger.items()]) == (
+        "[(33, {0: 10.0, 1: 10.0}, {0: 60.0, 1: 60.0}, {(0, 3): 1.0, (1, 3): 1.0}), "
+        "(38, {1: 10.0, 2: 10.0}, {1: 60.0, 2: 60.0}, {(1, 3): 1.0, (2, 3): 1.0}), "
+        "(39, {0: 20.0}, {0: 120.0}, {})]")
 
 
 @pytest.mark.parametrize("variant, arrivals", [("heuristic", 2000),

@@ -14,6 +14,7 @@ from slicesim import (
     build_reference_topology,
     route_all,
 )
+from slicesim.substrate import MAX_NODES
 
 from conftest import line_net
 from oracles import data_centers, outgoing_bw
@@ -138,13 +139,13 @@ def test_overcommit_rejected_atomically(small_net):
     switch = list(small_net.link_index[s])[0]
     held = ResourceDelta()
     small_net.commit(held, s, 1.0, 2.0)
-    before, held_before = small_net.residuals(), held.to_dict()
+    before = small_net.residuals()
     short = small_net.bw[small_net.link_index[s][switch]] + 1.0
     with pytest.raises(CapacityError, match="bw commit"):
         small_net.commit(held, s, 1.0, 2.0, (s, switch), short)
     # the node's cpu and ram, which fit, must not have leaked through
     assert small_net.residuals() == before
-    assert held.to_dict() == held_before
+    assert (held.node_cpu, held.node_ram, held.link_bw) == ({s: 1.0}, {s: 2.0}, {})
 
 
 def test_a_path_pair_without_a_link_is_rejected_atomically():
@@ -208,7 +209,10 @@ def test_random_commit_release_walk_is_lossless(small_net):
 
 
 def test_commits_add_up_in_one_holding_and_round_trip():
+    """Two commits add up in one holding; releasing it restores the
+    substrate."""
     net = line_net(3, bw=10.0)
+    before = net.residuals()
     a = ResourceDelta()
     assert a.is_empty()
     net.commit(a, 0, 1.0, 2.0, (2, 1, 0), 3.0)
@@ -216,12 +220,9 @@ def test_commits_add_up_in_one_holding_and_round_trip():
     assert a.node_cpu == {0: 1.5}
     assert a.node_ram == {0: 2.0}           # a zero amount adds no entry
     assert a.link_bw == {(1, 2): 3.0, (0, 1): 4.0}
-    restored = ResourceDelta.from_dict(a.to_dict())
-    assert restored.node_cpu == a.node_cpu
-    assert restored.node_ram == a.node_ram
-    assert restored.link_bw == a.link_bw
-    assert ResourceDelta().is_empty()
     assert not a.is_empty()
+    net.release(a)
+    assert net.residuals() == before
 
 
 # -- graph views ------------------------------------------------------------
@@ -285,8 +286,22 @@ def test_wiring_clears_the_route_table():
     ("edc_count", float("nan")), ("edc_count", 1.5), ("edc_count", -1),
     ("servers_per_edc", True), ("ccp_servers", "2"),
     ("server_cpu", float("inf")), ("server_ram", 0.0), ("server_cpu", None),
+    # past the node bound: the first count, in field order, that passes it
+    ("edc_count", MAX_NODES + 1), ("servers_per_edc", MAX_NODES),
+    ("cdc_count", MAX_NODES), ("ccp_servers", MAX_NODES),
 ])
 def test_topology_counts_check_their_fields(field, value):
     kwargs = {"edc_count": 1, "servers_per_edc": 2, field: value}
     with pytest.raises(ConfigurationError, match=f"TopologyCounts.{field}"):
         TopologyCounts(**kwargs)
+
+
+@pytest.mark.parametrize("counts, nodes", [
+    ({"edc_count": 10, "servers_per_edc": 3, "cdc_count": 4,
+      "servers_per_cdc": 5, "ccp_servers": 2}, 10 * 4 + 4 * 6 + 3),
+    ({"edc_count": 2, "servers_per_edc": 0, "cdc_count": 1}, 3),
+    ({"edc_count": MAX_NODES // 4, "servers_per_edc": 3}, MAX_NODES),
+])
+def test_a_topology_up_to_the_node_bound_builds(counts, nodes):
+    assert len(build_reference_topology(TopologyCounts(**counts)).nodes) \
+        == nodes

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import time
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from slicesim import (
     request_from_class,
     sample_arrivals,
 )
+from slicesim.traffic import MAX_CANDIDATES
 
 LONGTERM_CPU_LOAD = 2500.0 / 6300.0
 
@@ -215,6 +217,20 @@ def test_generate_events_needs_a_positive_horizon():
                            match="horizon must be a finite number > 0"):
             generate_events(one_class_model(longterm()), horizon=horizon,
                             seed=1)
+
+
+@pytest.mark.parametrize("horizon, rate", [
+    (1.01 * MAX_CANDIDATES / 0.02, 0.02), (1e12, 1e9), (1.0, 1e308)])
+def test_generate_events_refuses_a_stream_past_the_candidate_bound(horizon,
+                                                                   rate):
+    cls = SliceClass(id=1, vnf_count=2, req_cpu=1.0, req_ram=1.0, req_bw=1.0,
+                     mean_lifetime=5.0, arrival=StaticArrival(rate=rate))
+    start = time.perf_counter()
+    with pytest.raises(ConfigurationError,
+                       match=f"horizon: .* more than the {MAX_CANDIDATES} "
+                             "a stream may draw"):
+        generate_events(one_class_model(cls), horizon=horizon, seed=1)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_scenario_horizon_override_is_not_dropped():
