@@ -20,6 +20,10 @@ gradients with respect to the outputs to the network's batched backward:
 critic's value. The actor's batched pass reuses the graph-convolution
 activations each step saved at selection, since the parameters do not
 move within an episode.
+
+The learner trains in float32: both networks hold their arrays in the
+agent's dtype, while observations, returns, advantages, the shaped
+scores and the sampling distribution stay float64.
 """
 
 from __future__ import annotations
@@ -30,9 +34,10 @@ import numpy as np
 
 from .errors import CheckpointError, ConfigurationError
 from .heuristic import HeuristicAdvice, heu_select
-from .networks import (SliceNet, finite_number, load_checkpoint, log_softmax,
-                       manifest_field, normalized_propagation, save_checkpoint,
-                       softmax, whole_number)
+from .networks import (MAX_PARAMETERS, SliceNet, finite_number,
+                       load_checkpoint, log_softmax, manifest_field,
+                       normalized_propagation, parameter_count,
+                       save_checkpoint, softmax, whole_number)
 from .placement import (PlacementEpisodeState, apply_action, episode_reward,
                         run_steps)
 from .substrate import SubstrateNetwork
@@ -157,15 +162,24 @@ class FeatureScaler:
 
 
 class Agent:
-    """One learning policy instance bound to a substrate topology."""
+    """One learning policy instance bound to a substrate topology; its
+    networks hold their arrays in dtype."""
 
     def __init__(self, config: AgentConfig, net: SubstrateNetwork,
-                 load_model: LoadModel | None = None):
-        if uses_load(config.variant) and load_model is None:
+                 load_model: LoadModel | None = None, dtype=np.float32):
+        use_load = uses_load(config.variant)
+        if use_load and load_model is None:
             raise ConfigurationError(
                 f"variant {config.variant!r} needs a load model")
+        size = sum(parameter_count(len(net.nodes), n_outputs, use_load)
+                   for n_outputs in (len(net.servers), 1))
+        if size > MAX_PARAMETERS:
+            raise ConfigurationError(
+                f"a learner for {len(net.nodes)} nodes and "
+                f"{len(net.servers)} servers would hold {size:,} actor and "
+                f"critic parameters, above the bound of {MAX_PARAMETERS:,}")
         self.config = config
-        self.load_model = load_model if uses_load(config.variant) else None
+        self.load_model = load_model if use_load else None
         self.scaler = FeatureScaler(net)
         self.actions = list(net.servers)
         self.action_index = {a: i for i, a in enumerate(self.actions)}
@@ -174,10 +188,10 @@ class Agent:
         prop = normalized_propagation(net.adjacency_matrix())
         ss = np.random.SeedSequence(config.seed)
         actor_ss, critic_ss, sample_ss = ss.spawn(3)
-        self.actor = SliceNet(prop, len(self.actions), self.load_model is not None,
-                              "tanh", np.random.default_rng(actor_ss))
-        self.critic = SliceNet(prop, 1, self.load_model is not None,
-                               "relu", np.random.default_rng(critic_ss))
+        self.actor = SliceNet(prop, len(self.actions), use_load, "tanh",
+                              np.random.default_rng(actor_ss), dtype=dtype)
+        self.critic = SliceNet(prop, 1, use_load, "relu",
+                               np.random.default_rng(critic_ss), dtype=dtype)
         self.rng = np.random.default_rng(sample_ss)
         self.episodes_trained = 0
 
@@ -198,7 +212,8 @@ class Agent:
 
     def shaping_vector(self, z: np.ndarray,
                        advice: HeuristicAdvice | None) -> np.ndarray | None:
-        """Score shift for the advised action: xi * (gap to max + eta)^beta."""
+        """Score shift for the advised action: xi * (gap to max + eta)^beta,
+        in float64 whatever z's dtype."""
         cfg = self.config
         if not uses_heuristic(cfg.variant):
             return None
@@ -208,8 +223,8 @@ class Agent:
         if not advice.exists:
             return None
         a_star = self.action_index[advice.server]
-        gap = float(np.max(z) - z[a_star]) + cfg.eta
-        shift = np.zeros_like(z)
+        gap = float(np.max(z)) - float(z[a_star]) + cfg.eta
+        shift = np.zeros(len(z))
         shift[a_star] = cfg.xi * gap ** cfg.beta
         return shift
 
@@ -291,7 +306,7 @@ class Agent:
         gcn = [tuple(np.concatenate(parts) for parts in zip(*layer))
                for layer in zip(*(s.gcn for s in steps))]
         z, acts = self.actor.forward_batch(psn, nspr, load, gcn)
-        z = z.copy()
+        z = z.astype(np.float64)
         for i, s in enumerate(steps):
             if s.shaping is not None:
                 z[i] += s.shaping
@@ -379,7 +394,12 @@ class Agent:
                 beta=field("beta", finite_number))
         except ConfigurationError as exc:
             raise CheckpointError(f"agent checkpoint: {exc}") from exc
-        agent = cls(config, net, load_model)
+        dtypes = {a.dtype for a in arrays.values()}
+        if len(dtypes) != 1:
+            raise CheckpointError(
+                f"agent checkpoint tensors must share one dtype, got "
+                f"{sorted(map(str, dtypes))}")
+        agent = cls(config, net, load_model, dtype=dtypes.pop())
         n_actions = manifest_field(field("actor"), "n_actions",
                                    "agent checkpoint actor")
         if n_actions != len(agent.actions):

@@ -151,10 +151,11 @@ def cmd_train(args) -> int:
     out = _out_dir(args)
     for i in range(args.seeds):
         config = _agent_config(scenario, args, seed_shift=i)
-        events, seed = _events_for(scenario, args, seed_shift=i)
         net = scenario.build_network()
-        # an agent of a variant without the load branch drops the model
+        # an agent of a variant without the load branch drops the model;
+        # built before the traffic, so a learner too large fails at once
         agent = Agent(config, net, scenario.build_load_model(net))
+        events, seed = _events_for(scenario, args, seed_shift=i)
         base = f"{scenario.name}-{config.variant}-seed{seed}"
         ckpt_path = os.path.join(out, base + ".ckpt")
 

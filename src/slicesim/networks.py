@@ -12,7 +12,12 @@ single value neuron for the critic.
 The actor applies tanh on every non-output layer and leaves the output
 linear; the critic applies relu on every layer, output included.
 
-Everything is plain float64 numpy with hand-written gradients. The
+Everything is numpy with hand-written gradients, in the dtype the
+network is built with: float64 by default, float32 for `Agent`'s
+learner (the README's numerics contract). Parameters, the propagation
+matrix, activations, gradients and the SGD step all share that dtype;
+observations arrive in float64 and are cast once, at `forward_batch`'s
+boundary, and `softmax`/`log_softmax` compute in float64. The
 forward pass takes a stack of T observations, so an episode's update is
 one batched forward and one closed-form backward: the output-layer
 gradient C^T G over the (T, 60|N| + ...) concatenations has rank <= T;
@@ -24,8 +29,9 @@ activations to a later batched pass over the same observations, which
 then skips the graph convolutions.
 
 Checkpoints are a versioned binary: a JSON manifest (names, shapes,
-architecture fields) followed by the raw little-endian float64 arrays in
-manifest order. Round-trips are bit-exact.
+dtypes, architecture fields) followed by the raw little-endian arrays in
+manifest order, each in its recorded dtype ("<f4" or "<f8"). Round-trips
+are bit-exact.
 """
 
 from __future__ import annotations
@@ -49,16 +55,24 @@ PSN_FEATURES = 4
 LOAD_INPUT_WIDTH = 300
 
 # rows of a factored gradient formed at once by sgd_step: a 256 x 126
-# block is 258 KB, small enough to stay in cache between its product,
-# its scaling and its subtraction
+# block is 258 KB in float64 (129 KB in float32), small enough to stay
+# in cache between its product, its scaling and its subtraction
 SGD_BLOCK_ROWS = 256
 
 # the factored form pays only for a large product: below this many bytes
 # the dense C^T G is applied faster (one vCPU, T = 1-5: 6-14 us dense vs
 # 12-19 us factored for desk's 45 KB, 84-200 vs 97-235 us at 781 KB, but
 # 336-562 vs 232-518 us at 1.9 MB and 1.9-3.0 vs 1.1-2.5 ms for the
-# reference actor's 9 MB)
+# reference actor's 9 MB, all in float64; the float32 learner's are half)
 DENSE_GRADIENT_BYTES = 1 << 20
+
+# the most actor plus critic parameters an `Agent` allocates: 200 MB in
+# float32. The count grows with nodes times servers, so a topology far
+# below substrate.MAX_NODES can already ask for gigabytes.
+MAX_PARAMETERS = 50_000_000
+
+# the dtypes a network's arrays may have, by their checkpoint code
+TENSOR_DTYPES = {"<f4": np.dtype(np.float32), "<f8": np.dtype(np.float64)}
 
 
 def normalized_propagation(adjacency: np.ndarray) -> np.ndarray:
@@ -77,6 +91,20 @@ def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-bound, bound, size=(fan_in, fan_out))
 
 
+def parameter_count(n_nodes: int, n_outputs: int, use_load: bool,
+                    gcn_width: int = GCN_WIDTH) -> int:
+    """How many parameters a `SliceNet` of this shape holds, counted
+    without allocating it."""
+    count = (PSN_FEATURES + 1) * gcn_width \
+        + (GCN_LAYERS - 1) * (gcn_width + 1) * gcn_width \
+        + (NSPR_INPUT_WIDTH + 1) * NSPR_FC_WIDTH
+    combined = gcn_width * n_nodes + NSPR_FC_WIDTH
+    if use_load:
+        count += (LOAD_INPUT_WIDTH + 1) * LOAD_FC_WIDTH
+        combined += LOAD_FC_WIDTH
+    return count + (combined + 1) * n_outputs
+
+
 def softmax(z: np.ndarray) -> np.ndarray:
     """Softmax over the last axis, shifted by the max."""
     z = np.asarray(z, dtype=np.float64)
@@ -92,16 +120,21 @@ def log_softmax(z: np.ndarray) -> np.ndarray:
 
 
 class ParameterSet:
-    """Named parameter arrays with their gradients."""
+    """Named parameter arrays of one dtype, with their gradients."""
 
-    def __init__(self):
+    def __init__(self, dtype=np.float64):
+        self.dtype = np.dtype(dtype)
+        if self.dtype not in TENSOR_DTYPES.values():
+            raise ConfigurationError(
+                f"parameters must be float32 or float64, got {self.dtype}")
         self.values: dict[str, np.ndarray] = {}
         self.grads: dict[str, np.ndarray] = {}
 
     def add(self, name: str, values: np.ndarray) -> np.ndarray:
+        """Store values, rounded once to the set's dtype."""
         if name in self.values:
             raise ConfigurationError(f"duplicate parameter {name!r}")
-        arr = np.array(values, dtype=np.float64)
+        arr = np.array(values, dtype=self.dtype)
         self.values[name] = arr
         return arr
 
@@ -136,7 +169,7 @@ class ParameterSet:
 
     def check_arrays(self, arrays: dict[str, np.ndarray]) -> None:
         """CheckpointError unless arrays holds every parameter, each in
-        its shape, and nothing else."""
+        its shape and the set's dtype, and nothing else."""
         if set(arrays) != set(self.values):
             missing = set(self.values) - set(arrays)
             extra = set(arrays) - set(self.values)
@@ -148,12 +181,16 @@ class ParameterSet:
                 raise CheckpointError(
                     f"shape mismatch for {name!r}: "
                     f"{values.shape} vs {self.values[name].shape}")
+            if values.dtype != self.dtype:
+                raise CheckpointError(
+                    f"dtype mismatch for {name!r}: "
+                    f"{values.dtype} vs {self.dtype}")
 
     def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
         """Replace every parameter; a failed check replaces none."""
         self.check_arrays(arrays)
         for name, values in arrays.items():
-            self.values[name] = np.array(values, dtype=np.float64)
+            self.values[name] = np.array(values, dtype=self.dtype)
 
 
 @dataclass
@@ -178,20 +215,24 @@ class SliceNet:
 
     activation: "tanh" applies to non-output layers only, output linear
     (actor); "relu" applies to every layer including the output (critic).
+    dtype is float64 or float32; the Glorot draws are float64 either way,
+    from the same generator, and are rounded once.
     """
 
     def __init__(self, propagation: np.ndarray, n_actions: int,
                  use_load: bool, activation: str,
-                 rng: np.random.Generator, gcn_width: int = GCN_WIDTH):
+                 rng: np.random.Generator, gcn_width: int = GCN_WIDTH,
+                 dtype=np.float64):
         if activation not in ("tanh", "relu"):
             raise ConfigurationError(f"unknown activation {activation!r}")
-        self.propagation = np.asarray(propagation, dtype=np.float64)
+        self.params = ParameterSet(dtype)
+        self.dtype = self.params.dtype
+        self.propagation = np.asarray(propagation, dtype=self.dtype)
         self.n_nodes = self.propagation.shape[0]
         self.n_actions = n_actions
         self.use_load = use_load
         self.activation = activation
         self.gcn_width = gcn_width
-        self.params = ParameterSet()
 
         width_in = PSN_FEATURES
         for layer in range(GCN_LAYERS):
@@ -253,10 +294,11 @@ class SliceNet:
 
         gcn, when given, holds the GCN layers' (A·H_{k-1}, H_k) already
         computed for these node features, stacked to (T, |N|, width);
-        the graph convolutions are then not run again.
+        the graph convolutions are then not run again. The features are
+        cast to the network's dtype here; the outputs are in it too.
         """
-        psn = np.asarray(psn, dtype=np.float64)
-        nspr = np.asarray(nspr, dtype=np.float64)
+        psn = np.asarray(psn, dtype=self.dtype)
+        nspr = np.asarray(nspr, dtype=self.dtype)
         if psn.ndim != 3 or psn.shape[1:] != (self.n_nodes, PSN_FEATURES):
             raise ConfigurationError(
                 f"node features must be {(self.n_nodes, PSN_FEATURES)}, "
@@ -282,7 +324,7 @@ class SliceNet:
         if self.use_load:
             if load is None:
                 raise ConfigurationError("this network requires load features")
-            load = np.asarray(load, dtype=np.float64)
+            load = np.asarray(load, dtype=self.dtype)
             if load.shape != (t, LOAD_INPUT_WIDTH):
                 raise ConfigurationError(
                     f"load features must be ({LOAD_INPUT_WIDTH},)")
@@ -303,14 +345,15 @@ class SliceNet:
         """Gradients of sum_t grad_out[t] · out[t] for every parameter.
 
         grad_out is (T, n_outputs), the loss gradient with respect to
-        the batch's outputs; the results replace `params.grads`. The
-        output weights' gradient combined^T g_out is stored as its
-        factors (combined, g_out) when they hold fewer values than it
-        and it would exceed DENSE_GRADIENT_BYTES.
+        the batch's outputs, cast to the network's dtype; the results
+        replace `params.grads`. The output weights' gradient
+        combined^T g_out is stored as its factors (combined, g_out) when
+        they hold fewer values than it and it would exceed
+        DENSE_GRADIENT_BYTES.
         """
         p = self.params
         grads = {}
-        g = np.asarray(grad_out, dtype=np.float64)
+        g = np.asarray(grad_out, dtype=self.dtype)
         if self.activation == "relu":
             g = (acts.out > 0.0) * g
         # C^T G has rank <= T: when its factors are the smaller form (the
@@ -362,22 +405,34 @@ class SliceNet:
 # -- checkpoint file format -------------------------------------------------
 
 _MAGIC = b"SLNC"
-_VERSION = 1
+_VERSION = 2            # 2: each tensor records its dtype
 _HEADER_BYTES = 12      # magic, then version and manifest length as <II
 
 
+def _dtype_code(array: np.ndarray) -> str:
+    code = array.dtype.newbyteorder("<").str
+    if code not in TENSOR_DTYPES:
+        raise CheckpointError(
+            f"cannot save a {array.dtype} array: a checkpoint holds "
+            f"float32 or float64")
+    return code
+
+
 def save_checkpoint(path, manifest: dict, arrays: dict[str, np.ndarray]) -> None:
-    """Write manifest + arrays; arrays are recorded in sorted-name order."""
+    """Write manifest + arrays; arrays are recorded in sorted-name order,
+    each in its own dtype."""
     names = sorted(arrays)
+    codes = {n: _dtype_code(np.asarray(arrays[n])) for n in names}
     full = dict(manifest)
-    full["tensors"] = [{"name": n, "shape": list(arrays[n].shape)} for n in names]
+    full["tensors"] = [{"name": n, "shape": list(arrays[n].shape),
+                        "dtype": codes[n]} for n in names]
     blob = json.dumps(full, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<II", _VERSION, len(blob)))
         fh.write(blob)
         for n in names:
-            fh.write(np.ascontiguousarray(arrays[n], dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(arrays[n], dtype=codes[n]).tobytes())
 
 
 def manifest_field(manifest: dict, name: str, what: str = "checkpoint",
@@ -449,12 +504,18 @@ def load_checkpoint(path):
             raise CheckpointError(
                 f"checkpoint manifest field 'tensors[{i}].shape' is not a "
                 f"list of sizes: {shape!r}")
+        code = manifest_field(entry, "dtype", f"checkpoint tensors[{i}]")
+        if not isinstance(code, str) or code not in TENSOR_DTYPES:
+            raise CheckpointError(
+                f"checkpoint manifest field 'tensors[{i}].dtype' is not one "
+                f"of {sorted(TENSOR_DTYPES)}: {code!r}")
         size = math.prod(shape)         # exact: no int64 wrap-around
-        end = offset + size * 8
+        end = offset + size * TENSOR_DTYPES[code].itemsize
         if end > len(raw):
             raise CheckpointError("truncated checkpoint payload")
         arrays[name] = np.frombuffer(
-            raw[offset:end], dtype="<f8").reshape(shape).copy()
+            raw[offset:end], dtype=code).reshape(shape).astype(
+                TENSOR_DTYPES[code])
         offset = end
     if offset != len(raw):
         raise CheckpointError("trailing bytes after checkpoint payload")

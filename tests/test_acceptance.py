@@ -10,6 +10,7 @@ import json
 import statistics
 
 import numpy as np
+import pytest
 
 from slicesim import (
     Agent,
@@ -318,15 +319,21 @@ def test_criterion_7_feasibility_and_heuristic_match_brute_force():
 
 # -- 8: learning dynamics -----------------------------------------------------
 
-def desk_training_run(variant: str, index: int):
+def desk_agent_run(variant: str, index: int, arrivals: int, xi=1.0,
+                   dtype=np.float32):
+    """Criterion 8's training run: (records, trained agent)."""
     scenario = load_scenario("desk")
-    config = AgentConfig.for_variant(variant, beta=2.0, xi=1.0, eta=0.0,
+    config = AgentConfig.for_variant(variant, beta=2.0, xi=xi, eta=0.0,
                                      seed=index, actor_lr=2e-4, critic_lr=5e-3)
     net = scenario.build_network()
     events = scenario.generate_events(seed=scenario.seed + index)
-    agent = Agent(config, net)
+    agent = Agent(config, net, dtype=dtype)
     sim = Simulation(net, events, AgentPolicy(agent, train=True))
-    records = sim.run(max_arrivals=2000)
+    return sim.run(max_arrivals=arrivals), agent
+
+
+def desk_training_run(variant: str, index: int):
+    records, _ = desk_agent_run(variant, index, 2000)
     tars = [tar(records, p, 500) for p in range(4)]
     return gar(records), tars
 
@@ -361,6 +368,25 @@ def test_criterion_8_heuristic_assist_speeds_up_learning():
     print(f"criterion 8: PASS - median acceptance {ha_gar:.3f} (assisted) vs "
           f"{drl_gar:.3f} (plain), gap {ha_gar - drl_gar:.3f} >= 0.10; "
           f"phase ratios settle in {ha_conv} vs {drl_conv} phases of 500")
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_criterion_8_negative_control_unshifted_advice_trains_like_drl(dtype):
+    """With xi = 0 the advice shifts no score, so ha-drl trains bit for
+    bit like drl: the same records and every parameter equal. Criterion
+    8's gap must come from the shift, not from the advice's bookkeeping."""
+    ha_records, ha_agent = desk_agent_run("ha-drl", 0, 300, xi=0.0,
+                                          dtype=dtype)
+    records, agent = desk_agent_run("drl", 0, 300, dtype=dtype)
+    assert len(records) == 300 and 0 < gar(records) < 1
+    assert ha_records == records
+    assert ha_agent.episodes_trained == agent.episodes_trained == 300
+    arrays = agent.state_arrays()
+    for k, v in ha_agent.state_arrays().items():
+        assert np.array_equal(v, arrays[k]), k
+    print(f"criterion 8 control: PASS - {np.dtype(dtype)} ha-drl with "
+          f"xi = 0 equals drl bit for bit over 300 desk arrivals "
+          f"(acceptance {gar(records):.3f})")
 
 
 # -- 9: reproducibility -------------------------------------------------------

@@ -1,8 +1,10 @@
 """Learning agent: shaping algebra, feature scaling, A2C updates, variants."""
 
+import dataclasses
 import hashlib
 import json
 import struct
+import time
 
 import numpy as np
 import pytest
@@ -16,14 +18,17 @@ from slicesim import (
     HeuristicAdvice,
     LoadModel,
     PlacementEpisodeState,
+    TopologyCounts,
     build_reference_topology,
     heu_select,
+    load_scenario,
     route,
     uses_heuristic,
     uses_load,
 )
 from slicesim.agent import FeatureScaler, TraceStep
-from slicesim.networks import load_checkpoint, save_checkpoint, softmax
+from slicesim.networks import (MAX_PARAMETERS, load_checkpoint,
+                               save_checkpoint, softmax)
 
 from conftest import uniform_request
 from oracles import outgoing_bw, tape_update
@@ -42,13 +47,13 @@ def tiny_classes():
     ]
 
 
-def tiny_agent(variant="drl", **overrides):
+def tiny_agent(variant="drl", dtype=np.float32, **overrides):
     net = build_reference_topology("tiny")
     model = None
     if uses_load(variant):
         model = LoadModel.from_network(tiny_classes(), net)
     cfg = AgentConfig.for_variant(variant, **overrides)
-    return Agent(cfg, net, model), net
+    return Agent(cfg, net, model, dtype=dtype), net
 
 
 # -- configuration ---------------------------------------------------------------
@@ -446,8 +451,10 @@ def test_critic_moves_toward_return():
 def test_update_matches_tape_update(variant, critic):
     """The batched closed-form update moves every parameter as the
     per-step autodiff-tape update does, within 1e-10 relative."""
-    agent, net = tiny_agent(variant, seed=21, actor_lr=0.01, critic_lr=0.01)
-    oracle, _ = tiny_agent(variant, seed=21, actor_lr=0.01, critic_lr=0.01)
+    agent, net = tiny_agent(variant, seed=21, actor_lr=0.01, critic_lr=0.01,
+                            dtype=np.float64)
+    oracle, _ = tiny_agent(variant, seed=21, actor_lr=0.01, critic_lr=0.01,
+                           dtype=np.float64)
     if critic == "dead":
         for arr in agent.critic.params.arrays().values():
             arr[:] = 0.0
@@ -474,6 +481,48 @@ def test_update_matches_tape_update(variant, critic):
             if critic == "dead" and k.startswith("critic."):
                 assert scale == 0.0
             assert np.abs(step_got - step_want).max() <= 1e-10 * scale, k
+
+
+@pytest.mark.parametrize("lrs", [(0.01, 0.01), (5e-5, 1.25e-3)],
+                         ids=["hot", "default"])
+@pytest.mark.parametrize("variant", ["drl", "edrl", "ha-drl", "ha-edrl"])
+def test_float32_update_step_tracks_the_float64_step(variant, lrs):
+    """From the same float32 weights and trace, the float32 update moves
+    every parameter as the float64 update does, up to 1e-4 of the
+    array's largest step plus one float32 spacing of the stored weight,
+    the rounding a float32 parameter must take."""
+    actor_lr, critic_lr = lrs
+    agent, net = tiny_agent(variant, seed=21, actor_lr=actor_lr,
+                            critic_lr=critic_lr)
+    wide, _ = tiny_agent(variant, seed=21, actor_lr=actor_lr,
+                         critic_lr=critic_lr, dtype=np.float64)
+    assert agent.actor.dtype == np.float32
+    for uid in range(6):
+        req = uniform_request(1 + uid % 3, 5.0, 5.0, 1.0, uid=uid,
+                              time=float(uid))
+        accepted, trace, state = agent.run_episode(req, net)
+        if accepted:
+            net.release(state.committed)
+        before = {k: v.astype(np.float64)
+                  for k, v in agent.state_arrays().items()}
+        wide.load_arrays(before)
+        wide_trace = []
+        for step in trace:          # the float64 actor's own activations
+            gcn = []
+            wide.actor.forward(step.psn, step.nspr, step.load, saved=gcn)
+            wide_trace.append(dataclasses.replace(step, gcn=gcn))
+        stats = agent.update(trace)
+        wide_stats = wide.update(wide_trace)
+        assert stats["critic_loss"] == pytest.approx(
+            wide_stats["critic_loss"], rel=1e-5)
+        got, want = agent.state_arrays(), wide.state_arrays()
+        for k, start in before.items():
+            assert got[k].dtype == np.float32
+            step_got = got[k].astype(np.float64) - start
+            step_want = want[k] - start
+            slack = (1e-4 * np.abs(step_want).max()
+                     + np.spacing(np.abs(got[k])).astype(np.float64))
+            assert (np.abs(step_got - step_want) <= slack).all(), k
 
 
 def test_nan_actor_weights_refuse_to_sample():
@@ -556,6 +605,57 @@ def test_agent_checkpoint_round_trip(tmp_path):
         np.testing.assert_array_equal(restored.critic.params.arrays()[k], arr)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_agent_load_rebuilds_the_checkpoints_dtype(tmp_path, dtype):
+    agent, net = tiny_agent("ha-edrl", seed=11, dtype=dtype)
+    accepted, trace, state = agent.run_episode(
+        uniform_request(2, 5.0, 5.0, 1.0), net)
+    agent.update(trace)
+    path = tmp_path / "agent.ckpt"
+    agent.save(path)
+    manifest, _ = load_checkpoint(path)
+    assert {e["dtype"] for e in manifest["tensors"]} == \
+        {np.dtype(dtype).newbyteorder("<").str}
+    fresh = build_reference_topology("tiny")
+    restored = Agent.load(path, fresh,
+                          LoadModel.from_network(tiny_classes(), fresh))
+    assert restored.actor.dtype == restored.critic.dtype == dtype
+    for k, arr in agent.state_arrays().items():
+        assert restored.state_arrays()[k].dtype == dtype
+        np.testing.assert_array_equal(restored.state_arrays()[k], arr)
+
+
+def test_agent_load_refuses_tensors_of_two_dtypes(tmp_path):
+    agent, _ = tiny_agent("drl")
+    path = tmp_path / "agent.ckpt"
+    arrays = agent.state_arrays()
+    arrays["critic.out.b"] = arrays["critic.out.b"].astype(np.float64)
+    manifest = agent.manifest()
+    save_checkpoint(path, manifest, arrays)
+    with pytest.raises(CheckpointError, match="share one dtype"):
+        Agent.load(path, build_reference_topology("tiny"))
+
+
+def test_a_learner_past_the_parameter_bound_is_refused_at_once():
+    """2,000 nodes and 1,500 servers would need 180M float32 parameters
+    (720 MB); the count is refused before anything is allocated."""
+    net = build_reference_topology(TopologyCounts(edc_count=500,
+                                                  servers_per_edc=3))
+    start = time.perf_counter()
+    with pytest.raises(ConfigurationError,
+                       match="2000 nodes and 1500 servers would hold "
+                             "180,[0-9,]+ actor and critic parameters, "
+                             f"above the bound of {MAX_PARAMETERS:,}"):
+        Agent(AgentConfig.for_variant("drl"), net)
+    assert time.perf_counter() - start < 1.0
+    scenario = load_scenario("reference")
+    reference = scenario.build_network()
+    agent = Agent(AgentConfig.for_variant("ha-edrl"), reference,
+                  scenario.build_load_model(reference))
+    assert sum(v.size for v in agent.state_arrays().values()) \
+        <= MAX_PARAMETERS
+
+
 def test_agent_checkpoint_topology_guard(tmp_path):
     agent, _ = tiny_agent("drl")
     path = tmp_path / "agent.ckpt"
@@ -577,10 +677,10 @@ def test_heuristic_advice_matches_heu_for_ha_runs():
     assert np.count_nonzero(shift) <= 1
 
 
-# Fresh ha-drl agent (tiny topology, seed 3, beta 2) as the format before
-# the closed-form update wrote it.
+# Fresh ha-drl agent (tiny topology, seed 3, beta 2): format version 2,
+# float32 arrays rounded once from the float64 Glorot draws.
 FRESH_CHECKPOINT_SHA256 = \
-    "93049a719e24541f280fde4457d9524337cd6519b2f0631cd3b29ee9aa052216"
+    "463f4384b01669cba3ca2a58fefe11cf943802a7a58b14e70aee0fc181becd78"
 
 
 def test_agent_checkpoint_bytes_keep_their_format(tmp_path):
@@ -592,7 +692,7 @@ def test_agent_checkpoint_bytes_keep_their_format(tmp_path):
 
     # after training, the bytes are still the documented layout: magic,
     # version and manifest length, sorted-key JSON manifest, then the
-    # float64 arrays in sorted-name order
+    # float32 arrays in sorted-name order, each tensor entry naming "<f4"
     agent, net = tiny_agent("ha-drl", seed=3, beta=2.0)
     accepted, trace, state = agent.run_episode(
         uniform_request(3, 5.0, 5.0, 1.0), net)
@@ -606,12 +706,12 @@ def test_agent_checkpoint_bytes_keep_their_format(tmp_path):
         "eta": 0.0, "beta": 2.0, "allow_any_node": False,
         "episodes_trained": 1, "net_fingerprint": net.fingerprint(),
         "actor": agent.actor.manifest(), "critic": agent.critic.manifest(),
-        "tensors": [{"name": n, "shape": list(arrays[n].shape)}
-                    for n in names],
+        "tensors": [{"name": n, "shape": list(arrays[n].shape),
+                     "dtype": "<f4"} for n in names],
     }
     blob = json.dumps(manifest, sort_keys=True).encode("utf-8")
-    expected = (b"SLNC" + struct.pack("<II", 1, len(blob)) + blob
-                + b"".join(arrays[n].astype("<f8").tobytes() for n in names))
+    expected = (b"SLNC" + struct.pack("<II", 2, len(blob)) + blob
+                + b"".join(arrays[n].astype("<f4").tobytes() for n in names))
     assert path.read_bytes() == expected
 
 

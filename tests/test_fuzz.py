@@ -91,7 +91,7 @@ MANIFEST_PATH = st.one_of(
                      "actor", "critic", "tensors"]).map(lambda k: (k,)),
     st.tuples(st.just("actor"), st.just("n_actions")),
     st.tuples(st.just("tensors"), st.integers(0, 63),
-              st.sampled_from(["name", "shape"])))
+              st.sampled_from(["name", "shape", "dtype"])))
 
 
 @functools.cache

@@ -91,6 +91,15 @@ def test_parameter_count_actor_no_load():
     assert net.combined_width == GCN_WIDTH * 4 + NSPR_FC_WIDTH
 
 
+@pytest.mark.parametrize("n,n_actions,use_load,width", [
+    (4, 3, False, GCN_WIDTH), (4, 1, True, GCN_WIDTH), (7, 5, True, 2)])
+def test_parameter_count_is_what_the_net_allocates(n, n_actions, use_load,
+                                                   width):
+    net = make_net(n=n, n_actions=n_actions, use_load=use_load, width=width)
+    assert networks.parameter_count(n, n_actions, use_load, width) == \
+        sum(v.size for v in net.params.arrays().values())
+
+
 def test_parameter_count_with_load_branch():
     net = make_net(n=4, n_actions=3, use_load=True)
     assert net.combined_width == GCN_WIDTH * 4 + NSPR_FC_WIDTH + LOAD_FC_WIDTH
@@ -327,18 +336,34 @@ def test_checkpoint_rejects_short_header(tmp_path):
 def test_checkpoint_rejects_manifest_without_tensors(tmp_path):
     blob = b'{"n_actions": 3}'
     path = tmp_path / "notensors.ckpt"
-    path.write_bytes(b"SLNC" + struct.pack("<II", 1, len(blob)) + blob)
+    path.write_bytes(b"SLNC" + struct.pack("<II", 2, len(blob)) + blob)
     with pytest.raises(CheckpointError, match="'tensors'"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_refuses_format_version_1(tmp_path):
+    """Version 1 stored every tensor as float64 without naming a dtype;
+    it is refused, not converted."""
+    blob = json.dumps({"tensors": [{"name": "w", "shape": [1]}]})
+    path = tmp_path / "v1.ckpt"
+    path.write_bytes(b"SLNC" + struct.pack("<II", 1, len(blob)) + blob.encode()
+                     + np.zeros(1).tobytes())
+    with pytest.raises(CheckpointError,
+                       match="unsupported checkpoint version 1"):
         load_checkpoint(path)
 
 
 @pytest.mark.parametrize("key,value,field", [
     ("name", None, "'tensors[0].name'"), ("name", [], "'tensors[0].name'"),
-    ("shape", [True], "'tensors[0].shape'")])
+    ("shape", [True], "'tensors[0].shape'"),
+    ("dtype", "<i8", "'tensors[0].dtype'"),
+    ("dtype", ["<f8"], "'tensors[0].dtype'"),
+    ("dtype", None, "'tensors[0].dtype'")])
 def test_checkpoint_names_a_bad_tensor_entry(tmp_path, key, value, field):
-    blob = json.dumps({"tensors": [{"name": "w", "shape": [1], key: value}]})
+    blob = json.dumps({"tensors": [{"name": "w", "shape": [1], "dtype": "<f8",
+                                    key: value}]})
     path = tmp_path / "badtensor.ckpt"
-    path.write_bytes(b"SLNC" + struct.pack("<II", 1, len(blob)) + blob.encode()
+    path.write_bytes(b"SLNC" + struct.pack("<II", 2, len(blob)) + blob.encode()
                      + np.zeros(1).tobytes())
     with pytest.raises(CheckpointError, match=re.escape(field)):
         load_checkpoint(path)
@@ -359,3 +384,86 @@ def test_load_arrays_shape_and_name_guard():
     extra["mystery"] = np.zeros(1)
     with pytest.raises(CheckpointError):
         net.params.load_arrays(extra)
+
+
+def test_load_arrays_refuses_another_dtype():
+    net = make_net(rng_seed=5)
+    narrow = {k: v.astype(np.float32) for k, v in net.params.arrays().items()}
+    before = {k: v.copy() for k, v in net.params.arrays().items()}
+    with pytest.raises(CheckpointError, match="dtype mismatch"):
+        net.params.load_arrays(narrow)
+    for k, v in net.params.arrays().items():
+        assert v.dtype == np.float64
+        np.testing.assert_array_equal(v, before[k])
+
+
+def test_parameter_set_holds_float32_or_float64_only():
+    with pytest.raises(ConfigurationError, match="float32 or float64"):
+        ParameterSet(np.int64)
+    with pytest.raises(ConfigurationError, match="float32 or float64"):
+        ParameterSet(np.float16)
+
+
+def make_float32_net(rng_seed=0, n=4, n_actions=3, use_load=False,
+                     activation="tanh"):
+    rng = np.random.default_rng(rng_seed)
+    prop = normalized_propagation(random_adjacency(rng, n))
+    return SliceNet(prop, n_actions, use_load, activation,
+                    np.random.default_rng(rng_seed), dtype=np.float32)
+
+
+def test_float32_init_rounds_the_float64_draws_once():
+    wide = make_net(rng_seed=2, use_load=True)
+    narrow = make_float32_net(rng_seed=2, use_load=True)
+    assert narrow.propagation.dtype == np.float32
+    np.testing.assert_array_equal(narrow.propagation,
+                                  wide.propagation.astype(np.float32))
+    for k, v in wide.params.arrays().items():
+        assert narrow.params[k].dtype == np.float32
+        np.testing.assert_array_equal(narrow.params[k], v.astype(np.float32))
+
+
+@pytest.mark.parametrize("n,n_actions,activation", [
+    (4, 3, "tanh"), (4, 1, "relu"),
+    # an out.w large enough that its gradient is kept as factors
+    (150, 60, "tanh")])
+def test_float32_net_stays_float32_from_forward_to_sgd(n, n_actions,
+                                                       activation):
+    """float64 observations in, float32 outputs, activations, gradients
+    and parameters after a step."""
+    net = make_float32_net(rng_seed=3, n=n, n_actions=n_actions,
+                           use_load=True, activation=activation)
+    rng = np.random.default_rng(4)
+    t = 3
+    psn = rng.uniform(size=(t, n, PSN_FEATURES))
+    nspr = rng.uniform(size=(t, NSPR_INPUT_WIDTH))
+    load = rng.uniform(size=(t, LOAD_INPUT_WIDTH))
+    out, acts = net.forward_batch(psn, nspr, load)
+    assert out.dtype == np.float32 and acts.combined.dtype == np.float32
+    assert all(ax.dtype == h.dtype == np.float32 for ax, h in acts.gcn)
+    net.backward(acts, rng.normal(size=out.shape))
+    for g in net.params.grads.values():
+        for part in (g if isinstance(g, tuple) else (g,)):
+            assert part.dtype == np.float32
+    net.params.sgd_step(1e-3)
+    assert all(v.dtype == np.float32 for v in net.params.arrays().values())
+
+
+def test_float32_checkpoint_round_trip_is_bit_exact(tmp_path):
+    net = make_float32_net(rng_seed=3, use_load=True)
+    path = tmp_path / "net32.ckpt"
+    save_checkpoint(path, net.manifest(), net.params.arrays())
+    manifest, arrays = load_checkpoint(path)
+    assert {e["dtype"] for e in manifest["tensors"]} == {"<f4"}
+    size = sum(v.size for v in net.params.arrays().values())
+    assert path.stat().st_size == 12 + len(json.dumps(
+        manifest, sort_keys=True)) + 4 * size
+    for name, arr in net.params.arrays().items():
+        assert arrays[name].dtype == np.float32
+        np.testing.assert_array_equal(arrays[name], arr)
+
+
+def test_checkpoint_refuses_to_save_an_integer_array(tmp_path):
+    with pytest.raises(CheckpointError, match="int64"):
+        save_checkpoint(tmp_path / "int.ckpt", {},
+                        {"w": np.zeros(2, dtype=np.int64)})

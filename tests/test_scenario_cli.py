@@ -20,8 +20,8 @@ import yaml
 from slicesim import (PROFILES, Agent, ScenarioError, SliceRequest,
                       load_events, load_scenario)
 from slicesim.cli import main
-from slicesim.scenario import (RunManifest, bundled_scenario_path,
-                               parse_scenario)
+from slicesim.scenario import (YAML_LOADER, RunManifest,
+                               bundled_scenario_path, parse_scenario)
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -61,6 +61,15 @@ def test_bundled_scenarios_load():
     tiny = load_scenario("tiny")
     assert tiny.topology == PROFILES["tiny"]
     assert tiny.agent_defaults["variant"] == "drl"
+
+
+@pytest.mark.parametrize("name", ["reference", "desk", "tiny"])
+def test_both_yaml_loaders_read_the_same_bundled_document(name):
+    """The C loader, where PyYAML has it, reads each bundled scenario as
+    the pure-Python safe loader does."""
+    text = bundled_scenario_path(name).read_text()
+    assert yaml.load(text, Loader=YAML_LOADER) == \
+        yaml.load(text, Loader=yaml.SafeLoader)
 
 
 def test_load_scenario_from_file(tmp_path):
@@ -382,6 +391,24 @@ def test_a_topology_of_a_billion_data_centres_is_refused_at_once():
                                             "make 4000000000 nodes"):
         parse_scenario(doc)
     assert time.perf_counter() - start < 1.0
+
+
+def test_cli_train_refuses_a_learner_past_the_parameter_bound(tmp_path,
+                                                              capsys):
+    """A 2,000-node topology parses, but its learner would hold 180M
+    parameters: one error line, exit 2, before any traffic is drawn."""
+    doc = scenario_doc()
+    doc["topology"] = {"edc_count": 500, "servers_per_edc": 3}
+    path = tmp_path / "wide.scenario"
+    path.write_text(yaml.safe_dump(doc))
+    start = time.perf_counter()
+    assert run_cli("train", "--scenario", str(path),
+                   "--out-dir", str(tmp_path / "out")) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: a learner for 2000 nodes and 1500 "
+                          "servers would hold ")
+    assert err.count("\n") == 1, err
 
 
 def test_negative_topology_count_names_the_field():
