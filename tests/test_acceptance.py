@@ -338,12 +338,16 @@ def desk_training_run(variant: str, index: int):
     return gar(records), tars
 
 
-def phases_to_converge(tars, tol=0.05):
-    final = tars[-1]
-    for p, t in enumerate(tars):
-        if abs(t - final) <= tol:
-            return p + 1
-    return len(tars)
+# the per-phase acceptance a learner must reach; the phase that first
+# reaches it is criterion 8's measure of how fast the learner learns
+REACH_LEVEL = 0.55
+
+
+def phase_reaching(tars, level=REACH_LEVEL):
+    """The first phase (1-based) whose acceptance reaches level, or
+    len(tars) + 1 if none does. A run that collapses reaches nothing."""
+    return next((p + 1 for p, t in enumerate(tars) if t >= level),
+                len(tars) + 1)
 
 
 def test_criterion_8_heuristic_assist_speeds_up_learning():
@@ -361,13 +365,14 @@ def test_criterion_8_heuristic_assist_speeds_up_learning():
     ha_gar, ha_tars = results["ha-drl"]
     drl_gar, drl_tars = results["drl"]
     assert ha_gar - drl_gar >= 0.10
-    ha_conv = phases_to_converge(ha_tars)
-    drl_conv = phases_to_converge(drl_tars)
-    assert ha_conv <= 2
-    assert drl_conv > 2
+    ha_reach = phase_reaching(ha_tars)
+    drl_reach = phase_reaching(drl_tars)
+    assert ha_reach <= 3
+    assert drl_reach > len(drl_tars)
     print(f"criterion 8: PASS - median acceptance {ha_gar:.3f} (assisted) vs "
           f"{drl_gar:.3f} (plain), gap {ha_gar - drl_gar:.3f} >= 0.10; "
-          f"phase ratios settle in {ha_conv} vs {drl_conv} phases of 500")
+          f"median phase acceptance reaches {REACH_LEVEL} in phase "
+          f"{ha_reach} of 4 (assisted), never (plain)")
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

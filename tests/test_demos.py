@@ -9,6 +9,9 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+# a smoke run's arguments, for a demo whose defaults make a long run
+SMOKE_ARGS = {"criterion8_study.py": ["--seeds", "0", "1", "--arrivals", "200",
+                                     "--subset", "2"]}
 
 
 def test_demos_exist():
@@ -18,6 +21,7 @@ def test_demos_exist():
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(demo, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=300)
+    proc = subprocess.run([sys.executable, str(demo)]
+                          + SMOKE_ARGS.get(demo.name, []), cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
