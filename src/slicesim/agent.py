@@ -13,13 +13,14 @@ exploration but is held constant when differentiating.
 Updates are single-trace advantage actor-critic with Monte-Carlo
 returns: the actor descends -sum_t A_t * log pi(a_t), the advantage held
 constant; the critic descends sum_t (R_t - v_t)^2. Plain SGD, separate
-learning rates. An update stacks the episode's T observations, runs each
-network forward once over the stack, and hands the closed-form loss
+learning rates. An update stacks the episode's T observations, runs the
+critic forward once over the stack, and hands the closed-form loss
 gradients with respect to the outputs to the network's batched backward:
 -A_t (onehot(a_t) - pi_t) for the actor's scores, -2 (R_t - v_t) for the
-critic's value. The actor's batched pass reuses the graph-convolution
-activations each step saved at selection, since the parameters do not
-move within an episode.
+critic's value. The actor is not run again: its scores and activations
+are the ones each step saved at selection, since the parameters do not
+move within an episode. Each step records the actor's parameter
+version, and a trace taken before the last step or load is refused.
 
 The learner trains in float32: both networks hold their arrays in the
 agent's dtype, while observations, returns, advantages, the shaped
@@ -34,10 +35,11 @@ import numpy as np
 
 from .errors import CheckpointError, ConfigurationError
 from .heuristic import HeuristicAdvice, heu_select
-from .networks import (MAX_PARAMETERS, SliceNet, finite_number,
+from .networks import (MAX_PARAMETERS, Activations, SliceNet, finite_number,
                        load_checkpoint, log_softmax, manifest_field,
                        normalized_propagation, parameter_count,
-                       save_checkpoint, softmax, whole_number)
+                       save_checkpoint, softmax, stack_activations,
+                       whole_number)
 from .placement import (PlacementEpisodeState, apply_action, episode_reward,
                         run_steps)
 from .substrate import SubstrateNetwork
@@ -107,7 +109,8 @@ class TraceStep:
     action: int                      # index into the agent's action list
     probability: float
     shaping: np.ndarray | None       # additive score shift, constant in grads
-    gcn: list[tuple[np.ndarray, np.ndarray]]  # the actor's GCN at selection
+    acts: Activations | None         # the actor's selection pass, one row
+    version: int                     # the actor's parameter version then
     reward: float = 0.0
 
 
@@ -234,8 +237,8 @@ class Agent:
 
         Returns (substrate node id, TraceStep without reward).
         """
-        gcn = []
-        z = self.actor.forward(psn, nspr, load, saved=gcn)
+        saved = []
+        z = self.actor.forward(psn, nspr, load, saved=saved)
         shaping = self.shaping_vector(z, advice)
         if shaping is not None:
             z = z + shaping
@@ -248,7 +251,7 @@ class Agent:
         idx = int(self.rng.choice(len(probs), p=probs))
         step = TraceStep(psn=psn, nspr=nspr, load=load, action=idx,
                          probability=float(probs[idx]), shaping=shaping,
-                         gcn=gcn)
+                         acts=saved[0], version=self.actor.params.version)
         return self.actions[idx], step
 
     # -- episode rollout -----------------------------------------------------
@@ -282,6 +285,13 @@ class Agent:
         """One actor step and one critic step from `run_episode`'s steps."""
         if not steps:
             raise ConfigurationError("update requires a complete episode")
+        if any(s.acts is None for s in steps):
+            raise ConfigurationError(
+                "update needs each step's saved actor activations")
+        if any(s.version != self.actor.params.version for s in steps):
+            raise ConfigurationError(
+                "update needs a trace taken with the actor's current "
+                "parameters; this one is stale")
         cfg = self.config
         returns = np.zeros(len(steps))
         acc = 0.0
@@ -302,11 +312,9 @@ class Agent:
 
         # d(-A_t log pi(a_t))/dz_t = A_t (pi_t - onehot(a_t)); the shaping
         # shifts the scores but is a constant. The actor's parameters have
-        # not moved since selection, so its GCN activations still hold.
-        gcn = [tuple(np.concatenate(parts) for parts in zip(*layer))
-               for layer in zip(*(s.gcn for s in steps))]
-        z, acts = self.actor.forward_batch(psn, nspr, load, gcn)
-        z = z.astype(np.float64)
+        # not moved since selection, so its selection passes still hold.
+        acts = stack_activations([s.acts for s in steps])
+        z = acts.out.astype(np.float64)
         for i, s in enumerate(steps):
             if s.shaping is not None:
                 z[i] += s.shaping

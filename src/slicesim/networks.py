@@ -18,15 +18,15 @@ learner (the README's numerics contract). Parameters, the propagation
 matrix, activations, gradients and the SGD step all share that dtype;
 observations arrive in float64 and are cast once, at `forward_batch`'s
 boundary, and `softmax`/`log_softmax` compute in float64. The
-forward pass takes a stack of T observations, so an episode's update is
-one batched forward and one closed-form backward: the output-layer
-gradient C^T G over the (T, 60|N| + ...) concatenations has rank <= T;
-a large actor keeps it as its two factors, which the SGD step multiplies
-out in cache-sized row blocks, and each graph-convolution layer's gradient
-is a GEMM over the stacked (T*|N|, 60) node features. `forward` is the
-one-observation case used at action selection; it can hand its GCN
-activations to a later batched pass over the same observations, which
-then skips the graph convolutions.
+forward pass takes a stack of T observations, and the backward pass is
+closed-form over such a stack: the output-layer gradient C^T G over the
+(T, 60|N| + ...) concatenations has rank <= T; a large actor keeps it as
+its two factors, which the SGD step multiplies out in cache-sized row
+blocks, and each graph-convolution layer's gradient is a GEMM over the
+stacked (T*|N|, 60) node features. `forward` is the one-observation
+case used at action selection; it can hand over the pass's whole
+`Activations`, and `stack_activations` stacks T of them into what
+`backward` differentiates through, with no second pass.
 
 Checkpoints are a versioned binary: a JSON manifest (names, shapes,
 dtypes, architecture fields) followed by the raw little-endian arrays in
@@ -105,6 +105,16 @@ def parameter_count(n_nodes: int, n_outputs: int, use_load: bool,
     return count + (combined + 1) * n_outputs
 
 
+def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for 2-d arrays. An inner dimension of 1 (a one-step
+    episode's rows, the critic's one output) is a broadcast product, bit
+    for bit the same: numpy runs it outside BLAS, about 6-10x slower
+    (256 x 1 @ 1 x 126: 59-101 us against 7-10 us at 2)."""
+    if a.shape[1] == 1:
+        return a * b
+    return a @ b
+
+
 def softmax(z: np.ndarray) -> np.ndarray:
     """Softmax over the last axis, shifted by the max."""
     z = np.asarray(z, dtype=np.float64)
@@ -129,6 +139,9 @@ class ParameterSet:
                 f"parameters must be float32 or float64, got {self.dtype}")
         self.values: dict[str, np.ndarray] = {}
         self.grads: dict[str, np.ndarray] = {}
+        # bumped by every sgd_step and load_arrays: activations computed
+        # at one version are stale at any other
+        self.version = 0
 
     def add(self, name: str, values: np.ndarray) -> np.ndarray:
         """Store values, rounded once to the set's dtype."""
@@ -156,13 +169,14 @@ class ParameterSet:
                 c, g_out = g
                 for start in range(0, w.shape[0], SGD_BLOCK_ROWS):
                     rows = slice(start, start + SGD_BLOCK_ROWS)
-                    block = c[:, rows].T @ g_out
+                    block = matmul(c[:, rows].T, g_out)
                     block *= lr
                     w[rows] -= block
             else:
                 g *= lr
                 w -= g
         self.grads.clear()
+        self.version += 1
 
     def arrays(self) -> dict[str, np.ndarray]:
         return dict(self.values)
@@ -191,6 +205,7 @@ class ParameterSet:
         self.check_arrays(arrays)
         for name, values in arrays.items():
             self.values[name] = np.array(values, dtype=self.dtype)
+        self.version += 1
 
 
 @dataclass
@@ -208,6 +223,19 @@ class Activations:
     load_out: np.ndarray | None      # (T, 100)
     combined: np.ndarray             # (T, combined_width)
     out: np.ndarray                  # (T, n_outputs), after the output relu
+
+
+def stack_activations(passes: list[Activations]) -> Activations:
+    """One T-row Activations from T passes over one observation each."""
+    if len(passes) == 1:
+        return passes[0]
+    gcn = [tuple(np.concatenate(parts) for parts in zip(*layers))
+           for layers in zip(*(a.gcn for a in passes))]
+    rows = {name: (None if getattr(passes[0], name) is None else
+                   np.concatenate([getattr(a, name) for a in passes]))
+            for name in ("nspr", "nspr_out", "load", "load_out",
+                         "combined", "out")}
+    return Activations(gcn=gcn, **rows)
 
 
 class SliceNet:
@@ -275,27 +303,24 @@ class SliceNet:
                 saved: list | None = None) -> np.ndarray:
         """Score vector over actions (actor) or 1-vector (critic).
 
-        saved, when given, receives each GCN layer's (A·H_{k-1}, H_k),
-        each of shape (1, |N|, width), for a later `forward_batch`.
+        saved, when given, receives the pass's one-row `Activations`, for
+        a later `backward` through `stack_activations`.
         """
         stacked = None if load is None else np.asarray(load)[None]
         out, acts = self.forward_batch(np.asarray(psn)[None],
                                        np.asarray(nspr)[None], stacked)
         if saved is not None:
-            saved.extend(acts.gcn)
+            saved.append(acts)
         return out[0]
 
     def forward_batch(self, psn: np.ndarray, nspr: np.ndarray,
-                      load: np.ndarray | None = None,
-                      gcn: list | None = None
+                      load: np.ndarray | None = None
                       ) -> tuple[np.ndarray, Activations]:
         """Outputs (T, n_outputs) for T stacked observations, plus the
         activations `backward` differentiates through.
 
-        gcn, when given, holds the GCN layers' (A·H_{k-1}, H_k) already
-        computed for these node features, stacked to (T, |N|, width);
-        the graph convolutions are then not run again. The features are
-        cast to the network's dtype here; the outputs are in it too.
+        The features are cast to the network's dtype here; the outputs
+        are in it too.
         """
         psn = np.asarray(psn, dtype=self.dtype)
         nspr = np.asarray(nspr, dtype=self.dtype)
@@ -308,16 +333,8 @@ class SliceNet:
             raise ConfigurationError(
                 f"request features must be ({NSPR_INPUT_WIDTH},)")
         p = self.params
-        if gcn is None:
-            gcn = []
-            nodes = self._gcn(psn, gcn)
-        else:
-            if (len(gcn) != GCN_LAYERS or gcn[-1][1].shape
-                    != (t, self.n_nodes, self.gcn_width)):
-                raise ConfigurationError(
-                    f"saved GCN activations must be {GCN_LAYERS} layers "
-                    f"of shape {(t, self.n_nodes, self.gcn_width)}")
-            nodes = gcn[-1][1]
+        gcn = []
+        nodes = self._gcn(psn, gcn)
         nspr_out = self._act(nspr @ p["nspr.w"] + p["nspr.b"])
         parts = [nodes.reshape(t, -1), nspr_out]
         load_out = None
@@ -365,9 +382,15 @@ class SliceNet:
                 and product * g.itemsize > DENSE_GRADIENT_BYTES):
             grads["out.w"] = (acts.combined, g)
         else:
-            grads["out.w"] = acts.combined.T @ g
+            grads["out.w"] = matmul(acts.combined.T, g)
         grads["out.b"] = g.sum(axis=0)
-        g_combined = g @ p["out.w"].T
+        # G W^T, bit for bit. More than one output (the actor) is formed
+        # as (W G^T)^T, which streams W once, row by row: twice as fast at
+        # T = 4-8 in float32. One output (the critic) is a broadcast: on
+        # the reference critic at T = 5, 7 us against 71 us for G W^T and
+        # 86 us for (W G^T)^T.
+        w = p["out.w"]
+        g_combined = matmul(g, w.T) if w.shape[1] == 1 else (w @ g.T).T
         gcn_end = self.n_nodes * self.gcn_width
         dense = [("nspr", acts.nspr, acts.nspr_out,
                   g_combined[:, gcn_end:gcn_end + NSPR_FC_WIDTH])]
@@ -376,7 +399,7 @@ class SliceNet:
                           g_combined[:, gcn_end + NSPR_FC_WIDTH:]))
         for name, x, y, g_y in dense:
             g_pre = self._act_grad(y, g_y)
-            grads[f"{name}.w"] = x.T @ g_pre
+            grads[f"{name}.w"] = matmul(x.T, g_pre)
             grads[f"{name}.b"] = g_pre.sum(axis=0)
 
         g_h = g_combined[:, :gcn_end].reshape(t, self.n_nodes, self.gcn_width)

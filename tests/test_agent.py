@@ -335,24 +335,47 @@ def counting(calls, name, fn):
 
 @pytest.mark.parametrize("variant", ["drl", "edrl", "ha-drl", "ha-edrl"])
 def test_update_reuses_the_actors_selection_gcn(variant):
-    """The update runs the critic's graph convolutions once and the
-    actor's not at all: each step kept them from selection."""
+    """The update runs the critic forward once and the actor not at all,
+    graph convolutions included: each step kept its selection pass."""
     agent, net = tiny_agent(variant, seed=6)
     _, trace, _ = agent.run_episode(uniform_request(3, 5.0, 5.0, 1.0), net)
     assert len(trace) == 3
-    calls = {"actor": 0, "critic": 0}
-    agent.actor._gcn = counting(calls, "actor", agent.actor._gcn)
-    agent.critic._gcn = counting(calls, "critic", agent.critic._gcn)
+    calls = dict.fromkeys(["actor", "actor gcn", "critic", "critic gcn"], 0)
+    for name, model in (("actor", agent.actor), ("critic", agent.critic)):
+        model.forward_batch = counting(calls, name, model.forward_batch)
+        model._gcn = counting(calls, f"{name} gcn", model._gcn)
     agent.update(trace)
-    assert calls == {"actor": 0, "critic": 1}
+    assert calls == {"actor": 0, "actor gcn": 0, "critic": 1, "critic gcn": 1}
 
 
-def test_update_needs_each_steps_saved_gcn():
+def test_update_needs_each_steps_saved_activations():
     agent, net = tiny_agent("drl", seed=6)
     trace = synthetic_trace(agent, net, [0.0, 1.0])
-    trace[1].gcn = []
-    with pytest.raises(ConfigurationError, match="saved GCN activations"):
+    trace[1].acts = None
+    before = {k: v.copy() for k, v in agent.state_arrays().items()}
+    with pytest.raises(ConfigurationError, match="saved actor activations"):
         agent.update(trace)
+    for k, v in agent.state_arrays().items():
+        assert np.array_equal(v, before[k]), k
+
+
+def test_update_refuses_a_stale_trace():
+    """A trace is differentiated through the actor that took it: once an
+    update or a load has moved the actor, the trace is refused, and the
+    refusal moves neither network."""
+    agent, net = tiny_agent("ha-drl", seed=6)
+    _, trace, _ = agent.run_episode(uniform_request(3, 5.0, 5.0, 1.0), net)
+    agent.update(trace)
+    _, fresh, _ = agent.run_episode(
+        uniform_request(2, 5.0, 5.0, 1.0, uid=1), net)
+    agent.load_arrays(agent.state_arrays())
+    for stale in (trace, fresh):
+        before = {k: v.copy() for k, v in agent.state_arrays().items()}
+        with pytest.raises(ConfigurationError, match="stale"):
+            agent.update(stale)
+        for k, v in agent.state_arrays().items():
+            assert np.array_equal(v, before[k]), k
+    assert agent.episodes_trained == 1
 
 
 def test_episode_takes_one_forecast():
@@ -391,11 +414,11 @@ def synthetic_trace(agent, net, rewards):
     psn, nspr, load = agent.observe(state, net, agent.forecast(0.0))
     steps = []
     for i, r in enumerate(rewards):
-        gcn = []
-        agent.actor.forward(psn, nspr, load, saved=gcn)
+        saved = []
+        agent.actor.forward(psn, nspr, load, saved=saved)
         steps.append(TraceStep(psn=psn, nspr=nspr, load=load, action=i % 3,
-                               probability=1.0, shaping=None, gcn=gcn,
-                               reward=r))
+                               probability=1.0, shaping=None, acts=saved[0],
+                               version=agent.actor.params.version, reward=r))
     return steps
 
 
@@ -508,9 +531,10 @@ def test_float32_update_step_tracks_the_float64_step(variant, lrs):
         wide.load_arrays(before)
         wide_trace = []
         for step in trace:          # the float64 actor's own activations
-            gcn = []
-            wide.actor.forward(step.psn, step.nspr, step.load, saved=gcn)
-            wide_trace.append(dataclasses.replace(step, gcn=gcn))
+            saved = []
+            wide.actor.forward(step.psn, step.nspr, step.load, saved=saved)
+            wide_trace.append(dataclasses.replace(
+                step, acts=saved[0], version=wide.actor.params.version))
         stats = agent.update(trace)
         wide_stats = wide.update(wide_trace)
         assert stats["critic_loss"] == pytest.approx(

@@ -26,6 +26,7 @@ from slicesim.networks import (
     normalized_propagation,
     save_checkpoint,
     softmax,
+    stack_activations,
 )
 
 from oracles import gcn_forward
@@ -44,12 +45,13 @@ def random_adjacency(rng, n):
 
 
 def make_net(rng_seed=0, n=4, n_actions=3, use_load=False, width=GCN_WIDTH,
-             activation="tanh"):
+             activation="tanh", dtype=np.float64):
     rng = np.random.default_rng(rng_seed)
     adj = random_adjacency(rng, n)
     prop = normalized_propagation(adj)
     return SliceNet(prop, n_actions, use_load, activation,
-                    np.random.default_rng(rng_seed), gcn_width=width)
+                    np.random.default_rng(rng_seed), gcn_width=width,
+                    dtype=dtype)
 
 
 # -- propagation operator ------------------------------------------------------
@@ -147,6 +149,48 @@ def test_factored_gradient_steps_like_the_dense_product():
     assert not params.grads
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_factored_gradient_of_one_row_steps_like_the_matmul(dtype):
+    """A one-step episode's (C, G) factors are one row each: the step's
+    broadcast products give the bits of numpy's C^T G, across row
+    blocks, at the reference actor's shape."""
+    rng = np.random.default_rng(5)
+    rows, cols = 8924, 126
+    c = rng.standard_normal((1, rows)).astype(dtype)
+    g_out = rng.standard_normal((1, cols)).astype(dtype)
+    start = rng.standard_normal((rows, cols)).astype(dtype)
+    params = ParameterSet(dtype)
+    w = params.add("w", start)
+    params.grads["w"] = (c, g_out)
+    params.sgd_step(0.05)
+    dense = c.T @ g_out
+    dense *= 0.05
+    assert np.array_equal(w, start - dense)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("t,n_actions,activation", [
+    (1, 4, "tanh"), (1, 1, "relu"), (3, 1, "relu")])
+def test_backward_broadcasts_an_inner_dimension_of_1_bit_for_bit(
+        monkeypatch, dtype, t, n_actions, activation):
+    """A one-row batch's x^T g and a one-output net's G W^T are broadcast
+    products in backward, bit for bit numpy's matmul."""
+    net = make_net(n=5, n_actions=n_actions, use_load=True,
+                   activation=activation, dtype=dtype)
+    rng = np.random.default_rng(6)
+    out, acts = net.forward_batch(rng.random((t, 5, PSN_FEATURES)),
+                                  rng.random((t, NSPR_INPUT_WIDTH)),
+                                  rng.random((t, LOAD_INPUT_WIDTH)))
+    grad_out = rng.standard_normal(out.shape)
+    net.backward(acts, grad_out)
+    broadcast = net.params.grads
+    monkeypatch.setattr(networks, "matmul", lambda a, b: a @ b)
+    net.backward(acts, grad_out)
+    assert set(broadcast) == set(net.params.grads)
+    for name, g in net.params.grads.items():
+        assert np.array_equal(broadcast[name], g), name
+
+
 def test_backward_factors_the_output_gradient_when_smaller(monkeypatch):
     """Four scores over 304 inputs: 3 x (304 + 4) factor values beat the
     304 x 4 product. One relu value: the 304 x 1 product is smaller.
@@ -193,28 +237,37 @@ def test_backward_keeps_a_small_output_gradient_dense():
 
 # -- forward semantics -------------------------------------------------------------
 
-def test_forward_saves_gcn_activations_for_the_batch():
-    """forward_batch over saved activations gives the bits of a full pass
-    and the same activations to differentiate."""
-    net = make_net(n=5, n_actions=4, use_load=True)
+@pytest.mark.parametrize("dtype,rtol", [(np.float64, 1e-12),
+                                        (np.float32, 1e-5)],
+                         ids=["float64", "float32"])
+def test_forward_saves_activations_for_the_batch(dtype, rtol):
+    """One-observation passes, stacked, are the activations of a batched
+    pass: the graph convolutions bit for bit, the dense layers and the
+    scores within rounding (a one-row product may round otherwise)."""
+    net = make_net(n=5, n_actions=4, use_load=True, dtype=dtype)
     rng = np.random.default_rng(4)
-    psn = rng.random((2, 5, PSN_FEATURES))
-    nspr = rng.random((2, NSPR_INPUT_WIDTH))
-    load = rng.random((2, LOAD_INPUT_WIDTH))
-    saved = [[], []]
-    for i in range(2):
-        net.forward(psn[i], nspr[i], load[i], saved=saved[i])
-        assert len(saved[i]) == GCN_LAYERS
-        assert saved[i][-1][1].shape == (1, 5, GCN_WIDTH)
-    gcn = [tuple(np.concatenate(parts) for parts in zip(*layer))
-           for layer in zip(*saved)]
-    reused, acts = net.forward_batch(psn, nspr, load, gcn)
+    psn = rng.random((3, 5, PSN_FEATURES))
+    nspr = rng.random((3, NSPR_INPUT_WIDTH))
+    load = rng.random((3, LOAD_INPUT_WIDTH))
+    saved = []
+    for i in range(3):
+        z = net.forward(psn[i], nspr[i], load[i], saved=saved)
+        assert len(saved) == i + 1
+        assert saved[i].out.shape == (1, 4)
+        assert np.array_equal(saved[i].out[0], z)
+    acts = stack_activations(saved)
     full, full_acts = net.forward_batch(psn, nspr, load)
-    assert np.array_equal(reused, full)
+    assert len(acts.gcn) == GCN_LAYERS
     for (ax, h), (fax, fh) in zip(acts.gcn, full_acts.gcn):
+        assert h.shape == (3, 5, GCN_WIDTH)
         assert np.array_equal(ax, fax) and np.array_equal(h, fh)
-    with pytest.raises(ConfigurationError, match="saved GCN activations"):
-        net.forward_batch(psn, nspr, load, gcn[:2])
+    for name in ("nspr", "load"):
+        assert np.array_equal(getattr(acts, name), getattr(full_acts, name))
+    for name in ("nspr_out", "load_out", "combined", "out"):
+        np.testing.assert_allclose(getattr(acts, name),
+                                   getattr(full_acts, name), rtol=rtol,
+                                   atol=rtol)
+    assert stack_activations(saved[:1]) is saved[0]
 
 def test_forward_shapes_and_validation():
     net = make_net(n=5, n_actions=4)
@@ -406,10 +459,8 @@ def test_parameter_set_holds_float32_or_float64_only():
 
 def make_float32_net(rng_seed=0, n=4, n_actions=3, use_load=False,
                      activation="tanh"):
-    rng = np.random.default_rng(rng_seed)
-    prop = normalized_propagation(random_adjacency(rng, n))
-    return SliceNet(prop, n_actions, use_load, activation,
-                    np.random.default_rng(rng_seed), dtype=np.float32)
+    return make_net(rng_seed, n, n_actions, use_load, activation=activation,
+                    dtype=np.float32)
 
 
 def test_float32_init_rounds_the_float64_draws_once():
