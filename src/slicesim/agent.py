@@ -86,6 +86,9 @@ class AgentConfig:
             raise ConfigurationError("gamma must be in (0, 1]")
         if uses_heuristic(self.variant) and self.beta <= 0:
             raise ConfigurationError("beta must be > 0 for ha variants")
+        # the advice's gap plus eta is the base of a fractional power
+        if uses_heuristic(self.variant) and self.eta < 0:
+            raise ConfigurationError("eta must be >= 0 for ha variants")
         if self.seed < 0:
             raise ConfigurationError(
                 f"seed must be a whole number >= 0, got {self.seed!r}")
@@ -228,7 +231,13 @@ class Agent:
         a_star = self.action_index[advice.server]
         gap = float(np.max(z)) - float(z[a_star]) + cfg.eta
         shift = np.zeros(len(z))
-        shift[a_star] = cfg.xi * gap ** cfg.beta
+        try:
+            shift[a_star] = cfg.xi * gap ** cfg.beta
+        except OverflowError as exc:
+            raise ConfigurationError(
+                f"variant {cfg.variant!r}: the advice's score shift "
+                f"xi * (gap + eta) ** beta overflows (xi={cfg.xi}, "
+                f"eta={cfg.eta}, beta={cfg.beta})") from exc
         return shift
 
     def select_action(self, psn, nspr, load,
@@ -395,19 +404,20 @@ class Agent:
             raise CheckpointError(
                 "agent checkpoint field 'allow_any_node' must be false: "
                 "actions target servers only")
-        try:
-            config = AgentConfig.for_variant(
-                variant, gamma=field("gamma", finite_number),
-                xi=field("xi", finite_number), eta=field("eta", finite_number),
-                beta=field("beta", finite_number))
-        except ConfigurationError as exc:
-            raise CheckpointError(f"agent checkpoint: {exc}") from exc
         dtypes = {a.dtype for a in arrays.values()}
         if len(dtypes) != 1:
             raise CheckpointError(
                 f"agent checkpoint tensors must share one dtype, got "
                 f"{sorted(map(str, dtypes))}")
-        agent = cls(config, net, load_model, dtype=dtypes.pop())
+        # an e-variant's checkpoint also needs the caller's load model
+        try:
+            config = AgentConfig.for_variant(
+                variant, gamma=field("gamma", finite_number),
+                xi=field("xi", finite_number), eta=field("eta", finite_number),
+                beta=field("beta", finite_number))
+            agent = cls(config, net, load_model, dtype=dtypes.pop())
+        except ConfigurationError as exc:
+            raise CheckpointError(f"agent checkpoint: {exc}") from exc
         n_actions = manifest_field(field("actor"), "n_actions",
                                    "agent checkpoint actor")
         if n_actions != len(agent.actions):

@@ -19,7 +19,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields, replace
 
 from .agent import VARIANTS, Agent, AgentConfig
 from .errors import SliceSimError
@@ -30,8 +30,8 @@ from .simulation import AgentPolicy, HeuristicPolicy, Simulation
 from .traffic import SliceRequest, check_horizon, export_events, load_events
 
 
-# the AgentConfig floats a scenario's agent: section or a train flag sets
-_AGENT_FLOATS = ("beta", "xi", "eta", "gamma", "actor_lr", "critic_lr")
+# the AgentConfig floats a train flag sets
+_AGENT_FLOATS = [f.name for f in fields(AgentConfig) if f.type == "float"]
 
 
 def _count(text: str, minimum: int = 1) -> int:
@@ -84,20 +84,14 @@ def _events_for(scenario: Scenario, args, seed_shift: int = 0):
 
 
 def _agent_config(scenario: Scenario, args, seed_shift: int = 0) -> AgentConfig:
-    defaults = dict(scenario.agent_defaults)
-    variant = getattr(args, "variant", None) or defaults.pop("variant", "drl")
-    overrides = {}
-    for key in _AGENT_FLOATS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            overrides[key] = flag
-        elif key in defaults:
-            overrides[key] = float(defaults[key])
-    base_seed = getattr(args, "agent_seed", None)
-    if base_seed is None:
-        base_seed = int(defaults.get("seed", 0))
-    overrides["seed"] = base_seed + seed_shift
-    return AgentConfig.for_variant(variant, **overrides)
+    """The scenario's agent config with the train flags that were set,
+    its seed shifted by seed_shift."""
+    flags = {key: getattr(args, key) for key in _AGENT_FLOATS
+             if getattr(args, key) is not None}
+    if args.agent_seed is not None:
+        flags["seed"] = args.agent_seed
+    config = scenario.agent_config(args.variant, **flags)
+    return replace(config, seed=config.seed + seed_shift)
 
 
 def _write_outputs(scenario: Scenario, args, records, base: str,

@@ -39,6 +39,18 @@ class Scenario:
     phase_size: int = DEFAULT_PHASE_SIZE
     agent_defaults: dict = field(default_factory=dict)
 
+    def agent_config(self, variant: str | None = None,
+                     **overrides) -> AgentConfig:
+        """The config of this scenario's agent: section: the variant given,
+        else the section's (drl if none). Each override beats the section,
+        and the section beats the variant's defaults."""
+        values = _numbers(self.agent_defaults, AgentConfig, "agent",
+                          required=False)
+        values.update(overrides)
+        if variant is None:
+            variant = self.agent_defaults.get("variant", "drl")
+        return AgentConfig.for_variant(variant, **values)
+
     def build_network(self) -> SubstrateNetwork:
         return build_reference_topology(self.topology)
 
@@ -92,6 +104,8 @@ def _number(mapping: dict, key: str, path: str, convert=float):
     if key not in mapping:
         raise ScenarioError(f"{where}: missing required field")
     raw = mapping[key]
+    if isinstance(raw, bool):   # YAML's true is no number
+        raise ScenarioError(f"{where}: must be a number, got {raw!r}")
     try:
         value = convert(raw)
         finite = math.isfinite(value)
@@ -182,7 +196,12 @@ def _parse_class(raw, idx: int) -> SliceClass:
         return SliceClass(name=str(raw.get("name", f"class-{idx}")),
                           arrival=arrival, **numbers)
     except ConfigurationError as exc:
-        raise ScenarioError(f"{path}: {exc}") from exc
+        # SliceClass names a single field as "SliceClass.<field>: "
+        message = str(exc)
+        if message.startswith("SliceClass."):
+            raise ScenarioError(
+                path + message.removeprefix("SliceClass")) from exc
+        raise ScenarioError(f"{path}: {message}") from exc
 
 
 def parse_scenario(raw: dict, name: str = "scenario") -> Scenario:
@@ -208,12 +227,6 @@ def parse_scenario(raw: dict, name: str = "scenario") -> Scenario:
     if not isinstance(agent_defaults, dict):
         raise ScenarioError("agent: must be a mapping")
     _reject_unknown(agent_defaults, _AGENT_KEYS, "agent")
-    try:
-        AgentConfig.for_variant(
-            agent_defaults.get("variant", "drl"),
-            **_numbers(agent_defaults, AgentConfig, "agent", required=False))
-    except ConfigurationError as exc:
-        raise ScenarioError(f"agent: {exc}") from exc
     scenario = Scenario(
         name=str(raw.get("name", name)),
         topology=topology,
@@ -221,6 +234,10 @@ def parse_scenario(raw: dict, name: str = "scenario") -> Scenario:
         agent_defaults=dict(agent_defaults),
         **numbers,
     )
+    try:
+        scenario.agent_config()
+    except ConfigurationError as exc:
+        raise ScenarioError(f"agent: {exc}") from exc
     if scenario.phase_size < 1:
         raise ScenarioError("phase_size: must be >= 1")
     # the built topology must hold some of every resource, and each

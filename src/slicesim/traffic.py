@@ -60,6 +60,10 @@ class SliceClass:
     name: str = ""
 
     def __post_init__(self):
+        # the id keys the class's random substream, which needs it >= 0
+        if self.id < 0:
+            raise ConfigurationError(
+                f"SliceClass.id: must be a whole number >= 0, got {self.id!r}")
         numbers = (self.req_cpu, self.req_ram, self.req_bw, self.mean_lifetime,
                    *astuple(self.arrival))
         if not all(math.isfinite(x) for x in numbers):

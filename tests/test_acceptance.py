@@ -321,10 +321,10 @@ def test_criterion_7_feasibility_and_heuristic_match_brute_force():
 
 def desk_agent_run(variant: str, index: int, arrivals: int, xi=1.0,
                    dtype=np.float32):
-    """Criterion 8's training run: (records, trained agent)."""
+    """Criterion 8's training run, with desk's agent: section:
+    (records, trained agent)."""
     scenario = load_scenario("desk")
-    config = AgentConfig.for_variant(variant, beta=2.0, xi=xi, eta=0.0,
-                                     seed=index, actor_lr=2e-4, critic_lr=5e-3)
+    config = scenario.agent_config(variant, seed=index, xi=xi)
     net = scenario.build_network()
     events = scenario.generate_events(seed=scenario.seed + index)
     agent = Agent(config, net, dtype=dtype)

@@ -84,6 +84,10 @@ def test_config_validation():
         AgentConfig.for_variant("drl", gamma=1.5)
     with pytest.raises(ConfigurationError):
         AgentConfig.for_variant("ha-drl", beta=0.0)
+    with pytest.raises(ConfigurationError, match="eta must be >= 0"):
+        AgentConfig.for_variant("ha-edrl", eta=-1e-9)
+    # eta shifts nothing without advice
+    assert AgentConfig.for_variant("drl", eta=-5.0).eta == -5.0
 
 
 def test_load_variant_needs_model():
@@ -776,4 +780,29 @@ def test_agent_load_names_a_bad_field(tmp_path, field, value):
     manifest[field] = value
     save_checkpoint(path, manifest, arrays)
     with pytest.raises(CheckpointError, match=field):
+        Agent.load(path, build_reference_topology("tiny"))
+
+
+def test_agent_load_refuses_a_negative_eta_for_an_ha_variant(tmp_path):
+    agent, net = tiny_agent("ha-drl")
+    path = tmp_path / "agent.ckpt"
+    agent.save(path)
+    manifest, arrays = load_checkpoint(path)
+    del manifest["tensors"]
+    manifest["eta"], manifest["beta"] = -5.0, 0.5
+    save_checkpoint(path, manifest, arrays)
+    with pytest.raises(CheckpointError,
+                       match="agent checkpoint: eta must be >= 0"):
+        Agent.load(path, build_reference_topology("tiny"))
+
+
+def test_agent_load_names_a_missing_load_model(tmp_path):
+    """A checkpoint of an e-variant loaded without a load model: a
+    CheckpointError, as for any checkpoint that cannot be loaded here."""
+    agent, net = tiny_agent("edrl")
+    path = tmp_path / "agent.ckpt"
+    agent.save(path)
+    with pytest.raises(CheckpointError,
+                       match="agent checkpoint: variant 'edrl' needs a load "
+                             "model"):
         Agent.load(path, build_reference_topology("tiny"))

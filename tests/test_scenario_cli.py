@@ -12,13 +12,14 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 import yaml
 
-from slicesim import (PROFILES, Agent, ScenarioError, SliceRequest,
-                      load_events, load_scenario)
+from slicesim import (PROFILES, Agent, AgentConfig, ScenarioError,
+                      SliceRequest, load_events, load_scenario)
 from slicesim.cli import main
 from slicesim.scenario import (YAML_LOADER, RunManifest,
                                bundled_scenario_path, parse_scenario)
@@ -206,6 +207,21 @@ def test_parse_uses_filename_when_unnamed(tmp_path):
     (lambda d: d.__setitem__("topology", {"edc_count": 1,
                                           "servers_per_edc": 0}),
      "topology: total capacity of 'cpu' must be > 0"),
+    # YAML's booleans are not numbers
+    (lambda d: d.__setitem__("topology", {"edc_count": True,
+                                          "servers_per_edc": 3}),
+     "topology.edc_count: must be a number, got True"),
+    (lambda d: d.__setitem__("horizon", True),
+     "horizon: must be a number, got True"),
+    (lambda d: d["classes"][0].__setitem__("req_cpu", True),
+     "classes\\[0\\].req_cpu: must be a number, got True"),
+    # a class id keys a random substream, and a negative key has none
+    (lambda d: d["classes"][0].__setitem__("id", -1),
+     "classes\\[0\\].id: must be a whole number >= 0, got -1"),
+    # a negative eta would make the advice's shift a complex number
+    (lambda d: d.__setitem__("agent", {"variant": "ha-drl", "eta": -5,
+                                       "beta": 0.5}),
+     "agent: eta must be >= 0 for ha variants"),
 ])
 def test_parse_errors_name_the_field(mutate, path_fragment):
     doc = scenario_doc()
@@ -708,3 +724,113 @@ def test_cli_train_agent_flags_reach_the_manifest(tmp_path):
     assert {key: written["unset"][key] for key in AGENT_FLAGS} == {
         "beta": 2.0, "xi": 1.0, "eta": 0.0, "gamma": 0.99,
         "actor_lr": 2.0e-4, "critic_lr": 5.0e-3, "agent_seed": 0}
+
+
+# -- the agent config a scenario builds ------------------------------------------
+
+def test_desk_agent_config_is_criterion_8s():
+    """Criterion 8's config is desk's agent: section; this is the one
+    place of its literals."""
+    desk = load_scenario("desk")
+    for variant in ("ha-drl", "drl"):
+        for seed in (0, 2):
+            assert desk.agent_config(variant, seed=seed) == \
+                AgentConfig.for_variant(variant, beta=2.0, xi=1.0, eta=0.0,
+                                        seed=seed, actor_lr=2e-4,
+                                        critic_lr=5e-3)
+
+
+def test_agent_config_overrides_beat_the_section_beats_the_defaults():
+    doc = scenario_doc()
+    doc["agent"] = {"variant": "ha-drl", "beta": 1.5, "actor_lr": 1e-3,
+                    "seed": 4}
+    scenario = parse_scenario(doc)
+    config = scenario.agent_config()
+    assert (config.variant, config.beta, config.actor_lr, config.seed) == \
+        ("ha-drl", 1.5, 1e-3, 4)
+    assert config.critic_lr == AgentConfig.for_variant("ha-drl").critic_lr
+    assert scenario.agent_config(beta=3.0, seed=0) == replace(
+        config, beta=3.0, seed=0)
+    edrl = scenario.agent_config("edrl")
+    assert (edrl.variant, edrl.beta, edrl.actor_lr) == ("edrl", 1.5, 1e-3)
+    assert edrl.critic_lr == AgentConfig.for_variant("edrl").critic_lr
+
+
+def test_agent_config_reads_a_missing_variant_from_the_section():
+    assert load_scenario("desk").agent_config().variant == "ha-drl"
+    assert load_scenario("tiny").agent_config().variant == "drl"
+    assert parse_scenario(scenario_doc()).agent_config() == \
+        AgentConfig.for_variant("drl")
+
+
+def test_cli_train_manifest_extra_is_pinned(tmp_path):
+    """A flag beats the agent: section, the section beats the variant's
+    defaults, and --seeds shifts the agent seed."""
+    doc = scenario_doc()
+    doc["agent"] = {"variant": "ha-drl", "beta": 1.5, "actor_lr": 1e-3,
+                    "gamma": 0.5}
+    path = tmp_path / "unit.scenario"
+    path.write_text(yaml.safe_dump(doc))
+    assert run_cli("train", "--scenario", str(path), "--variant", "edrl",
+                   "--gamma", "0.9", "--agent-seed", "3", "--seeds", "2",
+                   "--arrivals", "3", "--out-dir", str(tmp_path)) == 0
+    manifest = json.loads(
+        (tmp_path / "unit-edrl-seed4.manifest.json").read_text())
+    del manifest["scenario_hash"], manifest["checkpoint"]
+    assert manifest == {
+        "actor_lr": 1e-3, "agent_seed": 4, "arrivals": 3, "beta": 1.5,
+        "critic_lr": 1.4e-3, "episodes": 3, "eta": 0.0, "gamma": 0.9,
+        "policy": "edrl", "seed": 4, "start_arrival": 0,
+        "tool_version": "0.1.0", "variant": "edrl", "xi": 1.0}
+
+
+def run_cli_process(*argv):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, "-m", "slicesim.cli", *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+
+
+def assert_one_error_line(proc):
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.count("\n") == 1, proc.stderr
+
+
+@pytest.mark.parametrize("command", ["simulate", "train", "export-events"])
+def test_cli_refuses_a_negative_class_id(tmp_path, command):
+    doc = scenario_doc()
+    doc["classes"][0]["id"] = -1
+    path = tmp_path / "negative.scenario"
+    path.write_text(yaml.safe_dump(doc))
+    out = tmp_path / "out"
+    where = (["--out", str(out / "events.jsonl")]
+             if command == "export-events" else ["--out-dir", str(out)])
+    proc = run_cli_process(command, "--scenario", str(path), *where)
+    assert_one_error_line(proc)
+    assert "classes[0].id: must be a whole number >= 0" in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("eta,beta,message", [
+    ("-5", "0.5", "eta must be >= 0 for ha variants"),
+    ("1e200", "2", "overflows (xi=1.0, eta=1e+200, beta=2.0)")])
+@pytest.mark.parametrize("source", ["flags", "scenario"])
+def test_cli_refuses_a_shaping_term_without_a_real_value(tmp_path, eta, beta,
+                                                         message, source):
+    """A negative base to a fractional power is complex, and a huge one
+    overflows: one error line, no output file."""
+    if source == "flags":
+        scenario = ["tiny", "--eta", eta, "--beta", beta]
+    else:
+        doc = scenario_doc()
+        doc["agent"] = {"eta": float(eta), "beta": float(beta)}
+        path = tmp_path / "shaped.scenario"
+        path.write_text(yaml.safe_dump(doc))
+        scenario = [str(path)]
+    out = tmp_path / "out"
+    proc = run_cli_process("train", "--variant", "ha-drl", "--arrivals", "5",
+                           "--out-dir", str(out), "--scenario", *scenario)
+    assert_one_error_line(proc)
+    assert message in proc.stderr
+    assert not any(out.iterdir())
