@@ -33,13 +33,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import CheckpointError, ConfigurationError
+from .errors import (CheckpointError, ConfigurationError, FieldError,
+                     check_fields, whole_number)
 from .heuristic import HeuristicAdvice, heu_select
-from .networks import (MAX_PARAMETERS, Activations, SliceNet, finite_number,
+from .networks import (MAX_PARAMETERS, Activations, SliceNet,
                        load_checkpoint, log_softmax, manifest_field,
                        normalized_propagation, parameter_count,
-                       save_checkpoint, softmax, stack_activations,
-                       whole_number)
+                       save_checkpoint, softmax, stack_activations)
 from .placement import (PlacementEpisodeState, apply_action, episode_reward,
                         run_steps)
 from .substrate import SubstrateNetwork
@@ -76,32 +76,32 @@ class AgentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ConfigurationError(
-                f"variant must be one of {VARIANTS}, got {self.variant!r}")
+        _check_variant(self.variant)
+        check_fields(self)
         for name in ("actor_lr", "critic_lr"):
             if getattr(self, name) <= 0:
-                raise ConfigurationError(f"{name} must be > 0")
+                raise FieldError(self, name, "must be > 0")
         if not 0 < self.gamma <= 1:
-            raise ConfigurationError("gamma must be in (0, 1]")
+            raise FieldError(self, "gamma", "must be in (0, 1]")
         if uses_heuristic(self.variant) and self.beta <= 0:
-            raise ConfigurationError("beta must be > 0 for ha variants")
+            raise FieldError(self, "beta", "must be > 0 for ha variants")
         # the advice's gap plus eta is the base of a fractional power
         if uses_heuristic(self.variant) and self.eta < 0:
-            raise ConfigurationError("eta must be >= 0 for ha variants")
-        if self.seed < 0:
-            raise ConfigurationError(
-                f"seed must be a whole number >= 0, got {self.seed!r}")
+            raise FieldError(self, "eta", "must be >= 0 for ha variants")
 
     @classmethod
     def for_variant(cls, variant: str, **overrides) -> "AgentConfig":
-        # the tuple, not the dict: an unhashable variant is just unknown
-        if variant not in VARIANTS:
-            raise ConfigurationError(
-                f"variant must be one of {VARIANTS}, got {variant!r}")
+        _check_variant(variant)
         actor_lr, critic_lr = _DEFAULT_RATES[variant]
         base = cls(variant=variant, actor_lr=actor_lr, critic_lr=critic_lr)
         return replace(base, **overrides) if overrides else base
+
+
+def _check_variant(variant) -> None:
+    # the tuple, not the dict: an unhashable variant is just unknown
+    if variant not in VARIANTS:
+        raise FieldError(AgentConfig, "variant",
+                         f"must be one of {VARIANTS}, got {variant!r}")
 
 
 @dataclass
@@ -391,8 +391,8 @@ class Agent:
              load_model: LoadModel | None = None) -> "Agent":
         manifest, arrays = load_checkpoint(path)
 
-        def field(name, convert=None):
-            return manifest_field(manifest, name, "agent checkpoint", convert)
+        def field(name):
+            return manifest_field(manifest, name, "agent checkpoint")
 
         if manifest.get("kind") != "agent":
             raise CheckpointError("checkpoint does not hold an agent")
@@ -412,10 +412,12 @@ class Agent:
         # an e-variant's checkpoint also needs the caller's load model
         try:
             config = AgentConfig.for_variant(
-                variant, gamma=field("gamma", finite_number),
-                xi=field("xi", finite_number), eta=field("eta", finite_number),
-                beta=field("beta", finite_number))
+                variant, gamma=field("gamma"), xi=field("xi"),
+                eta=field("eta"), beta=field("beta"))
             agent = cls(config, net, load_model, dtype=dtypes.pop())
+        except FieldError as exc:
+            raise CheckpointError(
+                f"agent checkpoint field {exc.field!r}: {exc.what}") from exc
         except ConfigurationError as exc:
             raise CheckpointError(f"agent checkpoint: {exc}") from exc
         n_actions = manifest_field(field("actor"), "n_actions",
@@ -424,5 +426,10 @@ class Agent:
             raise CheckpointError(
                 "checkpoint action space does not match this substrate")
         agent.load_arrays(arrays)
-        agent.episodes_trained = field("episodes_trained", whole_number)
+        episodes = field("episodes_trained")
+        if not whole_number(episodes):
+            raise CheckpointError(
+                "agent checkpoint field 'episodes_trained': must be a whole "
+                f"number >= 0, got {episodes!r}")
+        agent.episodes_trained = episodes
         return agent

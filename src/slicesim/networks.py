@@ -39,12 +39,11 @@ from __future__ import annotations
 import json
 import math
 import struct
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CheckpointError, ConfigurationError
+from .errors import CheckpointError, ConfigurationError, whole_number
 
 GCN_LAYERS = 3
 GCN_WIDTH = 60
@@ -458,37 +457,11 @@ def save_checkpoint(path, manifest: dict, arrays: dict[str, np.ndarray]) -> None
             fh.write(np.ascontiguousarray(arrays[n], dtype=codes[n]).tobytes())
 
 
-def manifest_field(manifest: dict, name: str, what: str = "checkpoint",
-                   convert=None):
-    """manifest[name], passed through convert when given, or a
-    CheckpointError naming the missing or malformed field."""
+def manifest_field(manifest: dict, name: str, what: str = "checkpoint"):
+    """manifest[name], or a CheckpointError naming the missing field."""
     if not isinstance(manifest, dict) or name not in manifest:
         raise CheckpointError(f"{what} manifest lacks field {name!r}")
-    if convert is None:
-        return manifest[name]
-    try:
-        return convert(manifest[name])
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise CheckpointError(
-            f"{what} field {name!r} is malformed: {exc}") from exc
-
-
-def finite_number(value):
-    """value when it is a finite int or float, else a TypeError; a
-    `manifest_field` convert."""
-    # NaN fails the comparison; an int is compared exactly
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not abs(value) <= sys.float_info.max):
-        raise TypeError(f"must be a finite number, got {value!r}")
-    return value
-
-
-def whole_number(value):
-    """value when it is an int >= 0, else a TypeError; a
-    `manifest_field` convert."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise TypeError(f"must be a whole number >= 0, got {value!r}")
-    return value
+    return manifest[name]
 
 
 def load_checkpoint(path):
@@ -522,8 +495,7 @@ def load_checkpoint(path):
                 f"checkpoint manifest field 'tensors[{i}].name' is not a "
                 f"string: {name!r}")
         shape = manifest_field(entry, "shape", f"checkpoint tensors[{i}]")
-        if not isinstance(shape, list) or not all(
-                type(d) is int and d >= 0 for d in shape):
+        if not isinstance(shape, list) or not all(map(whole_number, shape)):
             raise CheckpointError(
                 f"checkpoint manifest field 'tensors[{i}].shape' is not a "
                 f"list of sizes: {shape!r}")

@@ -2,7 +2,11 @@
 
 A scenario pins the topology (a named profile or explicit counts), the
 request classes, the traffic horizon, seeds, the phase size, and agent
-defaults. Validation reports the dotted path of the offending field.
+defaults. The reader only parses: it refuses unknown keys and missing
+fields, types what YAML left untyped (PyYAML reads 2e-4 and 6e4 as
+strings), and builds each record, which checks its own fields. A
+refusal names the field once by its dotted path, as
+``classes[1].arrival.amplitude: <what>``.
 The scenario hash covers exactly the fields that affect results, so two
 runs with equal hashes and equal seeds produce identical outputs.
 """
@@ -12,14 +16,14 @@ from __future__ import annotations
 import hashlib
 import importlib.resources
 import json
-import math
 import os
 from dataclasses import MISSING, asdict, astuple, dataclass, field, fields
 
 import yaml
 
 from .agent import AgentConfig
-from .errors import ConfigurationError, ScenarioError
+from .errors import (ConfigurationError, FieldError, ScenarioError,
+                     check_fields)
 from .metrics import DEFAULT_PHASE_SIZE
 from .substrate import (PROFILES, SubstrateNetwork, TopologyCounts,
                         build_reference_topology)
@@ -38,6 +42,13 @@ class Scenario:
     seed: int = 0
     phase_size: int = DEFAULT_PHASE_SIZE
     agent_defaults: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        check_fields(self)
+        if self.horizon <= 0:
+            raise FieldError(self, "horizon", "must be > 0")
+        if self.phase_size < 1:
+            raise FieldError(self, "phase_size", "must be >= 1")
 
     def agent_config(self, variant: str | None = None,
                      **overrides) -> AgentConfig:
@@ -97,54 +108,55 @@ _AGENT_KEYS = {f.name for f in fields(AgentConfig)}
 _CLASS_KEYS = {f.name for f in fields(SliceClass)}
 
 
-def _number(mapping: dict, key: str, path: str, convert=float):
-    """mapping[key] through convert and finite, else a ScenarioError
-    naming the dotted field, also when the key is absent."""
-    where = f"{path}.{key}" if path else key
-    if key not in mapping:
-        raise ScenarioError(f"{where}: missing required field")
-    raw = mapping[key]
-    if isinstance(raw, bool):   # YAML's true is no number
-        raise ScenarioError(f"{where}: must be a number, got {raw!r}")
-    try:
-        value = convert(raw)
-        finite = math.isfinite(value)
-    except (OverflowError, TypeError, ValueError) as exc:
-        raise ScenarioError(f"{where}: {exc}") from exc
-    if not finite:
-        raise ScenarioError(f"{where}: must be finite, got {raw!r}")
-    return value
-
-
-def _whole(raw) -> int:
-    """int(raw), refusing a number with a fractional part."""
-    if isinstance(raw, float) and not raw.is_integer():
-        raise ValueError(f"must be a whole number, got {raw!r}")
-    return int(raw)
-
-
-_CONVERTERS = {"int": _whole, "float": float}
+def _coerce(raw, kind: str):
+    """raw as a field of kind ("int" or "float") wants it, where YAML
+    typed it otherwise: a number string (PyYAML reads 2e-4 and 6e4 as
+    strings) or an int as a float, a whole float as an int. Anything
+    else is left for the record to refuse."""
+    if isinstance(raw, str) or (kind == "float" and type(raw) is int):
+        try:
+            raw = float(raw)
+        except (OverflowError, ValueError):
+            return raw
+    if kind == "int" and isinstance(raw, float) and raw.is_integer():
+        return int(raw)
+    return raw
 
 
 def _numbers(mapping: dict, record, path: str, required: bool = True) -> dict:
     """The int and float fields of dataclass record that mapping holds,
-    each read by _number (an int through _whole). With required, a field
-    without a default must be present; an absent field is left out, so
-    the dataclass default applies."""
+    each through _coerce. With required, a field without a default must
+    be present; an absent field is left out, so the default applies."""
     found = {}
     for f in fields(record):
-        convert = _CONVERTERS.get(f.type)
-        if convert is not None and (
-                f.name in mapping or (required and f.default is MISSING)):
-            found[f.name] = _number(mapping, f.name, path, convert)
+        if f.type not in ("int", "float"):
+            continue
+        if f.name in mapping:
+            found[f.name] = _coerce(mapping[f.name], f.type)
+        elif required and f.default is MISSING:
+            raise ScenarioError(
+                f"{_dotted(path, f.name)}: missing required field")
     return found
+
+
+def _dotted(path: str, name: str) -> str:
+    return f"{path}.{name}" if path else name
+
+
+def _build(path: str, record, /, *args, **kwargs):
+    """record(*args, **kwargs); a field it refuses is a ScenarioError
+    that names the field under path."""
+    try:
+        return record(*args, **kwargs)
+    except FieldError as exc:
+        raise ScenarioError(
+            f"{_dotted(path, exc.field)}: {exc.what}") from exc
 
 
 def _reject_unknown(mapping: dict, known: set, path: str) -> None:
     unknown = sorted(str(k) for k in mapping if k not in known)
     if unknown:
-        where = f"{path}.{unknown[0]}" if path else unknown[0]
-        raise ScenarioError(f"{where}: unknown field "
+        raise ScenarioError(f"{_dotted(path, unknown[0])}: unknown field "
                             f"(known: {', '.join(sorted(known))})")
 
 
@@ -163,13 +175,7 @@ def _parse_topology(raw, path: str) -> TopologyCounts:
             raise ScenarioError(f"{path}.{counts[0]}: a count beside "
                                 "profile; give a profile or counts, not both")
         return PROFILES[profile]
-    counts = _numbers(raw, TopologyCounts, path)
-    try:
-        return TopologyCounts(**counts)
-    except ConfigurationError as exc:
-        # TopologyCounts names its field as "TopologyCounts.<field>: "
-        raise ScenarioError(
-            f"{path}.{str(exc).removeprefix('TopologyCounts.')}") from exc
+    return _build(path, TopologyCounts, **_numbers(raw, TopologyCounts, path))
 
 
 def _parse_class(raw, idx: int) -> SliceClass:
@@ -190,18 +196,10 @@ def _parse_class(raw, idx: int) -> SliceClass:
             f"{path}.arrival.kind: must be 'static' or 'dynamic', got {kind!r}")
     _reject_unknown(arrival_raw, {"kind"} | {f.name for f in fields(law)},
                     f"{path}.arrival")
-    arrival = law(**_numbers(arrival_raw, law, f"{path}.arrival"))
-    numbers = _numbers(raw, SliceClass, path)
-    try:
-        return SliceClass(name=str(raw.get("name", f"class-{idx}")),
-                          arrival=arrival, **numbers)
-    except ConfigurationError as exc:
-        # SliceClass names a single field as "SliceClass.<field>: "
-        message = str(exc)
-        if message.startswith("SliceClass."):
-            raise ScenarioError(
-                path + message.removeprefix("SliceClass")) from exc
-        raise ScenarioError(f"{path}: {message}") from exc
+    arrival = _build(f"{path}.arrival", law,
+                     **_numbers(arrival_raw, law, f"{path}.arrival"))
+    return _build(path, SliceClass, name=str(raw.get("name", f"class-{idx}")),
+                  arrival=arrival, **_numbers(raw, SliceClass, path))
 
 
 def parse_scenario(raw: dict, name: str = "scenario") -> Scenario:
@@ -215,31 +213,17 @@ def parse_scenario(raw: dict, name: str = "scenario") -> Scenario:
     if not isinstance(classes_raw, list) or not classes_raw:
         raise ScenarioError("classes: must be a non-empty list")
     classes = [_parse_class(c, i) for i, c in enumerate(classes_raw)]
-    numbers = _numbers(raw, Scenario, "")
-    if numbers["horizon"] <= 0:
-        raise ScenarioError("horizon: must be > 0")
-    if numbers.get("seed", 0) < 0:
-        raise ScenarioError(
-            f"seed: must be a whole number >= 0, got {raw['seed']!r}")
     agent_defaults = raw.get("agent", {})
     if agent_defaults is None:
         agent_defaults = {}
     if not isinstance(agent_defaults, dict):
         raise ScenarioError("agent: must be a mapping")
     _reject_unknown(agent_defaults, _AGENT_KEYS, "agent")
-    scenario = Scenario(
-        name=str(raw.get("name", name)),
-        topology=topology,
-        classes=classes,
-        agent_defaults=dict(agent_defaults),
-        **numbers,
-    )
-    try:
-        scenario.agent_config()
-    except ConfigurationError as exc:
-        raise ScenarioError(f"agent: {exc}") from exc
-    if scenario.phase_size < 1:
-        raise ScenarioError("phase_size: must be >= 1")
+    scenario = _build("", Scenario, name=str(raw.get("name", name)),
+                      topology=topology, classes=classes,
+                      agent_defaults=dict(agent_defaults),
+                      **_numbers(raw, Scenario, ""))
+    _build("agent", scenario.agent_config)
     # the built topology must hold some of every resource, and each
     # dynamic class must stay within the load bound its capacities set
     try:
@@ -248,11 +232,7 @@ def parse_scenario(raw: dict, name: str = "scenario") -> Scenario:
     except ConfigurationError as exc:
         raise ScenarioError(f"topology: {exc}") from exc
     for i, cls in enumerate(classes):
-        try:
-            LoadModel.from_network([cls], net)
-        except ConfigurationError as exc:
-            raise ScenarioError(
-                f"classes[{i}].arrival.amplitude: {exc}") from exc
+        _build(f"classes[{i}].arrival", LoadModel.from_network, [cls], net)
     ids = [c.id for c in classes]
     if len(set(ids)) != len(ids):
         raise ScenarioError("classes: ids must be unique")

@@ -12,14 +12,13 @@ pre-placement state.
 from __future__ import annotations
 
 import hashlib
-import math
-import numbers
 from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
 
-from .errors import AccountingError, CapacityError, ConfigurationError
+from .errors import (AccountingError, CapacityError, ConfigurationError,
+                     FieldError, check_fields)
 
 _EPS = 1e-9
 
@@ -338,33 +337,21 @@ class TopologyCounts:
     server_ram: float = SERVER_RAM
 
     def __post_init__(self):
-        counts = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type == "int":
-                ok = (isinstance(value, numbers.Integral)
-                      and not isinstance(value, bool) and value >= 0)
-                if not ok:
-                    raise ConfigurationError(
-                        f"TopologyCounts.{f.name}: must be a whole number >= 0, "
-                        f"got {value!r}")
-                counts[f.name] = value
-            elif not (isinstance(value, numbers.Real)
-                      and not isinstance(value, bool)
-                      and math.isfinite(value) and value > 0):
-                raise ConfigurationError(
-                    f"TopologyCounts.{f.name}: must be a finite number > 0, "
-                    f"got {value!r}")
+        check_fields(self)
+        for name in ("server_cpu", "server_ram"):
+            if getattr(self, name) <= 0:
+                raise FieldError(self, name, "must be > 0")
         # checked before anything is built; names the first count, in
         # field order, that takes the node count past the bound
+        counts = {f.name: getattr(self, f.name) for f in fields(self)
+                  if f.type == "int"}
         given = {}
         for name, value in counts.items():
             given[name] = value
             if _node_count(**given) > MAX_NODES:
-                raise ConfigurationError(
-                    f"TopologyCounts.{name}: the counts make "
-                    f"{_node_count(**counts)} nodes, more than the "
-                    f"{MAX_NODES} a topology may have")
+                raise FieldError(
+                    self, name, f"the counts make {_node_count(**counts)} "
+                    f"nodes, more than the {MAX_NODES} a topology may have")
 
 
 PROFILES = {

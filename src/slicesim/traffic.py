@@ -22,14 +22,14 @@ the master seed, so adding or removing a class never perturbs the others.
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import ConfigurationError, ScenarioError
+from .errors import (ConfigurationError, FieldError, ScenarioError,
+                     check_fields, finite_number, whole_number)
 
 RESOURCES = ("cpu", "ram", "bw")
 
@@ -40,11 +40,23 @@ FORECAST_POINTS = 100
 class StaticArrival:
     rate: float
 
+    def __post_init__(self):
+        check_fields(self)
+        if self.rate < 0:
+            raise FieldError(self, "rate", "must be >= 0")
+
 
 @dataclass(frozen=True)
 class DynamicArrival:
     amplitude: float
     period: float
+
+    def __post_init__(self):
+        check_fields(self)
+        if self.amplitude < 0:
+            raise FieldError(self, "amplitude", "must be >= 0")
+        if self.period <= 0:
+            raise FieldError(self, "period", "must be > 0")
 
 
 @dataclass(frozen=True)
@@ -60,28 +72,15 @@ class SliceClass:
     name: str = ""
 
     def __post_init__(self):
-        # the id keys the class's random substream, which needs it >= 0
-        if self.id < 0:
-            raise ConfigurationError(
-                f"SliceClass.id: must be a whole number >= 0, got {self.id!r}")
-        numbers = (self.req_cpu, self.req_ram, self.req_bw, self.mean_lifetime,
-                   *astuple(self.arrival))
-        if not all(math.isfinite(x) for x in numbers):
-            raise ConfigurationError(
-                f"class {self.id}: demands, mean_lifetime and arrival "
-                f"parameters must be finite")
+        check_fields(self)
+        # the id keys the class's random substream and an int64 column
+        if self.id >= 2 ** 63:
+            raise FieldError(self, "id", "int too large: must be < 2**63")
         if self.vnf_count < 1:
-            raise ConfigurationError(f"class {self.id}: vnf_count must be >= 1")
-        if min(self.req_cpu, self.req_ram, self.req_bw) <= 0:
-            raise ConfigurationError(f"class {self.id}: demands must be > 0")
-        if self.mean_lifetime <= 0:
-            raise ConfigurationError(f"class {self.id}: mean_lifetime must be > 0")
-        if isinstance(self.arrival, DynamicArrival):
-            if self.arrival.amplitude < 0 or self.arrival.period <= 0:
-                raise ConfigurationError(
-                    f"class {self.id}: amplitude must be >= 0 and period > 0")
-        elif self.arrival.rate < 0:
-            raise ConfigurationError(f"class {self.id}: rate must be >= 0")
+            raise FieldError(self, "vnf_count", "must be >= 1")
+        for name in ("req_cpu", "req_ram", "req_bw", "mean_lifetime"):
+            if getattr(self, name) <= 0:
+                raise FieldError(self, name, "must be > 0")
 
     @property
     def is_dynamic(self) -> bool:
@@ -171,9 +170,9 @@ class LoadModel:
                 continue
             bound = self.total_capacity[j] * mu / units
             if cls.arrival.amplitude > bound + 1e-12:
-                raise ConfigurationError(
-                    f"class {cls.id}: amplitude {cls.arrival.amplitude} exceeds "
-                    f"load bound {bound:.6g} for resource {j!r}")
+                raise FieldError(
+                    cls.arrival, "amplitude", f"{cls.arrival.amplitude} "
+                    f"exceeds load bound {bound:.6g} for resource {j!r}")
 
     def class_load(self, cls: SliceClass, resource: str, t):
         """Offered load fraction of one class on one resource at time t."""
@@ -249,7 +248,7 @@ def class_rng(seed: int, class_id: int) -> np.random.Generator:
 def check_horizon(horizon: float) -> None:
     """A traffic horizon must be finite and positive: an infinite one never
     ends the thinning loop, and a replay cut at 0 holds no arrivals."""
-    if not (math.isfinite(horizon) and horizon > 0):
+    if not (finite_number(horizon) and horizon > 0):
         raise ConfigurationError("horizon must be a finite number > 0")
 
 
@@ -393,14 +392,8 @@ def _event_record(line: str, where: str) -> dict:
         value = record[name]
         if name == "kind":
             ok = value in ("arrival", "departure")
-        elif name == "time":
-            try:
-                ok = (isinstance(value, (int, float))
-                      and not isinstance(value, bool) and math.isfinite(value))
-            except OverflowError:   # an int beyond the float range
-                ok = False
         else:
-            ok = isinstance(value, int) and not isinstance(value, bool)
+            ok = (finite_number if name == "time" else whole_number)(value)
         if not ok:
             raise ScenarioError(f"{where}: field {name!r}: invalid value "
                                 f"{value!r}")

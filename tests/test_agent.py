@@ -84,7 +84,8 @@ def test_config_validation():
         AgentConfig.for_variant("drl", gamma=1.5)
     with pytest.raises(ConfigurationError):
         AgentConfig.for_variant("ha-drl", beta=0.0)
-    with pytest.raises(ConfigurationError, match="eta must be >= 0"):
+    with pytest.raises(ConfigurationError,
+                       match="AgentConfig.eta: must be >= 0"):
         AgentConfig.for_variant("ha-edrl", eta=-1e-9)
     # eta shifts nothing without advice
     assert AgentConfig.for_variant("drl", eta=-5.0).eta == -5.0
@@ -792,7 +793,7 @@ def test_agent_load_refuses_a_negative_eta_for_an_ha_variant(tmp_path):
     manifest["eta"], manifest["beta"] = -5.0, 0.5
     save_checkpoint(path, manifest, arrays)
     with pytest.raises(CheckpointError,
-                       match="agent checkpoint: eta must be >= 0"):
+                       match="agent checkpoint field 'eta': must be >= 0"):
         Agent.load(path, build_reference_topology("tiny"))
 
 

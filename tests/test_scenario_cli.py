@@ -189,7 +189,7 @@ def test_parse_uses_filename_when_unnamed(tmp_path):
     (lambda d: d.__setitem__("seed", -5),
      "seed: must be a whole number >= 0, got -5"),
     (lambda d: d.__setitem__("agent", {"seed": -1}),
-     "agent: seed must be a whole number >= 0, got -1"),
+     "agent.seed: must be a whole number >= 0, got -1"),
     (lambda d: d.__setitem__("topology", {"profile": []}),
      "topology.profile: unknown profile \\[\\]"),
     # a profile takes no counts beside it
@@ -199,11 +199,11 @@ def test_parse_uses_filename_when_unnamed(tmp_path):
     (lambda d: d["classes"][0].__setitem__("id", 10 ** 400),
      "classes\\[0\\].id: int too large"),
     (lambda d: d.__setitem__("agent", {"variant": "zzz"}),
-     "agent: variant must be one of"),
+     "agent.variant: must be one of"),
     (lambda d: d.__setitem__("agent", {"gamma": 5}),
-     "agent: gamma must be in"),
+     "agent.gamma: must be in"),
     (lambda d: d.__setitem__("agent", {"actor_lr": -1}),
-     "agent: actor_lr must be > 0"),
+     "agent.actor_lr: must be > 0"),
     (lambda d: d.__setitem__("topology", {"edc_count": 1,
                                           "servers_per_edc": 0}),
      "topology: total capacity of 'cpu' must be > 0"),
@@ -221,7 +221,7 @@ def test_parse_uses_filename_when_unnamed(tmp_path):
     # a negative eta would make the advice's shift a complex number
     (lambda d: d.__setitem__("agent", {"variant": "ha-drl", "eta": -5,
                                        "beta": 0.5}),
-     "agent: eta must be >= 0 for ha variants"),
+     "agent.eta: must be >= 0 for ha variants"),
 ])
 def test_parse_errors_name_the_field(mutate, path_fragment):
     doc = scenario_doc()
@@ -813,7 +813,7 @@ def test_cli_refuses_a_negative_class_id(tmp_path, command):
 
 
 @pytest.mark.parametrize("eta,beta,message", [
-    ("-5", "0.5", "eta must be >= 0 for ha variants"),
+    ("-5", "0.5", "eta: must be >= 0 for ha variants"),
     ("1e200", "2", "overflows (xi=1.0, eta=1e+200, beta=2.0)")])
 @pytest.mark.parametrize("source", ["flags", "scenario"])
 def test_cli_refuses_a_shaping_term_without_a_real_value(tmp_path, eta, beta,
