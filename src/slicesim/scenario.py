@@ -55,12 +55,11 @@ class Scenario:
         """The config of this scenario's agent: section: the variant given,
         else the section's (drl if none). Each override beats the section,
         and the section beats the variant's defaults."""
-        values = _numbers(self.agent_defaults, AgentConfig, "agent",
-                          required=False)
-        values.update(overrides)
-        if variant is None:
-            variant = self.agent_defaults.get("variant", "drl")
-        return AgentConfig.for_variant(variant, **values)
+        values = dict(self.agent_defaults)
+        section_variant = values.pop("variant", "drl")
+        return AgentConfig.for_variant(
+            section_variant if variant is None else variant,
+            **{**values, **overrides})
 
     def build_network(self) -> SubstrateNetwork:
         return build_reference_topology(self.topology)
@@ -213,15 +212,19 @@ def parse_scenario(raw: dict, name: str = "scenario") -> Scenario:
     if not isinstance(classes_raw, list) or not classes_raw:
         raise ScenarioError("classes: must be a non-empty list")
     classes = [_parse_class(c, i) for i, c in enumerate(classes_raw)]
-    agent_defaults = raw.get("agent", {})
-    if agent_defaults is None:
-        agent_defaults = {}
-    if not isinstance(agent_defaults, dict):
+    agent = raw.get("agent", {})
+    if agent is None:
+        agent = {}
+    if not isinstance(agent, dict):
         raise ScenarioError("agent: must be a mapping")
-    _reject_unknown(agent_defaults, _AGENT_KEYS, "agent")
+    _reject_unknown(agent, _AGENT_KEYS, "agent")
+    # the section's keys with its numbers typed, so that one config has
+    # one hash however YAML spelt them
+    agent_defaults = {**agent, **_numbers(agent, AgentConfig, "agent",
+                                          required=False)}
     scenario = _build("", Scenario, name=str(raw.get("name", name)),
                       topology=topology, classes=classes,
-                      agent_defaults=dict(agent_defaults),
+                      agent_defaults=agent_defaults,
                       **_numbers(raw, Scenario, ""))
     _build("agent", scenario.agent_config)
     # the built topology must hold some of every resource, and each

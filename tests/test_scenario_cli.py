@@ -9,6 +9,7 @@ import copy
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -96,7 +97,49 @@ def test_parse_uses_filename_when_unnamed(tmp_path):
     assert load_scenario(str(path)).name == "fallback"
 
 
+# One bad value for each number field of each record: a range rule's
+# where it has one, else a value the shared field check refuses.
+BAD_FIELDS = [
+    (("topology", "edc_count"), 10 ** 6), (("topology", "servers_per_edc"), -1),
+    (("topology", "cdc_count"), 0.5), (("topology", "servers_per_cdc"), True),
+    (("topology", "ccp_servers"), "x"), (("topology", "server_cpu"), 0),
+    (("topology", "server_ram"), float("inf")),
+    (("classes", 0, "id"), 2 ** 63), (("classes", 0, "vnf_count"), 0),
+    (("classes", 0, "req_cpu"), 0), (("classes", 0, "req_ram"), -1.0),
+    (("classes", 0, "req_bw"), "lots"), (("classes", 0, "mean_lifetime"), 0),
+    (("classes", 0, "arrival", "amplitude"), 5.0),
+    (("classes", 0, "arrival", "period"), 0),
+    (("classes", 1, "arrival", "rate"), -0.5),
+    (("agent", "actor_lr"), 0), (("agent", "critic_lr"), float("nan")),
+    (("agent", "gamma"), 0), (("agent", "xi"), float("inf")),
+    (("agent", "eta"), -1), (("agent", "beta"), 0), (("agent", "seed"), 1.5),
+    (("horizon",), 0), (("seed",), -1), (("phase_size",), 0),
+]
+
+
+def set_field(keys, value):
+    """A mutation of scenario_doc that sets the field at keys, under
+    explicit topology counts and an ha-drl agent: section."""
+    def mutate(doc):
+        doc["topology"] = {"edc_count": 1, "servers_per_edc": 3}
+        doc["agent"] = {"variant": "ha-drl"}
+        target = doc
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+    return mutate
+
+
+def named_once(keys):
+    """A pattern for a message that starts with the field's dotted path
+    and a colon, and names the field nowhere after."""
+    path = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys)
+    return f"^{re.escape(path.lstrip('.'))}: (?!.*\\b{keys[-1]}\\b)"
+
+
 @pytest.mark.parametrize("mutate,path_fragment", [
+    *[(set_field(keys, value), named_once(keys))
+      for keys, value in BAD_FIELDS],
     (lambda d: d.pop("topology"), "topology: missing section"),
     (lambda d: d.__setitem__("topology", {"profile": "huge"}),
      "topology.profile"),
@@ -313,6 +356,27 @@ BUNDLED_HASHES = {
 @pytest.mark.parametrize("name", sorted(BUNDLED_HASHES))
 def test_bundled_scenario_hashes_are_pinned(name):
     assert load_scenario(name).hash() == BUNDLED_HASHES[name]
+
+
+def test_exponent_spellings_read_as_the_numbers_they_spell(tmp_path):
+    """PyYAML reads 6e4 and 2e-4 (no dot) as strings. The reader types
+    them, and the agent: section keeps the typed values, so the file is
+    desk in every field and in its hash."""
+    text = bundled_scenario_path("desk").read_text()
+    for plain, spelt in [("horizon: 60000.0", "horizon: 6e4"),
+                         ("rate: 0.00125", "rate: 1.25e-3"),
+                         ("actor_lr: 2.0e-4", "actor_lr: 2e-4")]:
+        assert text.count(plain) == 1
+        text = text.replace(plain, spelt)
+    raw = yaml.load(text, Loader=YAML_LOADER)
+    assert (raw["horizon"], raw["agent"]["actor_lr"]) == ("6e4", "2e-4")
+    path = tmp_path / "desk.scenario"
+    path.write_text(text)
+    spelt, desk = load_scenario(str(path)), load_scenario("desk")
+    assert spelt.classes == desk.classes
+    assert spelt.horizon == desk.horizon == 60000.0
+    assert spelt.agent_config() == desk.agent_config()
+    assert spelt.hash() == desk.hash() == BUNDLED_HASHES["desk"]
 
 
 def test_hash_tracks_result_fields_only():
@@ -810,6 +874,20 @@ def test_cli_refuses_a_negative_class_id(tmp_path, command):
     assert_one_error_line(proc)
     assert "classes[0].id: must be a whole number >= 0" in proc.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,field", [
+    (["--actor-lr", "nan"], "actor_lr"), (["--critic-lr", "inf"], "critic_lr"),
+    (["--variant", "ha-drl", "--xi", "nan"], "xi")])
+def test_cli_train_refuses_a_non_finite_agent_flag(tmp_path, argv, field):
+    """Refused before any training, naming the field: no numpy warning,
+    no output file."""
+    out = tmp_path / "out"
+    proc = run_cli_process("train", "--scenario", "tiny", "--arrivals", "30",
+                           "--out-dir", str(out), *argv)
+    assert_one_error_line(proc)
+    assert f"AgentConfig.{field}: must be finite" in proc.stderr
+    assert not any(out.iterdir())
 
 
 @pytest.mark.parametrize("eta,beta,message", [
