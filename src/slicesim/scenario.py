@@ -55,11 +55,10 @@ class Scenario:
         """The config of this scenario's agent: section: the variant given,
         else the section's (drl if none). Each override beats the section,
         and the section beats the variant's defaults."""
-        values = dict(self.agent_defaults)
+        values = dict(self.agent_defaults, **overrides)
         section_variant = values.pop("variant", "drl")
         return AgentConfig.for_variant(
-            section_variant if variant is None else variant,
-            **{**values, **overrides})
+            section_variant if variant is None else variant, **values)
 
     def build_network(self) -> SubstrateNetwork:
         return build_reference_topology(self.topology)
@@ -212,14 +211,11 @@ def parse_scenario(raw: dict, name: str = "scenario") -> Scenario:
     if not isinstance(classes_raw, list) or not classes_raw:
         raise ScenarioError("classes: must be a non-empty list")
     classes = [_parse_class(c, i) for i, c in enumerate(classes_raw)]
-    agent = raw.get("agent", {})
-    if agent is None:
-        agent = {}
+    agent = {} if raw.get("agent") is None else raw["agent"]
     if not isinstance(agent, dict):
         raise ScenarioError("agent: must be a mapping")
     _reject_unknown(agent, _AGENT_KEYS, "agent")
-    # the section's keys with its numbers typed, so that one config has
-    # one hash however YAML spelt them
+    # typed, so that one config has one hash however YAML spelt it
     agent_defaults = {**agent, **_numbers(agent, AgentConfig, "agent",
                                           required=False)}
     scenario = _build("", Scenario, name=str(raw.get("name", name)),
