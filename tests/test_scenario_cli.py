@@ -232,7 +232,7 @@ def named_once(keys):
     (lambda d: d.__setitem__("seed", -5),
      "seed: must be a whole number >= 0, got -5"),
     (lambda d: d.__setitem__("agent", {"seed": -1}),
-     "agent.seed: must be a whole number >= 0, got -1"),
+     "agent\\.seed: must be a whole number >= 0, got -1"),
     (lambda d: d.__setitem__("topology", {"profile": []}),
      "topology.profile: unknown profile \\[\\]"),
     # a profile takes no counts beside it
