@@ -24,10 +24,10 @@ from .simulation import AgentPolicy, HeuristicPolicy, Simulation
 from .substrate import (PROFILES, NodeKind, ResourceDelta, SubstrateLink,
                         SubstrateNetwork, SubstrateNode, TopologyCounts,
                         build_reference_topology)
-from .traffic import (Departure, DynamicArrival, LoadModel, SliceClass,
-                      SliceRequest, StaticArrival, arrival_rate, class_rng,
-                      event_sort_key, export_events, generate_events,
-                      load_events, request_from_class, sample_arrivals)
+from .traffic import (Departure, DynamicArrival, EventStream, LoadModel,
+                      SliceClass, SliceRequest, StaticArrival, arrival_rate,
+                      class_rng, export_events, generate_events, load_events,
+                      request_from_class, sample_arrivals)
 
 __version__ = TOOL_VERSION
 
@@ -48,9 +48,9 @@ __all__ = [
     "PROFILES", "NodeKind", "ResourceDelta", "SubstrateLink",
     "SubstrateNetwork", "SubstrateNode", "TopologyCounts",
     "build_reference_topology",
-    "Departure", "DynamicArrival", "LoadModel", "SliceClass",
+    "Departure", "DynamicArrival", "EventStream", "LoadModel", "SliceClass",
     "SliceRequest", "StaticArrival", "arrival_rate", "class_rng",
-    "event_sort_key", "export_events", "generate_events", "load_events",
+    "export_events", "generate_events", "load_events",
     "request_from_class", "sample_arrivals",
     "__version__",
 ]

@@ -27,7 +27,7 @@ from .metrics import write_phase_csv, write_plot_json, write_records_csv
 from .networks import load_checkpoint
 from .scenario import RunManifest, Scenario, TOOL_VERSION, load_scenario
 from .simulation import AgentPolicy, HeuristicPolicy, Simulation
-from .traffic import SliceRequest, check_horizon, export_events, load_events
+from .traffic import check_horizon, export_events, load_events
 
 
 # the AgentConfig floats a train flag sets
@@ -189,8 +189,7 @@ def cmd_export_events(args) -> int:
     seed = scenario.seed if args.seed is None else args.seed
     events = scenario.generate_events(seed=seed, horizon=args.horizon)
     export_events(events, args.out)
-    arrivals = sum(1 for e in events if isinstance(e, SliceRequest))
-    print(f"{args.out}: {len(events)} events ({arrivals} arrivals), "
+    print(f"{args.out}: {len(events)} events ({events.arrivals} arrivals), "
           f"seed {seed}")
     return 0
 

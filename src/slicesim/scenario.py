@@ -27,7 +27,7 @@ from .errors import (ConfigurationError, FieldError, ScenarioError,
 from .metrics import DEFAULT_PHASE_SIZE
 from .substrate import (PROFILES, SubstrateNetwork, TopologyCounts,
                         build_reference_topology)
-from .traffic import (DynamicArrival, Event, LoadModel, SliceClass,
+from .traffic import (DynamicArrival, EventStream, LoadModel, SliceClass,
                       StaticArrival, generate_events)
 
 TOOL_VERSION = "0.1.0"
@@ -67,7 +67,7 @@ class Scenario:
         return LoadModel.from_network(self.classes, net or self.build_network())
 
     def generate_events(self, seed: int | None = None,
-                        horizon: float | None = None) -> list[Event]:
+                        horizon: float | None = None) -> EventStream:
         model = self.build_load_model()
         return generate_events(model,
                                self.horizon if horizon is None else horizon,

@@ -12,6 +12,8 @@ the departing capacity is available to the incoming request.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 from .agent import Agent
 from .errors import InvariantError
 from .heuristic import heu_place_full
@@ -54,9 +56,10 @@ class AgentPolicy:
 
 
 class Simulation:
-    """One single-threaded run over a fixed event stream."""
+    """One single-threaded run over a fixed event stream: an EventStream,
+    or any sequence of events in stream order."""
 
-    def __init__(self, net: SubstrateNetwork, events: list[Event], policy):
+    def __init__(self, net: SubstrateNetwork, events: Sequence[Event], policy):
         self.net = net
         self.events = events
         self.policy = policy
@@ -65,11 +68,14 @@ class Simulation:
         self.ledger: dict[int, ResourceDelta] = {}
         self.records: list[AcceptanceRecord] = []
 
-    def step(self) -> bool:
-        """Process the next event; False when the stream is exhausted."""
+    def step(self, horizon: float | None = None) -> bool:
+        """Process the next event; False, and nothing done, when the stream
+        is exhausted or the next event lies at or past horizon."""
         if self.cursor >= len(self.events):
             return False
         ev = self.events[self.cursor]
+        if horizon is not None and ev.time >= horizon:
+            return False
         if ev.time < self.clock - 1e-12:
             raise InvariantError(
                 f"event time {ev.time} precedes clock {self.clock}")
@@ -99,14 +105,13 @@ class Simulation:
         max_arrivals counts every arrival this simulation has seen: the
         loop stops right after the budget's last one, or takes none.
         on_arrival(index, simulation), when given, fires after each
-        arrival (checkpoint hooks, progress display).
+        arrival (checkpoint hooks, progress display). Each event is read
+        once, by step: an EventStream builds it on that read.
         """
-        while self.cursor < len(self.events) and (
-                max_arrivals is None or len(self.records) < max_arrivals):
-            ev = self.events[self.cursor]
-            if horizon is not None and ev.time >= horizon:
+        while max_arrivals is None or len(self.records) < max_arrivals:
+            seen = len(self.records)
+            if not self.step(horizon):
                 break
-            self.step()
-            if on_arrival is not None and isinstance(ev, SliceRequest):
+            if on_arrival is not None and len(self.records) > seen:
                 on_arrival(len(self.records), self)
         return self.records

@@ -22,8 +22,10 @@ the master seed, so adding or removing a class never perturbs the others.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
+from operator import eq
 from typing import Callable, Iterable
 
 import numpy as np
@@ -129,12 +131,14 @@ class SliceRequest:
         return len(self.vnfs)
 
 
+def class_demands(cls: SliceClass):
+    """A request's (vnfs, vls) demand tuples, from its class."""
+    return (((cls.req_cpu, cls.req_ram),) * cls.vnf_count,
+            (cls.req_bw,) * (cls.vnf_count - 1))
+
+
 def request_from_class(cls: SliceClass, uid: int, time: float) -> SliceRequest:
-    return SliceRequest(
-        uid=uid, class_id=cls.id, time=time,
-        vnfs=((cls.req_cpu, cls.req_ram),) * cls.vnf_count,
-        vls=(cls.req_bw,) * (cls.vnf_count - 1),
-    )
+    return SliceRequest(uid, cls.id, time, *class_demands(cls))
 
 
 class LoadModel:
@@ -253,23 +257,75 @@ def check_horizon(horizon: float) -> None:
 
 
 # Thinning draws about horizon × Σ rate_bound candidates, and the stream
-# costs about 0.4 KB and 5 µs per candidate (the reference scenario's
-# 152,000 take about 55 MB and 0.8 s). The bound, 13 times that, keeps a
-# scenario's rate or a --horizon from asking for memory without limit.
+# costs about 0.15 KB of peak RSS and 1.4 µs per candidate (the reference
+# scenario's 152,000 take about 22 MB and 0.21 s on a 2-vCPU VM). The
+# bound, 13 times that, keeps a scenario's rate or a --horizon from asking
+# for memory without limit.
 MAX_CANDIDATES = 2_000_000
 
 
-def generate_events(model: LoadModel, horizon: float, seed: int) -> list[Event]:
+class EventStream(Sequence):
+    """The merged arrival/departure stream, held as sorted columns.
+
+    Row i is time[i], departure[i] (True for a Departure, False for a
+    SliceRequest), uid[i] and class_id[i]. The columns are read-only
+    memoryviews of float64, bool and int64 arrays: reading one gives a
+    Python float, bool or int, and the cyclic collector has no element of
+    them to traverse. Rows are ordered by (time, kind, class id, uid),
+    departures first at equal times so that they free capacity before an
+    arrival takes it; rows with equal keys keep the order they were given
+    in. stream[i] builds row i's SliceRequest or Departure only when it
+    is read, and the requests of one class share one pair of demand
+    tuples. A stream equals any sequence of the same events in the same
+    order.
+    """
+
+    __slots__ = ("time", "departure", "uid", "class_id", "_demands")
+
+    def __init__(self, time, departure, uid, class_id,
+                 classes: Iterable[SliceClass]):
+        time = np.asarray(time, dtype=np.float64)
+        departure = np.asarray(departure, dtype=bool)
+        uid = np.asarray(uid, dtype=np.int64)
+        class_id = np.asarray(class_id, dtype=np.int64)
+        # one stable sort: the last key is the first criterion
+        order = np.lexsort((uid, class_id, ~departure, time))
+        self.time, self.departure, self.uid, self.class_id = (
+            memoryview(column[order]).toreadonly()
+            for column in (time, departure, uid, class_id))
+        self._demands = {cls.id: class_demands(cls) for cls in classes}
+
+    def __len__(self) -> int:
+        return len(self.time)
+
+    def __getitem__(self, i: int) -> Event:
+        time, class_id = self.time[i], self.class_id[i]
+        if self.departure[i]:
+            return Departure(time, self.uid[i], class_id)
+        return SliceRequest(self.uid[i], class_id, time,
+                            *self._demands[class_id])
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    @property
+    def arrivals(self) -> int:
+        """The number of arrivals, counted without building an event."""
+        return len(self) - int(np.count_nonzero(self.departure))
+
+
+def generate_events(model: LoadModel, horizon: float,
+                    seed: int) -> EventStream:
     """Generate the merged arrival/departure stream over [0, horizon).
 
     Lifetimes are exponential with the class mean. Departures of all
     arrivals are included, even past the horizon. uids are dense in
-    arrival order (time, then class id). The stream is sorted by
-    event_sort_key: time, departures first at equal times, then class
-    id, then uid. Every such key is unique, so one lexsort over the four
-    columns gives that order. The requests of one class share one pair
-    of demand tuples. A stream that would draw more than MAX_CANDIDATES
-    candidates is refused before the first draw.
+    arrival order (time, then class id). Every row's (time, kind, class
+    id, uid) key is unique, so the stream's one sort fixes the order. A
+    stream that would draw more than MAX_CANDIDATES candidates is refused
+    before the first draw.
     """
     check_horizon(horizon)
     candidates = horizon * sum(cls.rate_bound() for cls in model.classes)
@@ -282,7 +338,6 @@ def generate_events(model: LoadModel, horizon: float, seed: int) -> list[Event]:
     times: list[float] = []
     lifetimes: list[float] = []
     class_ids: list[int] = []
-    vnfs, vls = {}, {}
     for cls in model.classes:
         rng = class_rng(seed, cls.id)
         arrivals = sample_arrivals(partial(arrival_rate, cls),
@@ -291,58 +346,40 @@ def generate_events(model: LoadModel, horizon: float, seed: int) -> list[Event]:
         lifetimes += rng.exponential(cls.mean_lifetime,
                                      size=len(arrivals)).tolist()
         class_ids += [cls.id] * len(arrivals)
-        vnfs[cls.id] = ((cls.req_cpu, cls.req_ram),) * cls.vnf_count
-        vls[cls.id] = (cls.req_bw,) * (cls.vnf_count - 1)
 
     time, lifetime, class_id = (np.array(times), np.array(lifetimes),
                                 np.array(class_ids, dtype=np.int64))
     by_uid = np.lexsort((class_id, time))
     time, lifetime, class_id = time[by_uid], lifetime[by_uid], class_id[by_uid]
-    departure = time + lifetime
-
-    n = len(time)
-    c = class_id.tolist()
-    both = [*map(SliceRequest, range(n), c, time.tolist(),
-                 [vnfs[k] for k in c], [vls[k] for k in c]),
-            *map(Departure, departure.tolist(), range(n), c)]
-
-    uid = np.arange(n)
-    order = np.lexsort((np.concatenate((uid, uid)),
-                        np.concatenate((class_id, class_id)),
-                        np.repeat(np.array([1, 0]), n),
-                        np.concatenate((time, departure))))
-    # Reordered in place: the list was made before its items, so the
-    # collector has already moved it to its oldest generation, where young
-    # collections do not traverse its 2n entries again.
-    both[:] = [both[i] for i in order.tolist()]
-    return both
-
-
-def event_sort_key(ev: Event):
-    # departures before arrivals at equal times, freeing capacity first
-    kind = 0 if isinstance(ev, Departure) else 1
-    return (ev.time, kind, ev.class_id, ev.uid)
+    uid = np.arange(len(time))
+    return EventStream(np.concatenate((time, time + lifetime)),
+                       np.repeat([False, True], len(time)),
+                       np.concatenate((uid, uid)),
+                       np.concatenate((class_id, class_id)), model.classes)
 
 
 # -- event stream files ----------------------------------------------------
 
 
-def export_events(events: Iterable[Event], path) -> None:
-    """Write the stream as line-delimited JSON records."""
+def export_events(stream: EventStream, path) -> None:
+    """Write the stream as line-delimited JSON records, straight from its
+    columns."""
     with open(path, "w") as fh:
-        for ev in events:
-            kind = "departure" if isinstance(ev, Departure) else "arrival"
-            fh.write(json.dumps({"time": ev.time, "kind": kind,
-                                 "uid": ev.uid, "class": ev.class_id}) + "\n")
+        for time, departure, uid, class_id in zip(
+                stream.time, stream.departure, stream.uid, stream.class_id):
+            kind = "departure" if departure else "arrival"
+            fh.write(json.dumps({"time": time, "kind": kind,
+                                 "uid": uid, "class": class_id}) + "\n")
 
 
-def load_events(path, classes: Iterable[SliceClass]) -> list[Event]:
+def load_events(path, classes: Iterable[SliceClass]) -> EventStream:
     """Rebuild an event stream from an exported file.
 
-    Request demands are reconstructed from the class definitions. An
-    arrival without a departure record keeps its resources to the end of
-    the run; a departure must come after its arrival. A malformed line
-    raises a ScenarioError naming the file, the line and the field.
+    Request demands are reconstructed from the class definitions, and a
+    time is read as a float. An arrival without a departure record keeps
+    its resources to the end of the run; a departure must come after its
+    arrival. A malformed line raises a ScenarioError naming the file, the
+    line and the field.
     """
     by_id = {c.id: c for c in classes}
     rows = []
@@ -357,25 +394,25 @@ def load_events(path, classes: Iterable[SliceClass]) -> list[Event]:
         raise ScenarioError(f"{path}: not UTF-8 text ({exc})") from exc
     departures = {r["uid"]: (r["time"], where) for where, r in rows
                   if r["kind"] == "departure"}
-    events: list[Event] = []
+    # each arrival's row, then its departure's: the order of equal keys
+    events = []
     for where, r in rows:
         if r["kind"] != "arrival":
             continue
-        cls = by_id.get(r["class"])
-        if cls is None:
+        if r["class"] not in by_id:
             raise ScenarioError(
                 f"{where}: field 'class': event stream references unknown "
                 f"class {r['class']}")
-        events.append(request_from_class(cls, r["uid"], r["time"]))
+        events.append((r["time"], False, r["uid"], r["class"]))
         if r["uid"] in departures:
             dep, dep_where = departures[r["uid"]]
             if dep <= r["time"]:
                 raise ScenarioError(
                     f"{dep_where}: field 'time': departure at {dep!r} is not "
                     f"after the arrival of uid {r['uid']} at {r['time']!r}")
-            events.append(Departure(dep, r["uid"], cls.id))
-    events.sort(key=event_sort_key)
-    return events
+            events.append((dep, True, r["uid"], r["class"]))
+    columns = zip(*events) if events else [()] * 4
+    return EventStream(*columns, by_id.values())
 
 
 def _event_record(line: str, where: str) -> dict:
@@ -397,5 +434,9 @@ def _event_record(line: str, where: str) -> dict:
         if not ok:
             raise ScenarioError(f"{where}: field {name!r}: invalid value "
                                 f"{value!r}")
+    # uids share the generator's int64 column
+    if record["uid"] >= 2 ** 63:
+        raise ScenarioError(f"{where}: field 'uid': int too large: must be "
+                            f"< 2**63, got {record['uid']}")
     return record
 

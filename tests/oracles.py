@@ -4,12 +4,15 @@ Everything here is deliberately naive: exhaustive simple-path search
 instead of a priority queue, full enumeration instead of greedy pruning,
 central finite differences and a per-step autodiff tape instead of the
 networks' batched closed-form gradients, one candidate at a time and a
-keyed sort instead of the traffic generator's array passes. Slow is
-fine, shared code with the package under test is not (the tape in
-slicesim.autodiff is kept for these oracles only). The exception is
-`is_feasible`: it names the package's own acceptance predicate, so that
-tests can hold it against `brute_feasible`.
+keyed sort over event objects instead of the traffic generator's array
+passes and the event stream's columns. Slow is fine, shared code with
+the package under test is not (the tape in slicesim.autodiff is kept for
+these oracles only). The exception is `is_feasible`: it names the
+package's own acceptance predicate, so that tests can hold it against
+`brute_feasible`.
 """
+
+import json
 
 import numpy as np
 
@@ -18,7 +21,7 @@ from slicesim.networks import GCN_LAYERS
 from slicesim.placement import _evaluate
 from slicesim.substrate import NodeKind
 from slicesim.traffic import (Departure, arrival_rate, class_rng,
-                              event_sort_key, request_from_class)
+                              request_from_class)
 
 _EPS = 1e-9
 
@@ -168,6 +171,34 @@ def sample_arrivals_scalar(rate_fn, rate_bound, horizon, rng):
         if rng.random() * rate_bound <= rate_fn(t):
             times.append(t)
     return times
+
+
+def event_sort_key(ev):
+    # departures before arrivals at equal times, freeing capacity first
+    kind = 0 if isinstance(ev, Departure) else 1
+    return (ev.time, kind, ev.class_id, ev.uid)
+
+
+def load_events_list(path, classes):
+    """A valid exported event file as a list of event objects: each
+    arrival in file order followed by its departure, if the file has one
+    (the last departure line of a uid wins), then one keyed sort, which
+    is stable. Reads valid files only: it checks nothing."""
+    by_id = {c.id: c for c in classes}
+    with open(path, encoding="utf-8") as fh:
+        records = [json.loads(line) for line in fh if line.strip()]
+    departures = {r["uid"]: r["time"] for r in records
+                  if r["kind"] == "departure"}
+    events = []
+    for r in records:
+        if r["kind"] != "arrival":
+            continue
+        cls = by_id[r["class"]]
+        events.append(request_from_class(cls, r["uid"], r["time"]))
+        if r["uid"] in departures:
+            events.append(Departure(departures[r["uid"]], r["uid"], cls.id))
+    events.sort(key=event_sort_key)
+    return events
 
 
 def generate_events_scalar(model, horizon, seed):

@@ -1,26 +1,30 @@
 """Traffic: slice classes, offered load, Poisson thinning, event streams."""
 
 import hashlib
+import json
 import math
 import time
 
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings, strategies as st
 
-from oracles import generate_events_scalar, sample_arrivals_scalar
+from oracles import (event_sort_key, generate_events_scalar, load_events_list,
+                     sample_arrivals_scalar)
 from slicesim import (
     ConfigurationError,
     Departure,
     DynamicArrival,
+    HeuristicPolicy,
     LoadModel,
     ScenarioError,
+    Simulation,
     SliceClass,
     SliceRequest,
     StaticArrival,
     arrival_rate,
     build_reference_topology,
-    event_sort_key,
     export_events,
     generate_events,
     load_events,
@@ -352,6 +356,8 @@ def test_load_events_unknown_class(tmp_path):
      "field 'time': invalid value nan"),
     ('{"time": 1.0, "kind": "arrival", "uid": 0.5, "class": 0}',
      "field 'uid': invalid value 0.5"),
+    ('{"time": 1.0, "kind": "departure", "uid": %d, "class": 0}' % 2 ** 63,
+     "field 'uid': int too large: must be < 2**63"),
     ('{"time": 1.0, "kind": "leave", "uid": 0, "class": 0}',
      "field 'kind': invalid value 'leave'"),
     ('{"time": 1.0, "kind": "arrival", "uid": 0, "class": 7}',
@@ -377,6 +383,44 @@ def test_load_events_names_a_file_that_is_not_utf8(tmp_path):
     path.write_bytes(b"\xff\xfe{}\n")
     with pytest.raises(ScenarioError, match="not UTF-8 text"):
         load_events(path, [volatile()])
+
+
+def event_files():
+    """Valid event files as lists of records: arrivals at a few shared
+    times, uids that repeat, uids with no departure or with several, and
+    every line in any order, so that departures may come first. A time
+    may be a whole-number JSON int."""
+    times = st.sampled_from([0, 0.5, 1, 1.5, 2.0])
+    arrival = st.builds(
+        lambda t, u, c: {"time": t, "kind": "arrival", "uid": u, "class": c},
+        times, st.integers(0, 3), st.sampled_from([0, 1]))
+
+    def with_departures(arrivals):
+        def departure(uid, gap, c):
+            latest = max(a["time"] for a in arrivals if a["uid"] == uid)
+            return {"time": latest + gap, "kind": "departure", "uid": uid,
+                    "class": c}
+        uids = sorted({a["uid"] for a in arrivals})
+        one = st.builds(departure, st.sampled_from(uids) if uids else
+                        st.nothing(), st.sampled_from([0.5, 1, 2.0]),
+                        st.sampled_from([0, 1]))
+        return st.lists(one, max_size=4).flatmap(
+            lambda deps: st.permutations(arrivals + deps))
+
+    return st.lists(arrival, max_size=10).flatmap(with_departures)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(records=event_files())
+def test_load_events_matches_the_keyed_sort_of_event_objects(tmp_path_factory,
+                                                             records):
+    path = tmp_path_factory.getbasetemp() / "oracle-events.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    classes = [volatile(), longterm()]
+    events = load_events(path, classes)
+    assert list(events) == load_events_list(path, classes)
+    assert events == load_events_list(path, classes)
+    assert all(type(ev.time) is float for ev in events)
 
 
 # -- the array generator against the scalar one ---------------------------------
@@ -453,3 +497,43 @@ def test_sample_arrivals_takes_the_constant_rate_of_criterion_2():
     assert got == sample_arrivals_scalar(lambda t: 0.02, 0.02, 5000.0,
                                          np.random.default_rng(8))
     assert len(got) > 50
+
+
+# -- events built on read -------------------------------------------------------
+
+@pytest.fixture
+def built(monkeypatch):
+    """Every SliceRequest and Departure built while the test runs."""
+    made = []
+    for cls in (SliceRequest, Departure):
+        def init(self, *args, _init=cls.__init__, **kwargs):
+            _init(self, *args, **kwargs)
+            made.append(self)
+        monkeypatch.setattr(cls, "__init__", init)
+    return made
+
+
+def test_a_stream_builds_an_event_only_when_the_loop_reads_it(built):
+    scenario = load_scenario("reference")
+    events = scenario.generate_events(seed=1)
+    assert len(events) > 100_000
+    assert built == []
+    sim = Simulation(scenario.build_network(), events, HeuristicPolicy())
+    assert len(sim.run(max_arrivals=50)) == 50
+    passed = list(built)
+    assert len(passed) == sim.cursor
+    assert passed == [events[i] for i in range(sim.cursor)]
+
+
+def test_reading_a_position_builds_the_scalar_oracles_event():
+    model = reference_model()
+    events = generate_events(model, horizon=500.0, seed=3)
+    expected = generate_events_scalar(model, 500.0, 3)
+    departure = next(i for i, ev in enumerate(expected)
+                     if isinstance(ev, Departure))
+    for i in (0, departure, len(expected) - 1, -1):
+        assert events[i] == expected[i]
+    assert type(events[0]) is SliceRequest
+    assert type(events[departure]) is Departure
+    assert events.arrivals == sum(isinstance(ev, SliceRequest)
+                                  for ev in expected)
