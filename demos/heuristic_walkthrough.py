@@ -38,8 +38,8 @@ def place(request):
 
 
 def request(uid, n_vnfs, cpu, ram, bw):
-    return SliceRequest(uid=uid, class_id=0, time=0.0,
-                        vnfs=((cpu, ram),) * n_vnfs, vls=(bw,) * (n_vnfs - 1))
+    return SliceRequest(uid=uid, class_id=0, time=0.0, vnf_count=n_vnfs,
+                        cpu=cpu, ram=ram, bw=bw)
 
 
 print("\nfirst request: 3 VNFs of 10 cpu / 60 ram, 1 bw between them")

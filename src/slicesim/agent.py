@@ -156,13 +156,10 @@ class FeatureScaler:
 
     def nspr_features(self, state: PlacementEpisodeState) -> np.ndarray:
         req = state.request
-        req_cpu, req_ram = req.vnfs[state.next_vnf - 1]
-        v = state.next_vnf
-        req_bw = req.vls[v - 2] if v >= 2 else (req.vls[0] if req.vls else 0.0)
         return np.array([
-            req_cpu / self.cpu,
-            req_ram / self.ram,
-            req_bw / self.bw,
+            req.cpu / self.cpu,
+            req.ram / self.ram,
+            (req.bw if req.vnf_count > 1 else 0.0) / self.bw,
             state.remaining / req.vnf_count,
         ], dtype=np.float64)
 

@@ -40,14 +40,14 @@ def heu_select(state: PlacementEpisodeState,
     test and scores (delta_b, delta_c) as `step_scores` does, with the
     same float expressions.
     """
-    v = state.next_vnf
-    req_cpu, req_ram = state.request.vnfs[v - 1]
-    if v == 1:
+    req = state.request
+    req_cpu, req_ram = req.cpu, req.ram
+    if not state.hosts:
         paths = None
         closeness = repeat(1.0)
     else:
         src = state.hosts[-1]
-        paths = route_all(net, src, state.request.vls[v - 2])
+        paths = route_all(net, src, req.bw)
         closeness = server_closeness(net, src, paths)
     cpu, ram, max_cpu, max_ram = net.cpu, net.ram, net.max_cpu, net.max_ram
     best = None

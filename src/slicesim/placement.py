@@ -169,14 +169,14 @@ def _evaluate(state: PlacementEpisodeState, net: SubstrateNetwork, target: int,
     paths, when given, is this step's `route_all` sweep; without it the
     step is routed here.
     """
-    v = state.next_vnf
-    if not fits(net, target, *state.request.vnfs[v - 1]):
+    req = state.request
+    if not fits(net, target, req.cpu, req.ram):
         return None
-    if v == 1:
+    if not state.hosts:
         return ()
     if paths is not None:
         return paths.get(target)
-    return route(net, state.hosts[-1], target, state.request.vls[v - 2])
+    return route(net, state.hosts[-1], target, req.bw)
 
 
 def apply_action(state: PlacementEpisodeState, net: SubstrateNetwork,
@@ -203,9 +203,9 @@ def apply_action(state: PlacementEpisodeState, net: SubstrateNetwork,
 
     # delta_b reads the residuals the agent saw, before this commit
     delta_b, delta_c = step_scores(net, target, path)
-    v = state.next_vnf
-    bw = state.request.vls[v - 2] if v > 1 else 0.0
-    net.commit(state.committed, target, *state.request.vnfs[v - 1], path, bw)
+    req = state.request
+    net.commit(state.committed, target, req.cpu, req.ram, path,
+               req.bw if state.hosts else 0.0)
     state.hosts.append(target)
     return PlacementOutcome(True, SUCCESS_REWARD, delta_b, delta_c, path,
                             terminal=state.done)

@@ -113,32 +113,26 @@ def arrival_rate(cls: SliceClass, t):
 
 @dataclass(frozen=True)
 class SliceRequest:
-    """One arrival event: a VNF chain, with demands copied from its class,
-    that arrives at `time`. The matching Departure is the only record of
-    how long it holds its resources."""
+    """One arrival event: a chain of vnf_count VNFs that arrives at `time`.
+    Each VNF demands cpu and ram, and each virtual link between
+    consecutive VNFs demands bw, as its class does. The matching
+    Departure is the only record of how long it holds its resources."""
     uid: int
     class_id: int
     time: float
-    vnfs: tuple[tuple[float, float], ...]  # (req_cpu, req_ram) per VNF
-    vls: tuple[float, ...]                 # req_bw of VL (v-1, v), v = 2..|V|
+    vnf_count: int
+    cpu: float
+    ram: float
+    bw: float
 
     def __post_init__(self):
-        if len(self.vls) != len(self.vnfs) - 1:
-            raise ConfigurationError("need exactly |V| - 1 virtual links")
-
-    @property
-    def vnf_count(self) -> int:
-        return len(self.vnfs)
-
-
-def class_demands(cls: SliceClass):
-    """A request's (vnfs, vls) demand tuples, from its class."""
-    return (((cls.req_cpu, cls.req_ram),) * cls.vnf_count,
-            (cls.req_bw,) * (cls.vnf_count - 1))
+        if self.vnf_count < 1:
+            raise ConfigurationError("a request needs at least one VNF")
 
 
 def request_from_class(cls: SliceClass, uid: int, time: float) -> SliceRequest:
-    return SliceRequest(uid, cls.id, time, *class_demands(cls))
+    return SliceRequest(uid, cls.id, time, cls.vnf_count, cls.req_cpu,
+                        cls.req_ram, cls.req_bw)
 
 
 class LoadModel:
@@ -274,13 +268,12 @@ class EventStream(Sequence):
     them to traverse. Rows are ordered by (time, kind, class id, uid),
     departures first at equal times so that they free capacity before an
     arrival takes it; rows with equal keys keep the order they were given
-    in. stream[i] builds row i's SliceRequest or Departure only when it
-    is read, and the requests of one class share one pair of demand
-    tuples. A stream equals any sequence of the same events in the same
-    order.
+    in. stream[i] builds row i's SliceRequest, from its class, or its
+    Departure only when it is read. A stream equals any sequence of the
+    same events in the same order.
     """
 
-    __slots__ = ("time", "departure", "uid", "class_id", "_demands")
+    __slots__ = ("time", "departure", "uid", "class_id", "_classes")
 
     def __init__(self, time, departure, uid, class_id,
                  classes: Iterable[SliceClass]):
@@ -293,7 +286,7 @@ class EventStream(Sequence):
         self.time, self.departure, self.uid, self.class_id = (
             memoryview(column[order]).toreadonly()
             for column in (time, departure, uid, class_id))
-        self._demands = {cls.id: class_demands(cls) for cls in classes}
+        self._classes = {cls.id: cls for cls in classes}
 
     def __len__(self) -> int:
         return len(self.time)
@@ -302,8 +295,7 @@ class EventStream(Sequence):
         time, class_id = self.time[i], self.class_id[i]
         if self.departure[i]:
             return Departure(time, self.uid[i], class_id)
-        return SliceRequest(self.uid[i], class_id, time,
-                            *self._demands[class_id])
+        return request_from_class(self._classes[class_id], self.uid[i], time)
 
     def __eq__(self, other):
         if not isinstance(other, Sequence):

@@ -32,14 +32,9 @@ def tiny_net():
     return build_reference_topology("tiny")
 
 
-def make_request(vnfs, vls, uid=0, class_id=0, time=0.0):
-    return SliceRequest(uid=uid, class_id=class_id, time=time,
-                        vnfs=tuple(vnfs), vls=tuple(vls))
-
-
-def uniform_request(n_vnfs, cpu, ram, bw, **kw):
+def uniform_request(n_vnfs, cpu, ram, bw, uid=0, class_id=0, time=0.0):
     """Chain of n identical VNFs joined by identical virtual links."""
-    return make_request(((cpu, ram),) * n_vnfs, (bw,) * (n_vnfs - 1), **kw)
+    return SliceRequest(uid, class_id, time, n_vnfs, cpu, ram, bw)
 
 
 def line_net(caps, bw, server_cpu=50.0, server_ram=300.0):

@@ -83,14 +83,12 @@ def brute_route(net, src, dst, bw):
 def brute_feasible(state, net, target):
     """Can the pending VNF go on this server right now?"""
     node = net.nodes[target]
-    req_cpu, req_ram = state.request.vnfs[state.next_vnf - 1]
-    if node.cap_cpu + _EPS < req_cpu or node.cap_ram + _EPS < req_ram:
+    req = state.request
+    if node.cap_cpu + _EPS < req.cpu or node.cap_ram + _EPS < req.ram:
         return False
     if state.next_vnf == 1:
         return True
-    prev = state.hosts[-1]
-    bw = state.request.vls[state.next_vnf - 2]
-    return brute_route(net, prev, target, bw) is not None
+    return brute_route(net, state.hosts[-1], target, req.bw) is not None
 
 
 def brute_heu_choice(state, net):
@@ -102,18 +100,17 @@ def brute_heu_choice(state, net):
     first VNF or co-location). Ties go to the smallest server id; returns
     None when no server is feasible.
     """
-    req_cpu, req_ram = state.request.vnfs[state.next_vnf - 1]
+    req = state.request
     best = None
     best_score = None
     for sid in net.servers:
         node = net.nodes[sid]
-        if node.cap_cpu + _EPS < req_cpu or node.cap_ram + _EPS < req_ram:
+        if node.cap_cpu + _EPS < req.cpu or node.cap_ram + _EPS < req.ram:
             continue
         if state.next_vnf == 1:
             closeness = 1.0
         else:
-            path = brute_route(net, state.hosts[-1], sid,
-                               state.request.vls[state.next_vnf - 2])
+            path = brute_route(net, state.hosts[-1], sid, req.bw)
             if path is None:
                 continue
             hops = len(path) - 1

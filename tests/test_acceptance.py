@@ -33,7 +33,7 @@ from slicesim.networks import (SliceNet, log_softmax, normalized_propagation,
 from slicesim.traffic import LoadModel
 from slicesim.substrate import build_reference_topology
 
-from conftest import line_net, make_request, random_substrate, uniform_request
+from conftest import line_net, random_substrate, uniform_request
 from oracles import (brute_feasible, brute_heu_choice, finite_diff_grad,
                      gcn_forward, is_feasible)
 
@@ -96,7 +96,7 @@ def test_criterion_3_reward_scaling_and_failure_penalty():
     net = build_reference_topology("tiny")
     server = net.servers[0]
 
-    request = make_request(((0.0, 0.0),) * 5, (0.0,) * 4)
+    request = uniform_request(5, 0.0, 0.0, 0.0)
     state = PlacementEpisodeState(request)
     outcomes = [apply_action(state, net, server) for _ in range(5)]
     assert all(o.success for o in outcomes)
@@ -105,7 +105,7 @@ def test_criterion_3_reward_scaling_and_failure_penalty():
     rewards = episode_reward(outcomes, request.vnf_count)
     assert rewards == [0.0, 0.0, 0.0, 0.0, 10.0]
 
-    greedy = make_request(((1000.0, 1000.0),), ())
+    greedy = uniform_request(1, 1000.0, 1000.0, 0.0)
     failed_state = PlacementEpisodeState(greedy)
     outcome = apply_action(failed_state, net, server)
     assert not outcome.success

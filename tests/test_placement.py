@@ -21,7 +21,7 @@ from slicesim import (
 from slicesim import placement
 from slicesim.placement import server_closeness
 
-from conftest import line_net, make_request, random_substrate, uniform_request
+from conftest import line_net, random_substrate, uniform_request
 from oracles import is_feasible
 from oracles import brute_route
 
@@ -323,7 +323,7 @@ def test_outcome_record_fields():
 def test_reward_single_server_chain_is_maximal():
     """A whole chain on one empty zero-impact server scores the ceiling."""
     net = two_server_net()
-    req = make_request(((0.0, 0.0),) * 5, (0.0,) * 4)
+    req = uniform_request(5, 0.0, 0.0, 0.0)
     state = PlacementEpisodeState(req)
     outcomes = [apply_action(state, net, 0) for _ in range(5)]
     assert [o.step_product() for o in outcomes] == [200.0] * 5

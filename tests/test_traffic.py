@@ -112,9 +112,7 @@ def test_arrival_rate_shapes():
 def test_request_from_class():
     req = request_from_class(volatile(), uid=3, time=1.5)
     assert req.time == 1.5
-    assert req.vnf_count == 5
-    assert req.vnfs == ((25.0, 150.0),) * 5
-    assert req.vls == (2.0,) * 4
+    assert (req.vnf_count, req.cpu, req.ram, req.bw) == (5, 25.0, 150.0, 2.0)
     assert req.class_id == 0
 
 
@@ -449,15 +447,6 @@ def test_generate_events_matches_the_scalar_generator_on_reference(seed):
     model = load_scenario("reference").build_load_model()
     assert_same_stream(generate_events(model, 5000.0, seed),
                        generate_events_scalar(model, 5000.0, seed))
-
-
-def test_requests_of_a_class_share_their_demand_tuples():
-    events = generate_events(reference_model(), horizon=500.0, seed=3)
-    requests = [e for e in events if isinstance(e, SliceRequest)]
-    for class_id in (0, 1):
-        own = [r for r in requests if r.class_id == class_id]
-        assert len({id(r.vnfs) for r in own}) == 1
-        assert len({id(r.vls) for r in own}) == 1
 
 
 @pytest.mark.parametrize("name, seed, digest", [
