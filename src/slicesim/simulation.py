@@ -18,6 +18,7 @@ from .agent import Agent
 from .errors import InvariantError
 from .heuristic import heu_place_full
 from .metrics import AcceptanceRecord
+from .placement import rollback
 from .substrate import ResourceDelta, SubstrateNetwork
 from .traffic import Departure, Event, SliceRequest
 
@@ -51,7 +52,12 @@ class AgentPolicy:
         accepted, steps, state = self.agent.run_episode(
             request, net, trace_sink=self.trace_sink)
         if self.trains:
-            self.agent.update(steps)
+            # the episode has committed: a failed update releases it
+            try:
+                self.agent.update(steps)
+            except BaseException:
+                rollback(state, net)
+                raise
         return accepted, state.committed
 
 

@@ -368,10 +368,10 @@ def load_events(path, classes: Iterable[SliceClass]) -> EventStream:
     """Rebuild an event stream from an exported file.
 
     Request demands are reconstructed from the class definitions, and a
-    time is read as a float. An arrival without a departure record keeps
-    its resources to the end of the run; a departure must come after its
-    arrival. A malformed line raises a ScenarioError naming the file, the
-    line and the field.
+    time is read as a float. A uid arrives once and departs at most once.
+    An arrival without a departure record keeps its resources to the end
+    of the run; a departure must come after its arrival. A malformed line
+    raises a ScenarioError naming the file, the line and the field.
     """
     by_id = {c.id: c for c in classes}
     rows = []
@@ -384,6 +384,12 @@ def load_events(path, classes: Iterable[SliceClass]) -> EventStream:
                     rows.append((where, _event_record(line, where)))
     except UnicodeDecodeError as exc:
         raise ScenarioError(f"{path}: not UTF-8 text ({exc})") from exc
+    seen = set()
+    for where, r in rows:
+        if (r["kind"], r["uid"]) in seen:
+            raise ScenarioError(f"{where}: field 'uid': a second {r['kind']} "
+                                f"of uid {r['uid']}")
+        seen.add((r["kind"], r["uid"]))
     departures = {r["uid"]: (r["time"], where) for where, r in rows
                   if r["kind"] == "departure"}
     # each arrival's row, then its departure's: the order of equal keys

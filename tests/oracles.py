@@ -178,9 +178,9 @@ def event_sort_key(ev):
 
 def load_events_list(path, classes):
     """A valid exported event file as a list of event objects: each
-    arrival in file order followed by its departure, if the file has one
-    (the last departure line of a uid wins), then one keyed sort, which
-    is stable. Reads valid files only: it checks nothing."""
+    arrival in file order followed by its departure, if the file has one,
+    then one keyed sort, which is stable. Reads valid files only: it
+    checks nothing."""
     by_id = {c.id: c for c in classes}
     with open(path, encoding="utf-8") as fh:
         records = [json.loads(line) for line in fh if line.strip()]

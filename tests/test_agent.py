@@ -150,10 +150,15 @@ def test_nspr_features_track_progress(tiny_net):
     assert first.shape == (4,)
     assert first[0] == pytest.approx(10.0 / 50.0)
     assert first[1] == pytest.approx(30.0 / 300.0)
+    assert first[2] == 2.0 / scaler.bw          # the chain's links, from VNF 1
     assert first[3] == 1.0                                # all 4 remaining
     state.hosts.extend(tiny_net.servers[:2])
     later = scaler.nspr_features(state)
+    assert later[2] == 2.0 / scaler.bw
     assert later[3] == pytest.approx(2.0 / 4.0)
+    alone = scaler.nspr_features(
+        PlacementEpisodeState(uniform_request(1, 10.0, 30.0, 2.0)))
+    assert alone[2] == 0.0                      # a single VNF has no link
 
 
 # -- shaping -----------------------------------------------------------------------

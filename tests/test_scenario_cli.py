@@ -771,6 +771,23 @@ def test_cli_reports_an_os_error_in_one_line(tmp_path, case):
     assert proc.stderr.count("\n") == 1, proc.stderr
 
 
+def test_cli_names_the_line_of_a_repeated_uid(tmp_path, capsys):
+    """A uid that arrives twice used to stop the run midway, with an error
+    that named neither the file nor the line."""
+    events = tmp_path / "repeat.jsonl"
+    events.write_text(
+        '{"time": 1.0, "kind": "arrival", "uid": 0, "class": 0}\n'
+        '{"time": 2.0, "kind": "arrival", "uid": 0, "class": 0}\n'
+        '{"time": 9.0, "kind": "departure", "uid": 0, "class": 0}\n')
+    out = tmp_path / "out"
+    rv = run_cli("simulate", "--scenario", "tiny", "--events", str(events),
+                 "--out-dir", str(out))
+    assert rv == 2
+    assert capsys.readouterr().err == (
+        f"error: {events}, line 2: field 'uid': a second arrival of uid 0\n")
+    assert not out.exists() or not any(out.iterdir())
+
+
 AGENT_FLAGS = {"beta": 1.5, "xi": 0.5, "eta": 0.25, "gamma": 0.9,
                "actor_lr": 1e-3, "critic_lr": 2e-3, "agent_seed": 7}
 

@@ -1,13 +1,20 @@
 """Event loop: conservation, ordering guards, pinned runs, the golden run."""
 
+import contextlib
 import hashlib
+import itertools
 import json
 import pathlib
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import slicesim.agent
+import slicesim.heuristic
 from slicesim import (
+    VARIANTS,
     Agent,
     AgentConfig,
     AgentPolicy,
@@ -16,7 +23,10 @@ from slicesim import (
     InvariantError,
     LoadModel,
     Simulation,
+    SliceClass,
     SliceRequest,
+    StaticArrival,
+    TopologyCounts,
     build_reference_topology,
     gar,
     generate_events,
@@ -171,6 +181,118 @@ def test_same_seed_same_records_for_training_agent():
         return [(r.uid, r.accepted) for r in sim.run()]
 
     assert run() == run()
+
+
+def test_a_raise_in_the_update_releases_the_request(monkeypatch):
+    """The episode has committed when the update runs: an update that
+    raised used to leave the request's resources held, out of the
+    ledger."""
+    scenario = load_scenario("tiny")
+    net = scenario.build_network()
+    events = scenario.generate_events(seed=0)
+    agent = Agent(AgentConfig.for_variant("ha-drl", seed=0), net)
+    sim = Simulation(net, events, AgentPolicy(agent, train=True))
+    sim.run(max_arrivals=5)
+    while isinstance(events[sim.cursor], Departure):
+        sim.step()
+    before = (net.residuals(), dict(sim.ledger))
+    held = []
+
+    def update(steps):
+        held.append(net.residuals())
+        raise RuntimeError("update failed")
+
+    monkeypatch.setattr(agent, "update", update)
+    with pytest.raises(RuntimeError, match="update failed"):
+        sim.step()
+    assert held[0] != before[0]         # the episode had committed
+    assert (net.residuals(), sim.ledger) == before
+    assert audit_ledger(sim, eps=1e-9) == []
+
+
+# -- whole runs against the ledger audit ----------------------------------------
+
+class Injected(Exception):
+    """The one raise a fuzzed run injects."""
+
+
+@st.composite
+def whole_runs(draw):
+    """A small substrate, 1-2 static classes and a policy, and optionally
+    one raise at the n-th call of a placement step or of a training
+    agent's update, in place of the call or after it."""
+    counts = TopologyCounts(
+        edc_count=draw(st.integers(1, 3)),
+        servers_per_edc=draw(st.integers(1, 3)),
+        cdc_count=draw(st.integers(0, 1)),
+        servers_per_cdc=draw(st.integers(0, 2)),
+        ccp_servers=draw(st.integers(0, 2)),
+        server_cpu=draw(st.sampled_from([20.0, 50.0])),
+        server_ram=draw(st.sampled_from([120.0, 300.0])))
+    classes = [SliceClass(
+        id=i, vnf_count=draw(st.integers(1, 4)),
+        req_cpu=draw(st.sampled_from([5.0, 10.0, 20.0])),
+        req_ram=draw(st.sampled_from([30.0, 60.0])),
+        req_bw=draw(st.sampled_from([1.0, 4.0, 12.0])),
+        mean_lifetime=draw(st.sampled_from([2.0, 10.0, 40.0])),
+        arrival=StaticArrival(draw(st.sampled_from([0.2, 0.5, 1.0]))))
+        for i in range(draw(st.integers(1, 2)))]
+    variant = draw(st.sampled_from(("heuristic",) + VARIANTS))
+    train = variant != "heuristic" and draw(st.booleans())
+    sites = ["step", "update"] if train else ["step"]
+    fault = draw(st.none() | st.tuples(st.sampled_from(sites),
+                                       st.integers(1, 8), st.booleans()))
+    return counts, classes, variant, train, fault, draw(st.integers(0, 3))
+
+
+def raising_at(n, call, after):
+    """call, except that its n-th call raises Injected: after running
+    when after is set, else in its place."""
+    calls = itertools.count(1)
+
+    def stand_in(*args, **kwargs):
+        if next(calls) != n:
+            return call(*args, **kwargs)
+        if after:
+            call(*args, **kwargs)
+        raise Injected(f"call {n}")
+    return stand_in
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(run=whole_runs())
+def test_whole_runs_keep_the_ledger_audit_clean(run):
+    """After every event each residual is its maximum minus the ledger's
+    holdings; a raise in a step or an update leaves the substrate and the
+    ledger as they were before the arrival."""
+    counts, classes, variant, train, fault, seed = run
+    net = build_reference_topology(counts)
+    model = LoadModel.from_network(classes, net)
+    events = generate_events(model, horizon=20.0, seed=seed)
+    if variant == "heuristic":
+        policy, module = HeuristicPolicy(), slicesim.heuristic
+    else:
+        agent = Agent(AgentConfig.for_variant(variant, seed=seed), net, model)
+        policy, module = AgentPolicy(agent, train=train), slicesim.agent
+    patched = contextlib.nullcontext()
+    if fault is not None:
+        site, n, after = fault
+        owner, name = ((agent, "update") if site == "update"
+                       else (module, "apply_action"))
+        patched = mock.patch.object(
+            owner, name, raising_at(n, getattr(owner, name), after))
+    sim = Simulation(net, events, policy)
+    with patched:
+        while True:
+            before = (net.residuals(), dict(sim.ledger))
+            try:
+                if not sim.step():
+                    break
+            except Injected:
+                assert (net.residuals(), sim.ledger) == before
+                assert audit_ledger(sim, eps=1e-9) == []
+                break
+            assert audit_ledger(sim, eps=1e-9) == []
 
 
 # -- pinned trajectories ------------------------------------------------------------

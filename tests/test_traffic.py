@@ -365,14 +365,21 @@ def test_load_events_unknown_class(tmp_path):
     ('{"time": 0.25, "kind": "departure", "uid": 9, "class": 0}',
      "field 'time': departure at 0.25 is not after the arrival of uid 9 "
      "at 0.5"),
+    ('{"time": 2.0, "kind": "arrival", "uid": 9, "class": 0}',
+     "field 'uid': a second arrival of uid 9"),
+    ('{"time": 9.0, "kind": "departure", "uid": 9, "class": 0}\n'
+     '{"time": 8.0, "kind": "departure", "uid": 9, "class": 0}',
+     "field 'uid': a second departure of uid 9"),
 ])
 def test_load_events_names_the_file_line_and_field(tmp_path, line, fragment):
+    """The refused line is the last one of the file."""
     path = tmp_path / "events.jsonl"
     good = '{"time": 0.5, "kind": "arrival", "uid": 9, "class": 0}'
     path.write_text(good + "\n\n" + line + "\n")
     with pytest.raises(ScenarioError) as info:
         load_events(path, [volatile()])
-    assert str(info.value).startswith(f"{path}, line 3: ")
+    last = 3 + line.count("\n")
+    assert str(info.value).startswith(f"{path}, line {last}: ")
     assert fragment in str(info.value)
 
 
@@ -385,27 +392,28 @@ def test_load_events_names_a_file_that_is_not_utf8(tmp_path):
 
 def event_files():
     """Valid event files as lists of records: arrivals at a few shared
-    times, uids that repeat, uids with no departure or with several, and
-    every line in any order, so that departures may come first. A time
-    may be a whole-number JSON int."""
+    times, each uid arriving once and departing at most once, uids with
+    no departure, and every line in any order, so that departures may
+    come first. A time may be a whole-number JSON int."""
     times = st.sampled_from([0, 0.5, 1, 1.5, 2.0])
     arrival = st.builds(
         lambda t, u, c: {"time": t, "kind": "arrival", "uid": u, "class": c},
-        times, st.integers(0, 3), st.sampled_from([0, 1]))
+        times, st.integers(0, 15), st.sampled_from([0, 1]))
 
     def with_departures(arrivals):
+        arrived = {a["uid"]: a["time"] for a in arrivals}
+
         def departure(uid, gap, c):
-            latest = max(a["time"] for a in arrivals if a["uid"] == uid)
-            return {"time": latest + gap, "kind": "departure", "uid": uid,
-                    "class": c}
-        uids = sorted({a["uid"] for a in arrivals})
-        one = st.builds(departure, st.sampled_from(uids) if uids else
-                        st.nothing(), st.sampled_from([0.5, 1, 2.0]),
+            return {"time": arrived[uid] + gap, "kind": "departure",
+                    "uid": uid, "class": c}
+        one = st.builds(departure, st.sampled_from(sorted(arrived)) if arrived
+                        else st.nothing(), st.sampled_from([0.5, 1, 2.0]),
                         st.sampled_from([0, 1]))
-        return st.lists(one, max_size=4).flatmap(
+        return st.lists(one, max_size=4, unique_by=lambda d: d["uid"]).flatmap(
             lambda deps: st.permutations(arrivals + deps))
 
-    return st.lists(arrival, max_size=10).flatmap(with_departures)
+    return st.lists(arrival, max_size=10,
+                    unique_by=lambda a: a["uid"]).flatmap(with_departures)
 
 
 @settings(max_examples=200, deadline=None, database=None)
