@@ -21,7 +21,7 @@ for t in np.arange(0.0, 97.0, 8.0):
     print(f"  t={t:5.1f}  {load:.4f}  {bar}")
 
 # one day of traffic, counted per quarter period
-events = generate_events(model, horizon=96.0, seed=7)
+events = generate_events(classes, horizon=96.0, seed=7)
 arrivals = [e for e in events if isinstance(e, SliceRequest)]
 print(f"\none period sampled with seed 7: {len(arrivals)} arrivals")
 for lo in range(0, 96, 24):

@@ -63,13 +63,12 @@ class Scenario:
     def build_network(self) -> SubstrateNetwork:
         return build_reference_topology(self.topology)
 
-    def build_load_model(self, net: SubstrateNetwork | None = None) -> LoadModel:
-        return LoadModel.from_network(self.classes, net or self.build_network())
+    def build_load_model(self, net: SubstrateNetwork) -> LoadModel:
+        return LoadModel.from_network(self.classes, net)
 
     def generate_events(self, seed: int | None = None,
                         horizon: float | None = None) -> EventStream:
-        model = self.build_load_model()
-        return generate_events(model,
+        return generate_events(self.classes,
                                self.horizon if horizon is None else horizon,
                                self.seed if seed is None else seed)
 

@@ -104,11 +104,10 @@ class SliceClass:
 
 def arrival_rate(cls: SliceClass, t):
     """Arrival intensity of one class at time t (scalar or array)."""
+    t = np.asarray(t, dtype=np.float64)
     if cls.is_dynamic:
-        return cls.arrival.amplitude * np.sin(np.pi * np.asarray(t, dtype=np.float64)
-                                              / cls.arrival.period) ** 2
-    return np.full_like(np.asarray(t, dtype=np.float64), cls.arrival.rate) \
-        if np.ndim(t) else cls.arrival.rate
+        return cls.arrival.amplitude * np.square(np.sin(np.pi * t / cls.arrival.period))
+    return np.full_like(t, cls.arrival.rate)
 
 
 @dataclass(frozen=True)
@@ -141,9 +140,6 @@ class LoadModel:
     def __init__(self, classes: Iterable[SliceClass], total_capacity: dict[str, float]):
         self.classes = list(classes)
         self.total_capacity = dict(total_capacity)
-        ids = [c.id for c in self.classes]
-        if len(set(ids)) != len(ids):
-            raise ConfigurationError("class ids must be unique")
         for j in RESOURCES:
             if self.total_capacity.get(j, 0.0) <= 0:
                 raise ConfigurationError(f"total capacity of {j!r} must be > 0")
@@ -152,8 +148,7 @@ class LoadModel:
 
     @classmethod
     def from_network(cls, classes: Iterable[SliceClass], net) -> "LoadModel":
-        caps = {j: net.total_capacity(j) for j in RESOURCES}
-        return cls(classes, caps)
+        return cls(classes, {j: net.total_capacity(j) for j in RESOURCES})
 
     def check_amplitude_bound(self, cls: SliceClass) -> None:
         """Reject dynamic amplitudes that would push a per-class load above
@@ -180,15 +175,14 @@ class LoadModel:
 
     def global_load(self, resource: str, t):
         """Sum of class loads on one resource at time t (scalar or array)."""
-        total = 0.0 if np.ndim(t) == 0 else np.zeros(np.shape(t), dtype=np.float64)
-        for cls in self.classes:
-            total = total + self.class_load(cls, resource, t)
-        return total
+        t = np.asarray(t, dtype=np.float64)
+        return sum((self.class_load(cls, resource, t) for cls in self.classes),
+                   np.zeros_like(t))
 
     def load_forecast(self, resource: str, t_a: float) -> np.ndarray:
         """Load at the 100 unit-spaced instants starting at the arrival time."""
         ts = t_a + np.arange(FORECAST_POINTS, dtype=np.float64)
-        return np.asarray(self.global_load(resource, ts), dtype=np.float64)
+        return self.global_load(resource, ts)
 
     def forecast_features(self, t_a: float) -> np.ndarray:
         """Concatenated cpu|ram|bw forecasts (300 values) for the load state."""
@@ -270,13 +264,16 @@ class EventStream(Sequence):
     arrival takes it; rows with equal keys keep the order they were given
     in. stream[i] builds row i's SliceRequest, from its class, or its
     Departure only when it is read. A stream equals any sequence of the
-    same events in the same order.
+    same events in the same order. Two classes with one id are refused.
     """
 
     __slots__ = ("time", "departure", "uid", "class_id", "_classes")
 
     def __init__(self, time, departure, uid, class_id,
-                 classes: Iterable[SliceClass]):
+                 classes: Sequence[SliceClass]):
+        self._classes = {cls.id: cls for cls in classes}
+        if len(self._classes) < len(classes):
+            raise ConfigurationError("class ids must be unique")
         time = np.asarray(time, dtype=np.float64)
         departure = np.asarray(departure, dtype=bool)
         uid = np.asarray(uid, dtype=np.int64)
@@ -286,7 +283,6 @@ class EventStream(Sequence):
         self.time, self.departure, self.uid, self.class_id = (
             memoryview(column[order]).toreadonly()
             for column in (time, departure, uid, class_id))
-        self._classes = {cls.id: cls for cls in classes}
 
     def __len__(self) -> int:
         return len(self.time)
@@ -308,7 +304,7 @@ class EventStream(Sequence):
         return len(self) - int(np.count_nonzero(self.departure))
 
 
-def generate_events(model: LoadModel, horizon: float,
+def generate_events(classes: Sequence[SliceClass], horizon: float,
                     seed: int) -> EventStream:
     """Generate the merged arrival/departure stream over [0, horizon).
 
@@ -320,7 +316,7 @@ def generate_events(model: LoadModel, horizon: float,
     before the first draw.
     """
     check_horizon(horizon)
-    candidates = horizon * sum(cls.rate_bound() for cls in model.classes)
+    candidates = horizon * sum(cls.rate_bound() for cls in classes)
     if candidates > MAX_CANDIDATES:
         raise ConfigurationError(
             f"horizon: {horizon!r} at the classes' summed rate bound asks "
@@ -330,7 +326,7 @@ def generate_events(model: LoadModel, horizon: float,
     times: list[float] = []
     lifetimes: list[float] = []
     class_ids: list[int] = []
-    for cls in model.classes:
+    for cls in classes:
         rng = class_rng(seed, cls.id)
         arrivals = sample_arrivals(partial(arrival_rate, cls),
                                    cls.rate_bound(), horizon, rng)
@@ -347,7 +343,7 @@ def generate_events(model: LoadModel, horizon: float,
     return EventStream(np.concatenate((time, time + lifetime)),
                        np.repeat([False, True], len(time)),
                        np.concatenate((uid, uid)),
-                       np.concatenate((class_id, class_id)), model.classes)
+                       np.concatenate((class_id, class_id)), classes)
 
 
 # -- event stream files ----------------------------------------------------
@@ -364,7 +360,7 @@ def export_events(stream: EventStream, path) -> None:
                                  "uid": uid, "class": class_id}) + "\n")
 
 
-def load_events(path, classes: Iterable[SliceClass]) -> EventStream:
+def load_events(path, classes: Sequence[SliceClass]) -> EventStream:
     """Rebuild an event stream from an exported file.
 
     Request demands are reconstructed from the class definitions, and a
@@ -410,7 +406,7 @@ def load_events(path, classes: Iterable[SliceClass]) -> EventStream:
                     f"after the arrival of uid {r['uid']} at {r['time']!r}")
             events.append((dep, True, r["uid"], r["class"]))
     columns = zip(*events) if events else [()] * 4
-    return EventStream(*columns, by_id.values())
+    return EventStream(*columns, classes)
 
 
 def _event_record(line: str, where: str) -> dict:

@@ -198,11 +198,11 @@ def load_events_list(path, classes):
     return events
 
 
-def generate_events_scalar(model, horizon, seed):
+def generate_events_scalar(classes, horizon, seed):
     """The event stream built one request at a time and ordered by a
     keyed sort: uids by (time, class id), events by event_sort_key."""
     per_class = []
-    for cls in model.classes:
+    for cls in classes:
         rng = class_rng(seed, cls.id)
         times = sample_arrivals_scalar(lambda t: arrival_rate(cls, t),
                                        cls.rate_bound(), horizon, rng)

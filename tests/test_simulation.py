@@ -43,8 +43,7 @@ DATA = pathlib.Path(__file__).parent / "data"
 
 def tiny_stream(horizon=400.0, seed=0):
     net = build_reference_topology("tiny")
-    model = LoadModel.from_network(tiny_classes(), net)
-    return net, generate_events(model, horizon=horizon, seed=seed)
+    return net, generate_events(tiny_classes(), horizon=horizon, seed=seed)
 
 
 # -- stepping and accounting -----------------------------------------------------
@@ -268,7 +267,7 @@ def test_whole_runs_keep_the_ledger_audit_clean(run):
     counts, classes, variant, train, fault, seed = run
     net = build_reference_topology(counts)
     model = LoadModel.from_network(classes, net)
-    events = generate_events(model, horizon=20.0, seed=seed)
+    events = generate_events(classes, horizon=20.0, seed=seed)
     if variant == "heuristic":
         policy, module = HeuristicPolicy(), slicesim.heuristic
     else:

@@ -10,6 +10,7 @@ import pytest
 import scipy.stats
 from hypothesis import given, settings, strategies as st
 
+import slicesim.scenario
 from oracles import (event_sort_key, generate_events_scalar, load_events_list,
                      sample_arrivals_scalar)
 from slicesim import (
@@ -49,9 +50,13 @@ def longterm():
                       arrival=StaticArrival(rate=0.02))
 
 
+def reference_classes():
+    return [volatile(), longterm()]
+
+
 def reference_model():
     net = build_reference_topology("full")
-    return LoadModel.from_network([volatile(), longterm()], net)
+    return LoadModel.from_network(reference_classes(), net)
 
 
 # -- class validation and basics ---------------------------------------------
@@ -107,6 +112,13 @@ def test_arrival_rate_shapes():
     lt = longterm()
     assert arrival_rate(lt, 123.0) == 0.02
     assert np.all(arrival_rate(lt, ts) == 0.02)
+    # one path for both: each element of an array call is the scalar call.
+    # A scalar's ** 2 goes through pow and an array's through a multiply,
+    # one ulp apart at t = 162.3, hence np.square.
+    ts = np.linspace(0.0, 192.0, 1921)
+    for cls in (v, lt):
+        assert np.array_equal(arrival_rate(cls, ts),
+                              [arrival_rate(cls, t) for t in ts])
 
 
 def test_request_from_class():
@@ -145,6 +157,8 @@ def test_global_load_oscillation():
     model = reference_model()
     ts = np.linspace(0.0, 192.0, 1921)
     loads = np.array([model.global_load("cpu", t) for t in ts])
+    # one path for both: each element of an array call is the scalar call
+    assert np.array_equal(model.global_load("cpu", ts), loads)
     assert loads.min() == pytest.approx(0.3968, abs=1e-4)
     assert loads.max() == pytest.approx(0.9921, abs=1e-4)
     # period 96: one day of simulated time
@@ -180,12 +194,8 @@ def test_load_forecast_window():
 
 # -- event generation ----------------------------------------------------------
 
-def one_class_model(cls):
-    return LoadModel([cls], {"cpu": 6300.0, "ram": 37800.0, "bw": 8350.0})
-
-
 def test_every_arrival_has_one_departure():
-    events = generate_events(reference_model(), horizon=500.0, seed=3)
+    events = generate_events(reference_classes(), horizon=500.0, seed=3)
     arrivals = {e.uid: e for e in events if isinstance(e, SliceRequest)}
     departures = {e.uid: e for e in events if isinstance(e, Departure)}
     assert set(arrivals) == set(departures)
@@ -194,7 +204,7 @@ def test_every_arrival_has_one_departure():
 
 
 def test_uids_dense_in_time_class_order():
-    events = generate_events(reference_model(), horizon=500.0, seed=3)
+    events = generate_events(reference_classes(), horizon=500.0, seed=3)
     arrivals = [e for e in events if isinstance(e, SliceRequest)]
     assert sorted(a.uid for a in arrivals) == list(range(len(arrivals)))
     by_uid = sorted(arrivals, key=lambda a: a.uid)
@@ -203,7 +213,7 @@ def test_uids_dense_in_time_class_order():
 
 
 def test_event_stream_sorted_departures_first():
-    events = generate_events(reference_model(), horizon=500.0, seed=3)
+    events = generate_events(reference_classes(), horizon=500.0, seed=3)
     keys = [event_sort_key(e) for e in events]
     assert keys == sorted(keys)
     dep = Departure(time=5.0, uid=9, class_id=1)
@@ -216,8 +226,7 @@ def test_generate_events_needs_a_positive_horizon():
     for horizon in (0.0, -5.0, math.inf, math.nan):
         with pytest.raises(ConfigurationError,
                            match="horizon must be a finite number > 0"):
-            generate_events(one_class_model(longterm()), horizon=horizon,
-                            seed=1)
+            generate_events([longterm()], horizon=horizon, seed=1)
 
 
 @pytest.mark.parametrize("horizon, rate", [
@@ -230,7 +239,7 @@ def test_generate_events_refuses_a_stream_past_the_candidate_bound(horizon,
     with pytest.raises(ConfigurationError,
                        match=f"horizon: .* more than the {MAX_CANDIDATES} "
                              "a stream may draw"):
-        generate_events(one_class_model(cls), horizon=horizon, seed=1)
+        generate_events([cls], horizon=horizon, seed=1)
     assert time.perf_counter() - start < 1.0
 
 
@@ -244,8 +253,8 @@ def test_scenario_horizon_override_is_not_dropped():
 
 def test_adding_a_class_leaves_other_streams_alone():
     """Per-class substreams: class sets can grow without reshuffling."""
-    solo = generate_events(one_class_model(volatile()), horizon=300.0, seed=5)
-    both = generate_events(reference_model(), horizon=300.0, seed=5)
+    solo = generate_events([volatile()], horizon=300.0, seed=5)
+    both = generate_events(reference_classes(), horizon=300.0, seed=5)
     solo_times = [e.time for e in solo if isinstance(e, SliceRequest)]
     both_times = [e.time for e in both
                   if isinstance(e, SliceRequest) and e.class_id == 0]
@@ -253,18 +262,17 @@ def test_adding_a_class_leaves_other_streams_alone():
 
 
 def test_same_seed_same_stream():
-    a = generate_events(reference_model(), horizon=300.0, seed=11)
-    b = generate_events(reference_model(), horizon=300.0, seed=11)
+    a = generate_events(reference_classes(), horizon=300.0, seed=11)
+    b = generate_events(reference_classes(), horizon=300.0, seed=11)
     assert [(e.time, e.uid, type(e).__name__) for e in a] == \
         [(e.time, e.uid, type(e).__name__) for e in b]
-    c = generate_events(reference_model(), horizon=300.0, seed=12)
+    c = generate_events(reference_classes(), horizon=300.0, seed=12)
     assert [e.time for e in a] != [e.time for e in c]
 
 
 def test_static_interarrivals_are_exponential():
     """KS test of inter-arrival times against Exp(0.02)."""
-    events = generate_events(one_class_model(longterm()), horizon=200_000.0,
-                             seed=42)
+    events = generate_events([longterm()], horizon=200_000.0, seed=42)
     times = np.array([e.time for e in events if isinstance(e, SliceRequest)])
     gaps = np.diff(times)
     stat = scipy.stats.kstest(gaps, "expon", args=(0.0, 1.0 / 0.02))
@@ -278,7 +286,7 @@ def test_dynamic_arrivals_follow_the_intensity():
     n_seeds = 60
     edges = np.linspace(0.0, 96.0, 9)
     for seed in range(n_seeds):
-        events = generate_events(one_class_model(cls), horizon=96.0, seed=seed)
+        events = generate_events([cls], horizon=96.0, seed=seed)
         times = [e.time for e in events if isinstance(e, SliceRequest)]
         counts += np.histogram(times, bins=edges)[0]
     # expected mass per bin: integral of the rate over the bin
@@ -297,7 +305,7 @@ def test_dynamic_mean_arrivals_per_period():
     cls = volatile()
     n = []
     for seed in range(40):
-        events = generate_events(one_class_model(cls), horizon=96.0, seed=seed)
+        events = generate_events([cls], horizon=96.0, seed=seed)
         n.append(sum(1 for e in events if isinstance(e, SliceRequest)))
     mean = np.mean(n)
     # 4 sigma of the seed-mean for a Poisson(72) count
@@ -308,10 +316,7 @@ def test_dynamic_mean_arrivals_per_period():
 
 def test_export_load_round_trip(tmp_path):
     classes = [volatile(), longterm()]
-    events = generate_events(LoadModel(classes, {"cpu": 6300.0,
-                                                 "ram": 37800.0,
-                                                 "bw": 8350.0}),
-                             horizon=300.0, seed=9)
+    events = generate_events(classes, horizon=300.0, seed=9)
     path = tmp_path / "events.jsonl"
     export_events(events, path)
     back = load_events(path, classes)
@@ -445,16 +450,16 @@ def assert_same_stream(events, expected):
 @pytest.mark.parametrize("seed", list(range(8)) + BENCH_SEEDS)
 def test_generate_events_matches_the_scalar_generator(name, seed):
     scenario = load_scenario(name)
-    model = scenario.build_load_model()
-    assert_same_stream(generate_events(model, scenario.horizon, seed),
-                       generate_events_scalar(model, scenario.horizon, seed))
+    classes = scenario.classes
+    assert_same_stream(generate_events(classes, scenario.horizon, seed),
+                       generate_events_scalar(classes, scenario.horizon, seed))
 
 
 @pytest.mark.parametrize("seed", [1, 1001, 7])
 def test_generate_events_matches_the_scalar_generator_on_reference(seed):
-    model = load_scenario("reference").build_load_model()
-    assert_same_stream(generate_events(model, 5000.0, seed),
-                       generate_events_scalar(model, 5000.0, seed))
+    classes = load_scenario("reference").classes
+    assert_same_stream(generate_events(classes, 5000.0, seed),
+                       generate_events_scalar(classes, 5000.0, seed))
 
 
 @pytest.mark.parametrize("name, seed, digest", [
@@ -471,6 +476,30 @@ def test_exported_stream_bytes_are_pinned(tmp_path, name, seed, digest):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
+def test_drawing_a_scenarios_stream_builds_no_substrate(monkeypatch,
+                                                        tmp_path):
+    """Traffic is made from the classes alone: the desk stream keeps its
+    pinned bytes with the topology builder gone."""
+    scenario = load_scenario("desk")
+
+    def no_substrate(*args):
+        raise AssertionError("a substrate was built")
+    monkeypatch.setattr(slicesim.scenario, "build_reference_topology",
+                        no_substrate)
+    path = tmp_path / "events.jsonl"
+    export_events(scenario.generate_events(seed=0), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        "a3e059be2d8c8876383ef13556ecbfc24e459af0a8cf73e56dcc93d5c8301add"
+
+
+def test_two_classes_with_one_id_are_refused():
+    twin = SliceClass(id=volatile().id, vnf_count=2, req_cpu=1.0,
+                      req_ram=1.0, req_bw=1.0, mean_lifetime=5.0,
+                      arrival=StaticArrival(rate=0.1))
+    with pytest.raises(ConfigurationError, match="class ids must be unique"):
+        generate_events([volatile(), twin], 100.0, 1)
+
+
 def test_a_zero_amplitude_class_draws_nothing():
     silent = SliceClass(id=2, vnf_count=2, req_cpu=1.0, req_ram=1.0,
                         req_bw=1.0, mean_lifetime=5.0,
@@ -480,11 +509,10 @@ def test_a_zero_amplitude_class_draws_nothing():
     assert sample_arrivals(lambda t: arrival_rate(silent, t),
                            silent.rate_bound(), 100.0, rng) == []
     assert rng.bit_generator.state == state
-    model = one_class_model(silent)
-    assert generate_events(model, 100.0, 4) == []
-    model = LoadModel([silent, volatile()], model.total_capacity)
-    assert_same_stream(generate_events(model, 300.0, 4),
-                       generate_events_scalar(model, 300.0, 4))
+    assert generate_events([silent], 100.0, 4) == []
+    classes = [silent, volatile()]
+    assert_same_stream(generate_events(classes, 300.0, 4),
+                       generate_events_scalar(classes, 300.0, 4))
 
 
 def test_sample_arrivals_takes_the_constant_rate_of_criterion_2():
@@ -523,9 +551,9 @@ def test_a_stream_builds_an_event_only_when_the_loop_reads_it(built):
 
 
 def test_reading_a_position_builds_the_scalar_oracles_event():
-    model = reference_model()
-    events = generate_events(model, horizon=500.0, seed=3)
-    expected = generate_events_scalar(model, 500.0, 3)
+    classes = reference_classes()
+    events = generate_events(classes, horizon=500.0, seed=3)
+    expected = generate_events_scalar(classes, 500.0, 3)
     departure = next(i for i, ev in enumerate(expected)
                      if isinstance(ev, Departure))
     for i in (0, departure, len(expected) - 1, -1):
