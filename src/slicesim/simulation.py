@@ -88,16 +88,17 @@ class Simulation:
         self.clock = max(self.clock, ev.time)
         self.cursor += 1
         if isinstance(ev, Departure):
-            delta = self.ledger.pop(ev.uid, None)
+            delta = self.ledger.get(ev.uid)
             if delta is not None:       # rejected slices hold nothing
-                self.net.release(delta)
+                self.net.release(delta)     # a raise keeps the entry
+                del self.ledger[ev.uid]
             return True
         if not isinstance(ev, SliceRequest):
             raise InvariantError(f"unknown event type {type(ev).__name__}")
+        if ev.uid in self.ledger:       # refused before it holds anything
+            raise InvariantError(f"duplicate arrival uid {ev.uid}")
         accepted, delta = self.policy.place(ev, self.net)
         if accepted:
-            if ev.uid in self.ledger:
-                raise InvariantError(f"duplicate arrival uid {ev.uid}")
             self.ledger[ev.uid] = delta
         self.records.append(AcceptanceRecord(
             index=len(self.records) + 1, uid=ev.uid, class_id=ev.class_id,

@@ -75,9 +75,11 @@ class SliceClass:
 
     def __post_init__(self):
         check_fields(self)
-        # the id keys the class's random substream and an int64 column
-        if self.id >= 2 ** 63:
-            raise FieldError(self, "id", "int too large: must be < 2**63")
+        # the id keys the class's random substream and an int64 column,
+        # and the load bound turns vnf_count into a float
+        for name in ("id", "vnf_count"):
+            if getattr(self, name) >= 2 ** 63:
+                raise FieldError(self, name, "int too large: must be < 2**63")
         if self.vnf_count < 1:
             raise FieldError(self, "vnf_count", "must be >= 1")
         for name in ("req_cpu", "req_ram", "req_bw", "mean_lifetime"):
@@ -177,7 +179,7 @@ class LoadModel:
         """Sum of class loads on one resource at time t (scalar or array)."""
         t = np.asarray(t, dtype=np.float64)
         return sum((self.class_load(cls, resource, t) for cls in self.classes),
-                   np.zeros_like(t))
+                   np.zeros(t.shape))
 
     def load_forecast(self, resource: str, t_a: float) -> np.ndarray:
         """Load at the 100 unit-spaced instants starting at the arrival time."""

@@ -176,6 +176,8 @@ def named_once(keys):
      "classes\\[1\\].mean_lifetime: must be finite"),
     (lambda d: d["classes"][0].__setitem__("vnf_count", float("inf")),
      "classes\\[0\\].vnf_count:"),
+    (lambda d: d["classes"][0].__setitem__("vnf_count", 2 ** 1024),
+     "classes\\[0\\].vnf_count: int too large: must be < 2\\*\\*63"),
     (lambda d: d["classes"][1].__setitem__("req_ram", "lots"),
      "classes\\[1\\].req_ram:"),
     (lambda d: d.__setitem__("horizon", float("inf")),

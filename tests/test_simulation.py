@@ -112,14 +112,36 @@ def test_out_of_order_stream_is_fatal():
 
 
 def test_duplicate_uid_is_fatal():
+    """A held uid that arrives again is refused before it is placed, so
+    the raise leaves the ledger and the residuals as they were."""
     net, _ = tiny_stream()
-    cls = tiny_classes()[1]
+    cls = tiny_classes()[0]
     r1 = request_from_class(cls, uid=7, time=1.0)
     r2 = request_from_class(cls, uid=7, time=2.0)
     sim = Simulation(net, [r1, r2], HeuristicPolicy())
     sim.step()
-    with pytest.raises(InvariantError):
+    assert 7 in sim.ledger
+    before = (net.residuals(), dict(sim.ledger))
+    with pytest.raises(InvariantError, match="duplicate arrival uid 7"):
         sim.step()
+    assert (net.residuals(), sim.ledger) == before
+    assert audit_ledger(sim, eps=1e-9) == []
+
+
+def test_a_raise_in_a_departures_release_keeps_its_ledger_entry():
+    """The departing request's holding stays in the ledger until the
+    substrate has taken it back."""
+    net, _ = tiny_stream()
+    request = request_from_class(tiny_classes()[0], uid=3, time=1.0)
+    sim = Simulation(net, [request, Departure(2.0, 3, 0)], HeuristicPolicy())
+    sim.step()
+    assert 3 in sim.ledger
+    before = (net.residuals(), dict(sim.ledger))
+    with mock.patch.object(net, "release", side_effect=Injected("release")):
+        with pytest.raises(Injected):
+            sim.step()
+    assert (net.residuals(), sim.ledger) == before
+    assert audit_ledger(sim, eps=1e-9) == []
 
 
 def test_unknown_departure_is_ignored():
