@@ -1,18 +1,20 @@
 """Greedy placement rule, usable standalone and as advice for HA agents.
 
-For the pending VNF it scores every feasible server by the pair
-(delta_b, delta_c) the placement engine would pay there, compares the
-pairs lexicographically, and breaks remaining ties toward the smallest
-server id. One `route_all` from the previous host covers all
+For the pending VNF it picks, among the feasible servers, the one with
+the largest pair (delta_b, delta_c) the placement engine would pay
+there, compared lexicographically, and breaks remaining ties toward the
+smallest server id. It walks the servers emptiest-first, in the order
+`SubstrateNetwork.by_balance`, which the substrate's `commit`, `release`
+and node setters re-key, since residuals change through them alone. So
+the walk stops at the first server whose delta_b falls below the best
+feasible one's. One `route_all` from the previous host covers all
 candidates, usually a route-table lookup; the advice carries its paths,
 so placing the step on any server needs no second sweep.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from itertools import repeat
 
 from .placement import (PlacementEpisodeState, apply_action, fail_step,
                         route_all, run_steps, server_closeness)
@@ -36,30 +38,35 @@ def heu_select(state: PlacementEpisodeState,
                net: SubstrateNetwork) -> HeuristicAdvice:
     """Best feasible server for the pending VNF, or none.
 
-    One pass over the substrate's residual lists applies the `fits`
-    test and scores (delta_b, delta_c) as `step_scores` does, with the
-    same float expressions.
+    Walks `net.by_balance`, which the substrate's `commit`, `release`
+    and node setters keep sorted emptiest-first. Its keys negate
+    `SubstrateNetwork.balance`, the delta_b that `step_scores` pays, so
+    the order and the score agree to the bit. At the first VNF every
+    server is as close, so the first that fits wins. Later, the first
+    that fits and is reachable sets the best delta_b; servers with the
+    same delta_b follow it in id order, and one replaces it only with a
+    strictly larger delta_c. The walk ends at the first smaller delta_b.
     """
     req = state.request
     req_cpu, req_ram = req.cpu, req.ram
+    cpu, ram = net.cpu, net.ram
     if not state.hosts:
-        paths = None
-        closeness = repeat(1.0)
-    else:
-        src = state.hosts[-1]
-        paths = route_all(net, src, req.bw)
-        closeness = server_closeness(net, src, paths)
-    cpu, ram, max_cpu, max_ram = net.cpu, net.ram, net.max_cpu, net.max_ram
-    best = None
-    best_b = best_c = -math.inf
-    for sid, delta_c in zip(net.servers, closeness):
-        c = cpu[sid]
-        r = ram[sid]
-        if delta_c is None or not (c + _EPS >= req_cpu and r + _EPS >= req_ram):
-            continue
-        delta_b = c / max_cpu[sid] + r / max_ram[sid]
-        if delta_b > best_b or (delta_b == best_b and delta_c > best_c):
-            best, best_b, best_c = sid, delta_b, delta_c
+        for _, sid, _ in net.by_balance:
+            if cpu[sid] + _EPS >= req_cpu and ram[sid] + _EPS >= req_ram:
+                return HeuristicAdvice(sid)
+        return HeuristicAdvice(None)
+    src = state.hosts[-1]
+    paths = route_all(net, src, req.bw)
+    closeness = server_closeness(net, src, paths)
+    best = best_key = None
+    best_c = -1.0
+    for key, sid, i in net.by_balance:
+        if key != best_key and best is not None:
+            break
+        delta_c = closeness[i]
+        if (delta_c is not None and delta_c > best_c
+                and cpu[sid] + _EPS >= req_cpu and ram[sid] + _EPS >= req_ram):
+            best, best_key, best_c = sid, key, delta_c
     return HeuristicAdvice(best, paths)
 
 

@@ -50,16 +50,21 @@ def gar_series(records: list[AcceptanceRecord]) -> list[float]:
 def tar(records: list[AcceptanceRecord], phase: int,
         phase_size: int = DEFAULT_PHASE_SIZE) -> float | None:
     """Acceptance ratio within one phase; None while the phase is partial."""
-    if phase < 0 or phase_size < 1:
-        raise ConfigurationError("phase must be >= 0 and phase_size >= 1")
+    _check_phase(phase, phase_size)
     start, end = phase * phase_size, (phase + 1) * phase_size
     if len(records) < end:
         return None
     return sum(r.accepted for r in records[start:end]) / phase_size
 
 
+def _check_phase(phase: int, phase_size: int) -> None:
+    if phase < 0 or phase_size < 1:
+        raise ConfigurationError("phase must be >= 0 and phase_size >= 1")
+
+
 def complete_phases(records: list[AcceptanceRecord],
                     phase_size: int = DEFAULT_PHASE_SIZE) -> int:
+    _check_phase(0, phase_size)
     return len(records) // phase_size
 
 
@@ -67,6 +72,7 @@ def per_class_tar(records: list[AcceptanceRecord], class_id: int, phase: int,
                   phase_size: int = DEFAULT_PHASE_SIZE) -> float | None:
     """Class-filtered ratio within one phase; None for partial phases and
     for classes with no arrival in the phase."""
+    _check_phase(phase, phase_size)
     if len(records) < (phase + 1) * phase_size:
         return None
     window = records[phase * phase_size:(phase + 1) * phase_size]

@@ -110,9 +110,9 @@ def fits(net: SubstrateNetwork, node: int, cpu: float, ram: float) -> bool:
 
 def step_scores(net: SubstrateNetwork, node: int,
                 path: tuple) -> tuple[float, float]:
-    """(delta_b, delta_c) of a step onto node over path, before its commit."""
-    return (net.cpu[node] / net.max_cpu[node]
-            + net.ram[node] / net.max_ram[node], path_closeness(path))
+    """(delta_b, delta_c) of a step onto node over path, before its commit;
+    delta_b is `net.balance(node)`, which `net.by_balance` keys by."""
+    return net.balance(node), path_closeness(path)
 
 
 @dataclass

@@ -6,19 +6,22 @@ capacities change only through :meth:`SubstrateNetwork.commit`, which
 takes one placement step into a request's holding, and
 :meth:`SubstrateNetwork.release`, which gives a holding back. Both are
 atomic, so releasing a request's holding restores the exact
-pre-placement state.
+pre-placement state. Both also keep the servers' emptiest-first order
+(`SubstrateNetwork.by_balance`) up to date, as do the node views'
+`cap_cpu`/`cap_ram` setters.
 """
 
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_left, insort
 from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
 
 from .errors import (AccountingError, CapacityError, ConfigurationError,
-                     FieldError, check_fields)
+                     FieldError, check_fields, finite_number)
 
 _EPS = 1e-9
 
@@ -66,6 +69,7 @@ class SubstrateNode:
     @cap_cpu.setter
     def cap_cpu(self, value: float) -> None:
         self._net.cpu[self.id] = float(value)
+        self._net._rekey(self.id)
 
     @property
     def cap_ram(self) -> float:
@@ -74,6 +78,7 @@ class SubstrateNode:
     @cap_ram.setter
     def cap_ram(self, value: float) -> None:
         self._net.ram[self.id] = float(value)
+        self._net._rekey(self.id)
 
     def __repr__(self) -> str:
         return (f"SubstrateNode(id={self.id}, kind={self.kind}, "
@@ -137,6 +142,13 @@ class SubstrateNetwork:
     them. route_table maps a source to its unconstrained routing sweep
     and that sweep's closeness to every server; `placement.route_all`
     fills it on first use, and adding a node or link clears it.
+
+    by_balance holds one entry (-balance, id, position in `servers`) per
+    server, in ascending order: emptiest first, equal balances by id.
+    `add_node` inserts a server's entry, and `commit`, `release` and the
+    node views' `cap_cpu`/`cap_ram` setters re-key every server whose
+    cpu or ram they change. Residuals change only through these, so
+    writing `cpu` or `ram` directly leaves the order stale.
     """
 
     def __init__(self):
@@ -153,6 +165,9 @@ class SubstrateNetwork:
         self.bw: list[float] = []
         self.max_bw: list[float] = []
         self.route_table: dict[int, tuple] = {}
+        self.by_balance: list[tuple[float, int, int]] = []
+        # a server's current entry in by_balance, by node id
+        self._balance_key: dict[int, tuple[float, int, int]] = {}
 
     # -- construction -------------------------------------------------
 
@@ -160,6 +175,12 @@ class SubstrateNetwork:
                  max_cpu: float = 0.0, max_ram: float = 0.0) -> int:
         if kind is not NodeKind.SERVER and (max_cpu or max_ram):
             raise ConfigurationError("only servers may carry CPU/RAM capacity")
+        if kind is NodeKind.SERVER:
+            for name, value in (("max_cpu", max_cpu), ("max_ram", max_ram)):
+                if not (finite_number(value) and value > 0):
+                    raise ConfigurationError(
+                        f"add_node.{name}: a server's capacity must be a "
+                        f"finite number > 0, got {value!r}")
         node = SubstrateNode(self, len(self.nodes), kind, dc_id)
         self.nodes.append(node)
         self.link_index.append({})
@@ -167,7 +188,10 @@ class SubstrateNetwork:
                               (self.max_ram, max_ram), (self.ram, max_ram)):
             record.append(value)
         if kind is NodeKind.SERVER:
+            key = (-self.balance(node.id), node.id, len(self.servers))
             self.servers.append(node.id)
+            self._balance_key[node.id] = key
+            insort(self.by_balance, key)
         self.route_table.clear()
         return node.id
 
@@ -187,6 +211,11 @@ class SubstrateNetwork:
         self.route_table.clear()
 
     # -- lookups ------------------------------------------------------
+
+    def balance(self, n: int) -> float:
+        """Server n's residual cpu and ram fractions summed: the placement
+        step's delta_b, 2.0 on an empty server."""
+        return self.cpu[n] / self.max_cpu[n] + self.ram[n] / self.max_ram[n]
 
     def max_outgoing_bw(self, n: int) -> float:
         return sum(self.max_bw[k] for k in self.link_index[n].values())
@@ -256,6 +285,8 @@ class SubstrateNetwork:
         if ram:
             self.ram[node] -= ram
             held.node_ram[node] = held.node_ram.get(node, 0.0) + ram
+        if cpu or ram:
+            self._rekey(node)
         if bw:
             link_bw = held.link_bw
             for key, i in hops:
@@ -285,8 +316,23 @@ class SubstrateNetwork:
             cpu[n] += d
         for n, d in delta.node_ram.items():
             ram[n] += d
+        for n in delta.node_cpu.keys() | delta.node_ram.keys():
+            self._rekey(n)
         for key, d in delta.link_bw.items():
             bw[links[key].index] += d
+
+    def _rekey(self, n: int) -> None:
+        """Move server n to its place in by_balance after its cpu or ram
+        changed; a node that is not a server has no place."""
+        old = self._balance_key.get(n)
+        if old is None:
+            return
+        new = (-self.balance(n), n, old[2])
+        if new != old:
+            order = self.by_balance
+            del order[bisect_left(order, old)]
+            insort(order, new)
+            self._balance_key[n] = new
 
     # -- state handling -------------------------------------------------
 

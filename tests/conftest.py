@@ -1,7 +1,9 @@
-"""Shared fixtures: substrates at each scale and request builders."""
+"""Shared fixtures: substrates at each scale and request builders, and
+the hypothesis profiles."""
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from slicesim import (
     NodeKind,
@@ -9,6 +11,25 @@ from slicesim import (
     SubstrateNetwork,
     build_reference_topology,
 )
+
+
+# "tier1", the default, draws the same examples on every run, so a tier-1
+# result depends on the source alone. "deep" draws fresh ones, ten times
+# as many; CI runs it as
+#   pytest -m hypothesis --hypothesis-profile=deep --hypothesis-seed=<n>
+# and prints the seed, so a failure can be rerun.
+settings.register_profile("tier1", derandomize=True, database=None,
+                          deadline=None)
+settings.register_profile("deep", derandomize=False, database=None,
+                          deadline=None)
+settings.load_profile("tier1")
+_EXAMPLE_SCALE = {"tier1": 1, "deep": 10}
+
+
+def examples(n):
+    """A hypothesis test's example count: n under "tier1", 10 n under
+    "deep"."""
+    return n * _EXAMPLE_SCALE.get(settings.get_current_profile_name(), 1)
 
 
 @pytest.fixture(scope="session")

@@ -7,18 +7,22 @@ networks' batched closed-form gradients, one candidate at a time and a
 keyed sort over event objects instead of the traffic generator's array
 passes and the event stream's columns. Slow is fine, shared code with
 the package under test is not (the tape in slicesim.autodiff is kept for
-these oracles only). The exception is `is_feasible`: it names the
-package's own acceptance predicate, so that tests can hold it against
-`brute_feasible`.
+these oracles only). The exceptions are `is_feasible`, which names the
+package's own acceptance predicate so that tests can hold it against
+`brute_feasible`, and `heu_select_scan`, the full scan that
+`heu_select`'s kept-order walk replaced: it routes through the package,
+so that only the selection rule differs.
 """
 
 import json
+import math
 
 import numpy as np
 
 from slicesim.autodiff import Tensor, concat, log_softmax
+from slicesim.heuristic import HeuristicAdvice
 from slicesim.networks import GCN_LAYERS
-from slicesim.placement import _evaluate
+from slicesim.placement import _evaluate, route_all, server_closeness
 from slicesim.substrate import NodeKind
 from slicesim.traffic import (Departure, arrival_rate, class_rng,
                               request_from_class)
@@ -120,6 +124,44 @@ def brute_heu_choice(state, net):
         if best_score is None or score > best_score:
             best, best_score = sid, score
     return best
+
+
+def heu_select_scan(state, net):
+    """`heu_select` as one pass over every server in id order, with no
+    kept order: fits, scores (delta_b, delta_c) with step_scores' float
+    expression, keeps the lexicographic best, the first on ties."""
+    req = state.request
+    if not state.hosts:
+        paths = None
+        closeness = [1.0] * len(net.servers)
+    else:
+        src = state.hosts[-1]
+        paths = route_all(net, src, req.bw)
+        closeness = server_closeness(net, src, paths)
+    best = None
+    best_b = best_c = -math.inf
+    for sid, delta_c in zip(net.servers, closeness):
+        c, r = net.cpu[sid], net.ram[sid]
+        if delta_c is None or not (c + _EPS >= req.cpu and r + _EPS >= req.ram):
+            continue
+        delta_b = c / net.max_cpu[sid] + r / net.max_ram[sid]
+        if delta_b > best_b or (delta_b == best_b and delta_c > best_c):
+            best, best_b, best_c = sid, delta_b, delta_c
+    return HeuristicAdvice(best, paths)
+
+
+def order_problems(net):
+    """How the substrate's kept emptiest-first order differs from a
+    fresh sort of its servers by (-delta_b, id), as readable strings."""
+    fresh = sorted((-(net.cpu[sid] / net.max_cpu[sid]
+                      + net.ram[sid] / net.max_ram[sid]), sid, i)
+                   for i, sid in enumerate(net.servers))
+    if net.by_balance == fresh:
+        return []
+    return [f"position {k}: kept {kept!r}, fresh {want!r}"
+            for k, (kept, want) in enumerate(zip(net.by_balance, fresh))
+            if kept != want] or [
+        f"kept {len(net.by_balance)} entries, fresh {len(fresh)}"]
 
 
 def audit_ledger(sim, eps=1e-6):

@@ -18,6 +18,8 @@ from slicesim import (Agent, AgentConfig, CheckpointError, DynamicArrival,
 from slicesim.scenario import bundled_scenario_path
 from slicesim.substrate import MAX_NODES
 
+from conftest import examples
+
 CLASSES = [
     SliceClass(id=0, vnf_count=5, req_cpu=25.0, req_ram=150.0, req_bw=2.0,
                mean_lifetime=20.0, arrival=DynamicArrival(1.5, 96.0)),
@@ -56,7 +58,7 @@ LINES = st.one_of(
              max_size=6))
 
 
-@settings(max_examples=300, deadline=None, database=None)
+@settings(max_examples=examples(300), deadline=None, database=None)
 @given(lines=LINES)
 def test_load_events_loads_or_names_the_file_and_line(tmp_path_factory,
                                                       lines):
@@ -115,7 +117,7 @@ def replaced(raw: bytes, path: tuple, value) -> bytes:
     return raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + length:]
 
 
-@settings(max_examples=300, deadline=None, database=None)
+@settings(max_examples=examples(300), deadline=None, database=None)
 @given(change=st.one_of(
     st.tuples(st.just("manifest"), MANIFEST_PATH, ANY_JSON),
     st.tuples(st.just("payload"), st.integers(-24, 24).filter(bool))))
@@ -169,7 +171,7 @@ FIELD_PATH = re.compile(r"(seed|horizon|phase_size|topology|classes|agent|"
                         r"extra)(\[\d+\])?(\..*?)?: ", re.S)
 
 
-@settings(max_examples=300, deadline=None, database=None)
+@settings(max_examples=examples(300), deadline=None, database=None)
 @given(change=CHANGE)
 def test_parse_scenario_loads_or_names_the_field(change):
     path, value = change

@@ -1,20 +1,30 @@
-"""Greedy placement rule: scoring order, ties, saturation, oracle parity."""
+"""Greedy placement rule: scoring order, ties, saturation, oracle parity
+with the brute-force choice and with the full scan."""
 
 import numpy as np
 import pytest
 
+import slicesim.agent
+import slicesim.heuristic
 from slicesim import (
+    Agent,
+    AgentConfig,
+    AgentPolicy,
+    HeuristicPolicy,
     NodeKind,
     PlacementEpisodeState,
     ResourceDelta,
+    Simulation,
     SubstrateNetwork,
     apply_action,
     heu_place_full,
     heu_select,
+    load_scenario,
 )
 
 from conftest import line_net, random_substrate, uniform_request
-from oracles import brute_heu_choice, is_feasible
+from oracles import (brute_heu_choice, heu_select_scan, is_feasible,
+                     order_problems)
 
 
 def test_empty_substrate_picks_first_server(tiny_net):
@@ -115,6 +125,65 @@ def test_matches_bruteforce_choice_on_random_instances():
             if not advice.exists:
                 break
             apply_action(state, net, advice.server)
+
+
+def test_matches_bruteforce_choice_on_larger_loaded_substrates():
+    """Up to 8 servers with integer capacities and demands, loaded by the
+    requests placed before, so that capacity scores tie often."""
+    rng = np.random.default_rng(29)
+    ties = 0
+    for _ in range(40):
+        net = random_substrate(rng, max_servers=8)
+        for uid in range(int(rng.integers(1, 6))):
+            req = uniform_request(int(rng.integers(1, 4)),
+                                  float(rng.integers(0, 3)),
+                                  float(rng.integers(0, 3)),
+                                  float(rng.integers(0, 3)), uid=uid)
+            state = PlacementEpisodeState(req)
+            while not state.done:
+                keys = [key for key, _, _ in net.by_balance]
+                ties += len(keys) - len(set(keys))
+                advice = heu_select(state, net)
+                assert advice.server == brute_heu_choice(state, net)
+                assert advice == heu_select_scan(state, net)
+                if not advice.exists:
+                    break
+                apply_action(state, net, advice.server)
+                assert order_problems(net) == []
+    assert ties > 0
+
+
+@pytest.mark.parametrize("variant, arrivals", [("heuristic", 2000),
+                                               ("ha-edrl", 25)])
+def test_the_walk_matches_the_full_scan_on_reference(variant, arrivals,
+                                                     monkeypatch):
+    """Every advice of a reference run, seed 1, is the full scan's."""
+    scenario = load_scenario("reference")
+    net = scenario.build_network()
+    events = scenario.generate_events(seed=1)
+    calls = []
+
+    def checked(state, net):
+        advice = heu_select(state, net)
+        assert advice == heu_select_scan(state, net), (state.request.uid,
+                                                       state.hosts)
+        calls.append(advice.exists)
+        return advice
+
+    monkeypatch.setattr(slicesim.heuristic, "heu_select", checked)
+    monkeypatch.setattr(slicesim.agent, "heu_select", checked)
+    if variant == "heuristic":
+        policy = HeuristicPolicy()
+    else:
+        policy = AgentPolicy(Agent(AgentConfig.for_variant(variant), net,
+                                   scenario.build_load_model(net)),
+                             train=True)
+    sim = Simulation(net, events, policy)
+    sim.run(max_arrivals=arrivals)
+    assert len(sim.records) == arrivals
+    assert len(calls) >= arrivals and any(calls)
+    if variant == "heuristic":
+        assert not all(calls)       # the scan found no server too
 
 
 def test_determinism(small_net):

@@ -85,6 +85,20 @@ def test_per_class_tar_none_markers():
     assert per_class_tar(records, 0, 2, phase_size=3) is None
 
 
+@pytest.mark.parametrize("call", [
+    lambda r: complete_phases(r, 0),
+    lambda r: complete_phases(r, -3),
+    lambda r: per_class_tar(r, 0, -1, phase_size=3),
+    lambda r: per_class_tar(r, 0, 0, phase_size=0),
+])
+def test_phase_arguments_are_checked_as_tar_checks_them(call):
+    """A phase below 0 or a phase size below 1 is refused by name, not
+    met with a ZeroDivisionError or a silent None."""
+    with pytest.raises(ConfigurationError,
+                       match="phase must be >= 0 and phase_size >= 1"):
+        call(mixed_records())
+
+
 def test_records_csv_format(tmp_path):
     records = mixed_records()[:3]
     path = tmp_path / "records.csv"

@@ -35,7 +35,8 @@ from slicesim import (
     write_records_csv,
 )
 
-from oracles import audit_ledger
+from conftest import examples
+from oracles import audit_ledger, order_problems
 from test_agent import tiny_classes
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -280,12 +281,13 @@ def raising_at(n, call, after):
     return stand_in
 
 
-@settings(max_examples=40, deadline=None, database=None)
+@settings(max_examples=examples(40), deadline=None, database=None)
 @given(run=whole_runs())
 def test_whole_runs_keep_the_ledger_audit_clean(run):
     """After every event each residual is its maximum minus the ledger's
-    holdings; a raise in a step or an update leaves the substrate and the
-    ledger as they were before the arrival."""
+    holdings and the servers' kept order is a fresh sort; a raise in a
+    step or an update leaves the substrate and the ledger as they were
+    before the arrival."""
     counts, classes, variant, train, fault, seed = run
     net = build_reference_topology(counts)
     model = LoadModel.from_network(classes, net)
@@ -312,8 +314,10 @@ def test_whole_runs_keep_the_ledger_audit_clean(run):
             except Injected:
                 assert (net.residuals(), sim.ledger) == before
                 assert audit_ledger(sim, eps=1e-9) == []
+                assert order_problems(net) == []
                 break
             assert audit_ledger(sim, eps=1e-9) == []
+            assert order_problems(net) == []
 
 
 # -- pinned trajectories ------------------------------------------------------------
@@ -346,8 +350,9 @@ def test_frozen_agent_run_keeps_its_actions_and_residuals(tmp_path):
                                                ("ha-edrl", 25)])
 def test_ledger_audit_holds_after_every_event(variant, arrivals):
     """On reference, after every event each residual is its maximum minus
-    the ledger's holdings and none is negative, for the heuristic and
-    for a training hybrid that rolls back partial placements."""
+    the ledger's holdings and none is negative, and the servers' kept
+    order is a fresh sort, for the heuristic and for a training hybrid
+    that rolls back partial placements."""
     scenario = load_scenario("reference")
     net = scenario.build_network()
     events = scenario.generate_events(seed=1)
@@ -363,7 +368,7 @@ def test_ledger_audit_holds_after_every_event(variant, arrivals):
     while len(sim.records) < arrivals:
         departures += isinstance(events[sim.cursor], Departure)
         assert sim.step()
-        problems = audit_ledger(sim)
+        problems = audit_ledger(sim) + order_problems(net)
         assert not problems, (sim.cursor, problems[:5])
     assert any(r.accepted for r in sim.records)
     if variant == "heuristic":

@@ -17,7 +17,7 @@ from slicesim import (
 from slicesim.substrate import MAX_NODES
 
 from conftest import line_net
-from oracles import data_centers, outgoing_bw
+from oracles import data_centers, order_problems, outgoing_bw
 
 
 # -- reference topology -----------------------------------------------------
@@ -108,6 +108,19 @@ def test_builder_validation():
     net.add_link(a, b, 1.0)
     with pytest.raises(ConfigurationError):
         net.add_link(b, a, 2.0)
+
+
+@pytest.mark.parametrize("field", ["max_cpu", "max_ram"])
+@pytest.mark.parametrize("value", [-5.0, 0.0, 0, float("nan"), float("inf"),
+                                   True, "50"])
+def test_a_server_needs_finite_positive_capacities(field, value):
+    """A server's maximum is a finite number > 0: its residual fractions
+    divide by it."""
+    net = SubstrateNetwork()
+    with pytest.raises(ConfigurationError, match=f"add_node.{field}: "):
+        net.add_node(NodeKind.SERVER, **{"max_cpu": 50.0, "max_ram": 300.0,
+                                         field: value})
+    assert net.nodes == [] and net.by_balance == []
 
 
 # -- resource accounting ----------------------------------------------------
@@ -203,6 +216,7 @@ def test_random_commit_release_walk_is_lossless(small_net):
             assert -1e-9 <= n.cap_ram <= n.max_ram + 1e-9
         for link in small_net.links.values():
             assert -1e-9 <= link.cap_bw <= link.max_bw + 1e-9
+        assert order_problems(small_net) == []
     while committed:
         small_net.release(committed.pop())
     assert small_net.residuals() == initial
@@ -271,6 +285,54 @@ def test_capacities_are_views_onto_one_record(small_net):
     copy = small_net.residuals()
     copy["cpu"][s] = -1.0
     assert node.cap_cpu == node.max_cpu - 1.0
+
+
+# -- the servers' emptiest-first order --------------------------------------
+
+def test_the_order_is_emptiest_first_then_by_id():
+    net = line_net([(50.0, 300.0), (10.0, 10.0), (50.0, 300.0)], bw=1.0)
+    net.commit(ResourceDelta(), 0, 25.0, 0.0)
+    assert [sid for _, sid, _ in net.by_balance] == [1, 2, 0]
+    assert net.by_balance[2] == (-1.5, 0, 0)
+    assert order_problems(net) == []
+
+
+def test_the_node_setters_keep_the_order(small_net):
+    s, t = small_net.servers[0], small_net.servers[3]
+    small_net.nodes[s].cap_cpu -= 10.0
+    assert small_net.by_balance[-1][1] == s
+    assert order_problems(small_net) == []
+    small_net.nodes[t].cap_ram = 0.0
+    assert small_net.by_balance[-1][1] == t
+    assert order_problems(small_net) == []
+    small_net.nodes[s].cap_cpu = small_net.nodes[s].max_cpu
+    small_net.nodes[t].cap_ram = small_net.nodes[t].max_ram
+    assert small_net.by_balance == build_reference_topology(
+        "small").by_balance
+    # a switch holds no place in the order
+    switch = next(n for n in small_net.nodes if n.kind is NodeKind.SWITCH)
+    switch.cap_cpu = 0.0
+    assert order_problems(small_net) == []
+
+
+def test_a_refused_commit_or_release_leaves_the_order(small_net):
+    s = small_net.servers[2]
+    held = ResourceDelta()
+    small_net.commit(held, s, 10.0, 60.0)
+    order = list(small_net.by_balance)
+    with pytest.raises(CapacityError, match="ram commit"):
+        small_net.commit(ResourceDelta(), s, 1.0, 1000.0)
+    assert small_net.by_balance == order
+    bad = ResourceDelta()
+    bad.node_cpu[s] = 5.0
+    bad.node_ram[small_net.servers[0]] = 1.0       # over its maximum
+    with pytest.raises(AccountingError, match="ram release"):
+        small_net.release(bad)
+    assert small_net.by_balance == order
+    assert order_problems(small_net) == []
+    small_net.release(held)
+    assert small_net.by_balance == build_reference_topology(
+        "small").by_balance
 
 
 def test_wiring_clears_the_route_table():

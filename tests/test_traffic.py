@@ -11,6 +11,7 @@ import scipy.stats
 from hypothesis import given, settings, strategies as st
 
 import slicesim.scenario
+from conftest import examples
 from oracles import (event_sort_key, generate_events_scalar, load_events_list,
                      sample_arrivals_scalar)
 from slicesim import (
@@ -421,7 +422,7 @@ def event_files():
                     unique_by=lambda a: a["uid"]).flatmap(with_departures)
 
 
-@settings(max_examples=200, deadline=None, database=None)
+@settings(max_examples=examples(200), deadline=None, database=None)
 @given(records=event_files())
 def test_load_events_matches_the_keyed_sort_of_event_objects(tmp_path_factory,
                                                              records):
