@@ -29,6 +29,7 @@ scores and the sampling distribution stay float64.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -104,6 +105,17 @@ def _check_variant(variant) -> None:
                          f"must be one of {VARIANTS}, got {variant!r}")
 
 
+def inverse_cdf_draw(probs: np.ndarray, rng: np.random.Generator) -> int:
+    """One index drawn from the float64 distribution probs, by one
+    `rng.random()`: the cumulative sums, divided by their last entry, are
+    searched from the right, so the index is the first whose cumulative
+    share exceeds the uniform and a zero-probability index is never
+    drawn."""
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 @dataclass
 class TraceStep:
     psn: np.ndarray
@@ -132,6 +144,10 @@ class FeatureScaler:
         self.incident = np.full((degree, len(net.nodes)), len(net.bw))
         for n, links in enumerate(net.link_index):
             self.incident[:len(links), n] = list(links.values())
+        # the links' residual bw, then the pad; refilled on every call
+        self._bw = np.zeros(len(net.bw) + 1)
+        # each column's divisor; the last is set per request
+        self._divisor = np.array([self.cpu, self.ram, self.bw, 1.0])
 
     def psn_features(self, net: SubstrateNetwork,
                      state: PlacementEpisodeState) -> np.ndarray:
@@ -143,15 +159,17 @@ class FeatureScaler:
         the gathered rows one after another, so every sum rounds the
         same way.
         """
-        bw = np.array(net.bw + [0.0])
+        bw = self._bw
+        bw[:-1] = net.bw
         feats = np.empty((len(net.nodes), 4))
         feats[:, 0] = net.cpu
         feats[:, 1] = net.ram
-        feats[:, 2] = np.add.reduce(bw[self.incident], axis=0)
+        np.add.reduce(bw[self.incident], axis=0, out=feats[:, 2])
         feats[:, 3] = 0.0
         for host in state.hosts:
             feats[host, 3] += 1.0
-        feats /= (self.cpu, self.ram, self.bw, state.request.vnf_count)
+        self._divisor[3] = state.request.vnf_count
+        feats /= self._divisor
         return feats
 
     def nspr_features(self, state: PlacementEpisodeState) -> np.ndarray:
@@ -226,7 +244,7 @@ class Agent:
         if not advice.exists:
             return None
         a_star = self.action_index[advice.server]
-        gap = float(np.max(z)) - float(z[a_star]) + cfg.eta
+        gap = float(z.max()) - float(z[a_star]) + cfg.eta
         shift = np.zeros(len(z))
         try:
             shift[a_star] = cfg.xi * gap ** cfg.beta
@@ -241,6 +259,10 @@ class Agent:
                       advice: HeuristicAdvice | None = None):
         """Sample a target from the (possibly shaped) softmax policy.
 
+        The target is one `inverse_cdf_draw` from the float64
+        distribution. One that is not finite or does not sum to 1 within
+        1e-9 raises ConfigurationError before anything is drawn.
+
         Returns (substrate node id, TraceStep without reward).
         """
         saved = []
@@ -250,11 +272,13 @@ class Agent:
             z = z + shaping
         probs = softmax(z)
         probs = probs / probs.sum()
-        if not (np.isfinite(probs).all() and abs(probs.sum() - 1.0) <= 1e-9):
+        # the entries are >= 0, so a NaN or inf one makes the sum one too
+        total = float(probs.sum())
+        if not (math.isfinite(total) and abs(total - 1.0) <= 1e-9):
             raise ConfigurationError(
                 f"variant {self.config.variant!r}: the actor's action "
                 f"probabilities are not a finite distribution")
-        idx = int(self.rng.choice(len(probs), p=probs))
+        idx = inverse_cdf_draw(probs, self.rng)
         step = TraceStep(psn=psn, nspr=nspr, load=load, action=idx,
                          probability=float(probs[idx]), shaping=shaping,
                          acts=saved[0], version=self.actor.params.version)
@@ -312,7 +336,7 @@ class Agent:
         # critic first; advantages for the actor use the pre-update values
         values, acts = self.critic.forward_batch(psn, nspr, load)
         advantages = returns - values[:, 0]
-        critic_loss = float(np.sum(advantages * advantages))
+        critic_loss = float((advantages * advantages).sum())
         self.critic.backward(acts, (-2.0 * advantages)[:, None])
         self.critic.params.sgd_step(cfg.critic_lr)
 
@@ -326,8 +350,8 @@ class Agent:
                 z[i] += s.shaping
         rows = np.arange(len(steps))
         actions = np.array([s.action for s in steps])
-        actor_loss = float(np.sum(
-            log_softmax(z)[rows, actions] * -advantages))
+        actor_loss = float(
+            (log_softmax(z)[rows, actions] * -advantages).sum())
         grad = softmax(z) * advantages[:, None]
         grad[rows, actions] -= advantages
         self.actor.backward(acts, grad)

@@ -73,6 +73,10 @@ MAX_PARAMETERS = 50_000_000
 # the dtypes a network's arrays may have, by their checkpoint code
 TENSOR_DTYPES = {"<f4": np.dtype(np.float32), "<f8": np.dtype(np.float64)}
 
+# each graph-convolution layer's (weight, bias) parameter names
+GCN_PARAMS = tuple((f"gcn.{layer}.w", f"gcn.{layer}.b")
+                   for layer in range(GCN_LAYERS))
+
 
 def normalized_propagation(adjacency: np.ndarray) -> np.ndarray:
     """Symmetric-normalized adjacency with self-loops."""
@@ -117,14 +121,14 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def softmax(z: np.ndarray) -> np.ndarray:
     """Softmax over the last axis, shifted by the max."""
     z = np.asarray(z, dtype=np.float64)
-    e = np.exp(z - np.max(z, axis=-1, keepdims=True))
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
 
 
 def log_softmax(z: np.ndarray) -> np.ndarray:
     """log softmax over the last axis, shifted by the max."""
     z = np.asarray(z, dtype=np.float64)
-    m = np.max(z, axis=-1, keepdims=True)
+    m = z.max(axis=-1, keepdims=True)
     return z - (np.log(np.exp(z - m).sum(axis=-1, keepdims=True)) + m)
 
 
@@ -262,9 +266,9 @@ class SliceNet:
         self.gcn_width = gcn_width
 
         width_in = PSN_FEATURES
-        for layer in range(GCN_LAYERS):
-            self.params.add(f"gcn.{layer}.w", glorot(rng, width_in, gcn_width))
-            self.params.add(f"gcn.{layer}.b", np.zeros(gcn_width))
+        for w, b in GCN_PARAMS:
+            self.params.add(w, glorot(rng, width_in, gcn_width))
+            self.params.add(b, np.zeros(gcn_width))
             width_in = gcn_width
         self.params.add("nspr.w", glorot(rng, NSPR_INPUT_WIDTH, NSPR_FC_WIDTH))
         self.params.add("nspr.b", np.zeros(NSPR_FC_WIDTH))
@@ -289,10 +293,10 @@ class SliceNet:
     def _gcn(self, x: np.ndarray, saved: list | None = None) -> np.ndarray:
         """K propagation layers over stacked (T, |N|, 4) node features;
         saved, when given, receives each layer's (A·H_{k-1}, H_k)."""
-        p = self.params
-        for layer in range(GCN_LAYERS):
+        p = self.params.values
+        for w, b in GCN_PARAMS:
             ax = self.propagation @ x
-            x = self._act(ax @ p[f"gcn.{layer}.w"] + p[f"gcn.{layer}.b"])
+            x = self._act(ax @ p[w] + p[b])
             if saved is not None:
                 saved.append((ax, x))
         return x
@@ -331,7 +335,7 @@ class SliceNet:
         if nspr.shape != (t, NSPR_INPUT_WIDTH):
             raise ConfigurationError(
                 f"request features must be ({NSPR_INPUT_WIDTH},)")
-        p = self.params
+        p = self.params.values
         gcn = []
         nodes = self._gcn(psn, gcn)
         nspr_out = self._act(nspr @ p["nspr.w"] + p["nspr.b"])
@@ -404,13 +408,14 @@ class SliceNet:
         g_h = g_combined[:, :gcn_end].reshape(t, self.n_nodes, self.gcn_width)
         for layer in range(GCN_LAYERS - 1, -1, -1):
             ax, h = acts.gcn[layer]
+            w_name, b_name = GCN_PARAMS[layer]
             g_pre = self._act_grad(h, g_h)
             width_in = ax.shape[-1]
-            grads[f"gcn.{layer}.w"] = (ax.reshape(-1, width_in).T
-                                       @ g_pre.reshape(-1, self.gcn_width))
-            grads[f"gcn.{layer}.b"] = g_pre.sum(axis=(0, 1))
+            grads[w_name] = (ax.reshape(-1, width_in).T
+                             @ g_pre.reshape(-1, self.gcn_width))
+            grads[b_name] = g_pre.sum(axis=(0, 1))
             if layer > 0:
-                g_h = self.propagation.T @ (g_pre @ p[f"gcn.{layer}.w"].T)
+                g_h = self.propagation.T @ (g_pre @ p[w_name].T)
         p.grads = grads
 
     def manifest(self) -> dict:

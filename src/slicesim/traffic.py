@@ -265,8 +265,9 @@ class EventStream(Sequence):
     departures first at equal times so that they free capacity before an
     arrival takes it; rows with equal keys keep the order they were given
     in. stream[i] builds row i's SliceRequest, from its class, or its
-    Departure only when it is read. A stream equals any sequence of the
-    same events in the same order. Two classes with one id are refused.
+    Departure only when it is read; stream[a:b:c] builds the list of
+    those rows' events. A stream equals any sequence of the same events
+    in the same order. Two classes with one id are refused.
     """
 
     __slots__ = ("time", "departure", "uid", "class_id", "_classes")
@@ -289,7 +290,9 @@ class EventStream(Sequence):
     def __len__(self) -> int:
         return len(self.time)
 
-    def __getitem__(self, i: int) -> Event:
+    def __getitem__(self, i: int | slice) -> Event | list[Event]:
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
         time, class_id = self.time[i], self.class_id[i]
         if self.departure[i]:
             return Departure(time, self.uid[i], class_id)

@@ -26,7 +26,7 @@ from slicesim import (
     uses_heuristic,
     uses_load,
 )
-from slicesim.agent import FeatureScaler, TraceStep
+from slicesim.agent import FeatureScaler, TraceStep, inverse_cdf_draw
 from slicesim.networks import (MAX_PARAMETERS, load_checkpoint,
                                save_checkpoint, softmax)
 
@@ -257,6 +257,27 @@ def test_sampling_follows_shaped_distribution():
     expected = np.array([1.0, 1.0, e2]) / (2.0 + e2) * counts.sum()
     stat = scipy.stats.chisquare(counts, expected)
     assert stat.pvalue > 0.001, (counts, expected)
+
+
+def test_inverse_cdf_draw_draws_what_generator_choice_draws():
+    """Over 3,000 distributions of 1 to 200 actions (uniform, flat,
+    peaked, and peaked past float64's range so that entries underflow to
+    0), each of 5 draws is the index `Generator.choice` draws from a twin
+    generator, and both generators end in the same state."""
+    shapes = np.random.default_rng(2024)
+    ours, twin = np.random.default_rng(9), np.random.default_rng(9)
+    underflowed = 0
+    for k in range(3000):
+        n = int(shapes.integers(1, 201))
+        scale = (0.0, 0.1, 5.0, 1000.0)[k % 4]
+        probs = softmax(shapes.normal(size=n) * scale)
+        probs = probs / probs.sum()         # as select_action normalises
+        underflowed += bool((probs == 0.0).any())
+        for _ in range(5):
+            assert inverse_cdf_draw(probs, ours) == \
+                int(twin.choice(n, p=probs)), (k, n, scale)
+        assert ours.bit_generator.state == twin.bit_generator.state, k
+    assert underflowed > 600
 
 
 def test_same_seed_same_actions():

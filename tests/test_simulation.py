@@ -346,6 +346,34 @@ def test_frozen_agent_run_keeps_its_actions_and_residuals(tmp_path):
         "(39, {0: 20.0}, {0: 120.0}, {})]")
 
 
+@pytest.mark.parametrize("variant, records_sha256, checkpoint_sha256", [
+    ("ha-drl",
+     "22a21716223d939c7b1778572e30df411e609605efba253234caabe7039b32dc",
+     "39d00e884e45c891add1f8fff85a70c39efef4cea5062d44df6024dc89b32a83"),
+    ("ha-edrl",
+     "c8c508a98c2f1b54a4b534a079390b7bb04b9bf1702ec2dcb8d1e2b409360a22",
+     "f97fd73137135c0eb16f45e6e2075db1c710ffb0f830ac1007c9b192f4baddc7"),
+])
+def test_training_run_keeps_its_records_and_checkpoint(
+        tmp_path, variant, records_sha256, checkpoint_sha256):
+    """A training run on `tiny` keeps the same acceptance records and
+    trained parameters across code changes: the pin on a learner's
+    sampling and updates together."""
+    scenario = load_scenario("tiny")
+    net = scenario.build_network()
+    events = scenario.generate_events(seed=scenario.seed)
+    agent = Agent(AgentConfig.for_variant(variant, seed=5), net,
+                  scenario.build_load_model(net))
+    sim = Simulation(net, events, AgentPolicy(agent, train=True))
+    sim.run(max_arrivals=40)
+    assert agent.episodes_trained == 40
+    csv, ckpt = tmp_path / "records.csv", tmp_path / "agent.ckpt"
+    write_records_csv(sim.records, csv)
+    agent.save(ckpt)
+    assert hashlib.sha256(csv.read_bytes()).hexdigest() == records_sha256
+    assert hashlib.sha256(ckpt.read_bytes()).hexdigest() == checkpoint_sha256
+
+
 @pytest.mark.parametrize("variant, arrivals", [("heuristic", 2000),
                                                ("ha-edrl", 25)])
 def test_ledger_audit_holds_after_every_event(variant, arrivals):

@@ -563,3 +563,20 @@ def test_reading_a_position_builds_the_scalar_oracles_event():
     assert type(events[departure]) is Departure
     assert events.arrivals == sum(isinstance(ev, SliceRequest)
                                   for ev in expected)
+
+
+def test_a_slice_of_a_stream_is_the_list_of_its_rows_events():
+    events = load_scenario("tiny").generate_events(seed=0)
+    rows = [events[i] for i in range(len(events))]
+    assert isinstance(events[2], (SliceRequest, Departure))
+    assert events[2] == rows[2] and events[-1] == rows[-1]
+    for cut in (slice(0, 3), slice(None), slice(5, None, 3),
+                slice(-4, None), slice(None, None, -7), slice(3, 3),
+                slice(len(events) - 2, len(events) + 10)):
+        got = events[cut]
+        assert type(got) is list
+        assert got == rows[cut], cut
+    assert all(type(ev) in (SliceRequest, Departure) for ev in events[0:3])
+    for key in (1.0, "0", None):
+        with pytest.raises(TypeError):
+            events[key]
