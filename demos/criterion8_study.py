@@ -1,91 +1,86 @@
-"""Rerun acceptance criterion 8's training runs over a list of seeds.
+"""Rerun acceptance criterion 8's training runs over more seeds.
 
-Criterion 8 trains ha-drl and drl on `desk` with its scenario's agent:
-section for 2,000 arrivals on seeds 0-2, and judges the median
-per-phase acceptance over four phases. This script runs the same config
-on every seed given, plus a control arm, ha-drl with xi = 0, whose
-advice shifts no score. It prints each run's per-phase acceptance and,
-over every subset of --subset seeds, how often criterion 8's rule holds:
-ha-drl's median reaches acceptance 0.55 within 3 phases, drl's never
-does.
+Runs `slicesim train` on `desk` for ha-drl and drl, runs 0..--seeds - 1,
+reads back each run's .phases.csv and records CSV, and counts the
+subsets of --subset runs that pass criterion 8's gap and reach rule.
 
-A learner change that moves float bits can be judged by rerunning it:
-
-    PYTHONPATH=src python demos/criterion8_study.py --seeds 0 1 2 3 4 5 6 7 8 9 10 11 12
+    PYTHONPATH=src python demos/criterion8_study.py --seeds 13
 """
 
 import argparse
+import contextlib
+import csv
 import statistics
+import sys
 from collections import Counter
 from itertools import combinations
 
-from slicesim import Agent, AgentPolicy, Simulation, gar, load_scenario, tar
+from slicesim import load_scenario, phase_reaching
+from slicesim.cli import main as cli_main
 
-PHASES = 4
 LEVEL = 0.55
-ARMS = {"ha-drl": ("ha-drl", 1.0), "drl": ("drl", 1.0),
-        "control": ("ha-drl", 0.0)}
 
 
-def reach_phase(tars, level=LEVEL):
-    """The first phase whose acceptance reaches level; PHASES + 1 if none."""
-    return next((p + 1 for p, t in enumerate(tars) if t >= level),
-                PHASES + 1)
-
-
-def train(arm, seed, arrivals):
-    """(overall acceptance, per-phase acceptance) of criterion 8's run."""
-    variant, xi = ARMS[arm]
-    scenario = load_scenario("desk")
-    config = scenario.agent_config(variant, seed=seed, xi=xi)
-    net = scenario.build_network()
-    events = scenario.generate_events(seed=scenario.seed + seed)
-    sim = Simulation(net, events, AgentPolicy(Agent(config, net), train=True))
-    records = sim.run(max_arrivals=arrivals)
-    return gar(records), [tar(records, p, arrivals // PHASES)
-                          for p in range(PHASES)]
+def read_run(prefix):
+    """(overall acceptance, per-phase acceptance) of one run's CSVs."""
+    with open(prefix + ".csv") as fh, open(prefix + ".phases.csv") as ph:
+        *_, last = csv.DictReader(fh)
+        return (float(last["gar_running"]),
+                [float(row["tar"]) for row in csv.DictReader(ph)])
 
 
 def medians(runs, seeds):
-    gars = [runs[s][0] for s in seeds]
-    return statistics.median(gars), [
-        statistics.median(runs[s][1][p] for s in seeds)
-        for p in range(PHASES)]
+    phases = zip(*(runs[s][1] for s in seeds))
+    return (statistics.median(runs[s][0] for s in seeds),
+            [statistics.median(column) for column in phases])
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
+    parser.add_argument("--seeds", type=int, default=3)
     parser.add_argument("--arrivals", type=int, default=2000)
     parser.add_argument("--subset", type=int, default=3)
+    parser.add_argument("--out-dir", default="runs")
     args = parser.parse_args()
+    desk = load_scenario("desk")
+    if not 1 <= args.subset <= args.seeds:
+        parser.error(f"--subset must be between 1 and --seeds ({args.seeds})")
+    if args.arrivals < desk.phase_size:
+        parser.error(f"--arrivals must cover one phase ({desk.phase_size})")
 
     runs = {}
-    for arm in ARMS:
-        runs[arm] = {}
-        for seed in args.seeds:
-            runs[arm][seed] = train(arm, seed, args.arrivals)
-            g, tars = runs[arm][seed]
+    for arm in ("ha-drl", "drl"):
+        with contextlib.redirect_stdout(sys.stderr):    # the CLI's progress
+            code = cli_main(["train", "--scenario", "desk", "--variant", arm,
+                             "--arrivals", str(args.arrivals), "--seeds",
+                             str(args.seeds), "--out-dir", args.out_dir])
+        if code:
+            return code
+        runs[arm] = [read_run(f"{args.out_dir}/desk-{arm}-seed{desk.seed + i}")
+                     for i in range(args.seeds)]
+        for seed, (g, tars) in enumerate(runs[arm]):
             print(f"{arm:8s} seed {seed:3d}  acceptance {g:.3f}  phases "
                   + " ".join(f"{t:.3f}" for t in tars))
 
-    subsets = list(combinations(args.seeds, args.subset))
-    passed = Counter()
-    ha_reach = Counter()
+    subsets = list(combinations(range(args.seeds), args.subset))
+    passed, ha_reach = Counter(), Counter()
     for seeds in subsets:
-        (ha_gar, ha), (drl_gar, drl), (_, ctl) = (
-            medians(runs[arm], seeds) for arm in ARMS)
+        (ha_gar, ha), (drl_gar, drl) = (medians(runs[arm], seeds)
+                                        for arm in runs)
+        ha_phase = phase_reaching(ha, LEVEL)
+        drl_phase = phase_reaching(drl, LEVEL)
         passed["gap"] += ha_gar - drl_gar >= 0.10
-        passed["reach"] += reach_phase(ha) <= 3 and reach_phase(drl) > PHASES
-        passed["control reach"] += reach_phase(ctl) <= 3
-        ha_reach[reach_phase(ha)] += 1
-    n = len(subsets)
-    print(f"{n} subsets of {args.subset} seeds: gap >= 0.10 in "
-          f"{passed['gap']}, reach rule in {passed['reach']}; the control "
-          f"arm reaches {LEVEL} within 3 phases in {passed['control reach']}")
+        # min: with fewer than 3 phases, never reaching (len + 1) is <= 3
+        passed["reach"] += ha_phase <= min(3, len(ha)) and drl_phase > len(drl)
+        passed["drl"] += drl_phase <= min(3, len(drl))
+        ha_reach[ha_phase] += 1
+    print(f"{len(subsets)} subsets of {args.subset} seeds: gap >= 0.10 in "
+          f"{passed['gap']}, reach rule in {passed['reach']}; drl reaches "
+          f"{LEVEL} within 3 phases in {passed['drl']}")
     print("ha-drl reaches it in phase "
-          + ", ".join(f"{p}: {ha_reach[p]}" for p in sorted(ha_reach)))
+          + ", ".join(f"{p}: {n}" for p, n in sorted(ha_reach.items())))
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -13,7 +13,7 @@ from .errors import (AccountingError, CapacityError, CheckpointError,
                      SliceSimError)
 from .heuristic import HeuristicAdvice, heu_place_full, heu_select
 from .metrics import (AcceptanceRecord, complete_phases, gar, gar_series,
-                      per_class_tar, plot_data, tar,
+                      per_class_tar, phase_reaching, plot_data, tar,
                       write_phase_csv, write_plot_json, write_records_csv)
 from .placement import (PlacementEpisodeState, PlacementOutcome, apply_action,
                         episode_reward, fail_step, rollback, route,
@@ -38,7 +38,7 @@ __all__ = [
     "ConfigurationError", "InvariantError", "ScenarioError", "SliceSimError",
     "HeuristicAdvice", "heu_place_full", "heu_select",
     "AcceptanceRecord", "complete_phases", "gar", "gar_series",
-    "per_class_tar", "plot_data", "tar",
+    "per_class_tar", "phase_reaching", "plot_data", "tar",
     "write_phase_csv", "write_plot_json", "write_records_csv",
     "PlacementEpisodeState", "PlacementOutcome", "apply_action",
     "episode_reward", "fail_step", "rollback", "route", "route_all",

@@ -68,6 +68,13 @@ def complete_phases(records: list[AcceptanceRecord],
     return len(records) // phase_size
 
 
+def phase_reaching(tars, level):
+    """The first phase (1-based) whose acceptance reaches level, or
+    len(tars) + 1 if none does. A run that collapses reaches nothing."""
+    return next((p + 1 for p, t in enumerate(tars) if t >= level),
+                len(tars) + 1)
+
+
 def per_class_tar(records: list[AcceptanceRecord], class_id: int, phase: int,
                   phase_size: int = DEFAULT_PHASE_SIZE) -> float | None:
     """Class-filtered ratio within one phase; None for partial phases and

@@ -270,19 +270,6 @@ def finite_diff_grad(f, x, h=1e-5):
     return g
 
 
-def gradcheck(f, grad_f, x, h=1e-5, tol=1e-4):
-    """Max relative error between analytic and numeric gradients.
-
-    Relative error per coordinate uses max(1, |a|, |n|) as denominator so
-    near-zero gradients are judged on absolute error.
-    """
-    analytic = np.asarray(grad_f(x), dtype=np.float64)
-    numeric = finite_diff_grad(f, x, h)
-    denom = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(numeric)))
-    rel = np.abs(analytic - numeric) / denom
-    return float(rel.max()), analytic, numeric
-
-
 def gcn_forward(net, node_features):
     """A SliceNet's K propagation layers over one (|N|, 4) observation;
     (|N|, width) output."""

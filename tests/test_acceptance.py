@@ -24,6 +24,7 @@ from slicesim import (
     gar,
     heu_select,
     load_scenario,
+    phase_reaching,
     sample_arrivals,
     tar,
 )
@@ -343,13 +344,6 @@ def desk_training_run(variant: str, index: int):
 REACH_LEVEL = 0.55
 
 
-def phase_reaching(tars, level=REACH_LEVEL):
-    """The first phase (1-based) whose acceptance reaches level, or
-    len(tars) + 1 if none does. A run that collapses reaches nothing."""
-    return next((p + 1 for p, t in enumerate(tars) if t >= level),
-                len(tars) + 1)
-
-
 def test_criterion_8_heuristic_assist_speeds_up_learning():
     results = {}
     for variant in ("ha-drl", "drl"):
@@ -365,8 +359,8 @@ def test_criterion_8_heuristic_assist_speeds_up_learning():
     ha_gar, ha_tars = results["ha-drl"]
     drl_gar, drl_tars = results["drl"]
     assert ha_gar - drl_gar >= 0.10
-    ha_reach = phase_reaching(ha_tars)
-    drl_reach = phase_reaching(drl_tars)
+    ha_reach = phase_reaching(ha_tars, REACH_LEVEL)
+    drl_reach = phase_reaching(drl_tars, REACH_LEVEL)
     assert ha_reach <= 3
     assert drl_reach > len(drl_tars)
     print(f"criterion 8: PASS - median acceptance {ha_gar:.3f} (assisted) vs "

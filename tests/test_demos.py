@@ -1,6 +1,7 @@
 """Every script in demos/ runs to completion against the source tree."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,9 +10,17 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
-# a smoke run's arguments, for a demo whose defaults make a long run
-SMOKE_ARGS = {"criterion8_study.py": ["--seeds", "0", "1", "--arrivals", "200",
-                                     "--subset", "2"]}
+STUDY = ROOT / "demos" / "criterion8_study.py"
+# a smoke run's arguments, for a demo whose defaults make a long run; the
+# study's 500 arrivals make one complete desk phase per run
+SMOKE_ARGS = {STUDY.name: ["--seeds", "2", "--subset", "2", "--arrivals",
+                           "500", "--out-dir", "study"]}
+
+
+def run_demo(demo, args, cwd):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, str(demo)] + args, cwd=cwd,
+                          env=env, capture_output=True, text=True, timeout=300)
 
 
 def test_demos_exist():
@@ -20,8 +29,20 @@ def test_demos_exist():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(demo, tmp_path):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, str(demo)]
-                          + SMOKE_ARGS.get(demo.name, []), cwd=tmp_path,
-                          env=env, capture_output=True, text=True, timeout=300)
+    proc = run_demo(demo, SMOKE_ARGS.get(demo.name, []), tmp_path)
     assert proc.returncode == 0, proc.stderr
+    if demo == STUDY:   # one line per arm and seed, each with a phase value
+        runs = re.findall(r"^(\S+) +seed +(\d+) .* phases \d\.\d{3}",
+                          proc.stdout, re.M)
+        assert sorted(runs) == [("drl", "0"), ("drl", "1"),
+                                ("ha-drl", "0"), ("ha-drl", "1")], proc.stdout
+
+
+@pytest.mark.parametrize("args", ["--seeds 1 --subset 3",
+                                  "--seeds 0 --arrivals 8 --subset 0"])
+def test_study_refuses_a_subset_outside_its_seeds(args, tmp_path):
+    proc = run_demo(STUDY, args.split(), tmp_path)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr + proc.stdout
+    assert "--subset must be between 1 and --seeds" in proc.stderr
+    assert not (tmp_path / "runs").exists()     # refused before training

@@ -11,6 +11,7 @@ from slicesim import (
     gar,
     gar_series,
     per_class_tar,
+    phase_reaching,
     plot_data,
     tar,
     write_phase_csv,
@@ -84,6 +85,15 @@ def test_per_class_tar_none_markers():
     # partial phase trumps everything
     assert per_class_tar(records, 0, 2, phase_size=3) is None
 
+
+
+def test_phase_reaching_is_the_first_phase_at_or_above_the_level():
+    assert phase_reaching([0.7, 0.2, 0.1], 0.5) == 1
+    assert phase_reaching([0.1, 0.4, 0.6, 0.3], 0.5) == 3
+    assert phase_reaching([0.2, 0.5], 0.5) == 2             # at the level
+    assert phase_reaching([0.1, 0.2, 0.49], 0.5) == 4       # never: len + 1
+    assert phase_reaching([0.4, 0.0, 0.0, 0.0], 0.5) == 5   # a collapse
+    assert phase_reaching([], 0.5) == 1
 
 @pytest.mark.parametrize("call", [
     lambda r: complete_phases(r, 0),
