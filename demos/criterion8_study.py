@@ -10,6 +10,7 @@ subsets of --subset runs that pass criterion 8's gap and reach rule.
 import argparse
 import contextlib
 import csv
+import math
 import statistics
 import sys
 from collections import Counter
@@ -27,6 +28,10 @@ def read_run(prefix):
         *_, last = csv.DictReader(fh)
         return (float(last["gar_running"]),
                 [float(row["tar"]) for row in csv.DictReader(ph)])
+
+
+def within_3(phase):
+    return phase is not None and phase <= 3
 
 
 def medians(runs, seeds):
@@ -70,15 +75,16 @@ def main():
         ha_phase = phase_reaching(ha, LEVEL)
         drl_phase = phase_reaching(drl, LEVEL)
         passed["gap"] += ha_gar - drl_gar >= 0.10
-        # min: with fewer than 3 phases, never reaching (len + 1) is <= 3
-        passed["reach"] += ha_phase <= min(3, len(ha)) and drl_phase > len(drl)
-        passed["drl"] += drl_phase <= min(3, len(drl))
+        passed["reach"] += within_3(ha_phase) and drl_phase is None
+        passed["drl"] += within_3(drl_phase)
         ha_reach[ha_phase] += 1
     print(f"{len(subsets)} subsets of {args.subset} seeds: gap >= 0.10 in "
           f"{passed['gap']}, reach rule in {passed['reach']}; drl reaches "
           f"{LEVEL} within 3 phases in {passed['drl']}")
-    print("ha-drl reaches it in phase "
-          + ", ".join(f"{p}: {n}" for p, n in sorted(ha_reach.items())))
+    # None, never reached, is listed last as "never"
+    print("ha-drl reaches it in phase " + ", ".join(
+        f"{p or 'never'}: {n}" for p, n in
+        sorted(ha_reach.items(), key=lambda item: item[0] or math.inf)))
     return 0
 
 

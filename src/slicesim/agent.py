@@ -21,6 +21,8 @@ critic's value. The actor is not run again: its scores and activations
 are the ones each step saved at selection, since the parameters do not
 move within an episode. Each step records the actor's parameter
 version, and a trace taken before the last step or load is refused.
+A critic whose relu output is 0 over the whole episode has a zero
+gradient, so its backward pass and step are skipped.
 
 The learner trains in float32: both networks hold their arrays in the
 agent's dtype, while observations, returns, advantages, the shaped
@@ -312,7 +314,21 @@ class Agent:
     # -- learning ------------------------------------------------------------
 
     def update(self, steps: list[TraceStep]) -> dict:
-        """One actor step and one critic step from `run_episode`'s steps."""
+        """One actor step and one critic step from `run_episode`'s steps.
+
+        The critic's step is skipped when its relu output is 0 for every
+        step of the episode: the relu gates every critic gradient to
+        +-0, so the step would subtract lr * (+-0) from each weight and
+        leave its bits as they are. Two cases would have moved a bit: a
+        weight of -0.0, which becomes +0.0 when +0 is subtracted from it
+        (Glorot draws and `np.zeros` give +0.0 and `x - x` rounds to
+        +0.0, so only a hand-made checkpoint holds one), and an inf
+        among the critic's weights or activations, where 0 * inf would
+        have written NaN. A NaN output is truthy, so it steps. The
+        critic's parameter version stays where it is; only the actor's
+        is checked against a trace. The returned `critic_stepped` says
+        which path was taken.
+        """
         if not steps:
             raise ConfigurationError("update requires a complete episode")
         if any(s.acts is None for s in steps):
@@ -337,8 +353,11 @@ class Agent:
         values, acts = self.critic.forward_batch(psn, nspr, load)
         advantages = returns - values[:, 0]
         critic_loss = float((advantages * advantages).sum())
-        self.critic.backward(acts, (-2.0 * advantages)[:, None])
-        self.critic.params.sgd_step(cfg.critic_lr)
+        # an all-zero relu output has an all-zero gradient: no step
+        critic_stepped = bool(values.any())
+        if critic_stepped:
+            self.critic.backward(acts, (-2.0 * advantages)[:, None])
+            self.critic.params.sgd_step(cfg.critic_lr)
 
         # d(-A_t log pi(a_t))/dz_t = A_t (pi_t - onehot(a_t)); the shaping
         # shifts the scores but is a constant. The actor's parameters have
@@ -363,6 +382,7 @@ class Agent:
             "critic_loss": critic_loss,
             "mean_advantage": float(advantages.mean()),
             "return": float(returns[0]),
+            "critic_stepped": critic_stepped,
         }
 
     # -- persistence -----------------------------------------------------------

@@ -68,11 +68,11 @@ def complete_phases(records: list[AcceptanceRecord],
     return len(records) // phase_size
 
 
-def phase_reaching(tars, level):
-    """The first phase (1-based) whose acceptance reaches level, or
-    len(tars) + 1 if none does. A run that collapses reaches nothing."""
-    return next((p + 1 for p, t in enumerate(tars) if t >= level),
-                len(tars) + 1)
+def phase_reaching(tars, level) -> int | None:
+    """The first phase (1-based) whose acceptance reaches level, or None
+    if none does. A run that collapses reaches nothing, and so does a
+    run with no complete phase."""
+    return next((p + 1 for p, t in enumerate(tars) if t >= level), None)
 
 
 def per_class_tar(records: list[AcceptanceRecord], class_id: int, phase: int,

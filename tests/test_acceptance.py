@@ -361,8 +361,8 @@ def test_criterion_8_heuristic_assist_speeds_up_learning():
     assert ha_gar - drl_gar >= 0.10
     ha_reach = phase_reaching(ha_tars, REACH_LEVEL)
     drl_reach = phase_reaching(drl_tars, REACH_LEVEL)
-    assert ha_reach <= 3
-    assert drl_reach > len(drl_tars)
+    assert ha_reach is not None and ha_reach <= 3
+    assert drl_reach is None
     print(f"criterion 8: PASS - median acceptance {ha_gar:.3f} (assisted) vs "
           f"{drl_gar:.3f} (plain), gap {ha_gar - drl_gar:.3f} >= 0.10; "
           f"median phase acceptance reaches {REACH_LEVEL} in phase "

@@ -1,5 +1,6 @@
 """Learning agent: shaping algebra, feature scaling, A2C updates, variants."""
 
+import copy
 import dataclasses
 import hashlib
 import json
@@ -13,11 +14,13 @@ import scipy.stats
 from slicesim import (
     Agent,
     AgentConfig,
+    AgentPolicy,
     CheckpointError,
     ConfigurationError,
     HeuristicAdvice,
     LoadModel,
     PlacementEpisodeState,
+    Simulation,
     TopologyCounts,
     build_reference_topology,
     heu_select,
@@ -498,6 +501,94 @@ def test_critic_moves_toward_return():
     v_after = float(agent.critic.forward(step.psn, step.nspr,
                                          step.load)[0])
     assert abs(v_after - returns) < abs(v_before - returns)
+
+
+def dead_critic_agent(out_bias):
+    """A drl agent, a two-step trace of it, and its critic's output bias
+    set to out_bias; the critic's other weights are its Glorot draws."""
+    agent, net = tiny_agent("drl", seed=11)
+    agent.critic.params["out.b"][:] = out_bias
+    trace = synthetic_trace(agent, net, [1.0, 3.0])
+    return agent, trace
+
+
+def critic_bytes(critic):
+    return {k: v.tobytes() for k, v in critic.params.arrays().items()}
+
+
+def count_critic_steps(agent):
+    calls = {"backward": 0, "sgd_step": 0}
+    critic = agent.critic
+    critic.backward = counting(calls, "backward", critic.backward)
+    critic.params.sgd_step = counting(calls, "sgd_step",
+                                      critic.params.sgd_step)
+    return calls
+
+
+def test_update_skips_the_critic_step_when_its_output_is_zero():
+    """A relu output of 0 on every step gates the critic's whole gradient
+    to 0: the update runs neither its backward pass nor its step, and
+    the actor still steps."""
+    agent, trace = dead_critic_agent(-100.0)
+    step = trace[0]
+    assert agent.critic.forward(step.psn, step.nspr, step.load)[0] == 0.0
+    before = critic_bytes(agent.critic)
+    actor_version = agent.actor.params.version
+    critic_version = agent.critic.params.version
+    calls = count_critic_steps(agent)
+    stats = agent.update(trace)
+    assert stats["critic_stepped"] is False
+    assert calls == {"backward": 0, "sgd_step": 0}
+    assert critic_bytes(agent.critic) == before
+    assert agent.critic.params.version == critic_version
+    assert agent.actor.params.version == actor_version + 1
+
+
+def test_the_skipped_critic_step_would_move_no_bit():
+    """Run by hand on a copy of a dead critic, the backward pass and SGD
+    step leave every byte as it was: the skip changes nothing."""
+    agent, trace = dead_critic_agent(-100.0)
+    critic = copy.deepcopy(agent.critic)
+    before = critic_bytes(critic)
+    values, acts = critic.forward_batch(
+        np.stack([s.psn for s in trace]), np.stack([s.nspr for s in trace]),
+        None)
+    assert not values.any()
+    # any loss gradient: the relu gates all of it
+    critic.backward(acts, np.array([[-3.0], [5.0]]))
+    assert all(not np.asarray(g).any() for g in critic.params.grads.values())
+    critic.params.sgd_step(agent.config.critic_lr)
+    assert critic_bytes(critic) == before
+
+
+def test_a_critic_with_a_nan_output_still_steps():
+    agent, trace = dead_critic_agent(np.nan)
+    calls = count_critic_steps(agent)
+    stats = agent.update(trace)
+    assert stats["critic_stepped"] is True
+    assert calls == {"backward": 1, "sgd_step": 1}
+
+
+def test_update_reports_whether_the_critic_stepped():
+    """On a 40-arrival ha-edrl training run on tiny (seed 5) the critic's
+    output is nonzero in episodes 1-20 and 0 in episodes 21-40."""
+    scenario = load_scenario("tiny")
+    net = scenario.build_network()
+    agent = Agent(AgentConfig.for_variant("ha-edrl", seed=5), net,
+                  scenario.build_load_model(net))
+    stepped = []
+    update = agent.update
+
+    def recording_update(steps):
+        stats = update(steps)
+        stepped.append(stats["critic_stepped"])
+        return stats
+
+    agent.update = recording_update
+    sim = Simulation(net, scenario.generate_events(seed=scenario.seed),
+                     AgentPolicy(agent, train=True))
+    sim.run(max_arrivals=40)
+    assert stepped == [True] * 20 + [False] * 20
 
 
 @pytest.mark.parametrize("critic", ["live", "dead"])

@@ -36,6 +36,10 @@ def test_demo_runs(demo, tmp_path):
                           proc.stdout, re.M)
         assert sorted(runs) == [("drl", "0"), ("drl", "1"),
                                 ("ha-drl", "0"), ("ha-drl", "1")], proc.stdout
+        # the one phase's ha-drl median (0.498) is below 0.55: never
+        # reached, which neither passes the reach rule nor breaks the sort
+        assert "reach rule in 0;" in proc.stdout
+        assert proc.stdout.endswith("ha-drl reaches it in phase never: 1\n")
 
 
 @pytest.mark.parametrize("args", ["--seeds 1 --subset 3",

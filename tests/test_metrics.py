@@ -91,9 +91,9 @@ def test_phase_reaching_is_the_first_phase_at_or_above_the_level():
     assert phase_reaching([0.7, 0.2, 0.1], 0.5) == 1
     assert phase_reaching([0.1, 0.4, 0.6, 0.3], 0.5) == 3
     assert phase_reaching([0.2, 0.5], 0.5) == 2             # at the level
-    assert phase_reaching([0.1, 0.2, 0.49], 0.5) == 4       # never: len + 1
-    assert phase_reaching([0.4, 0.0, 0.0, 0.0], 0.5) == 5   # a collapse
-    assert phase_reaching([], 0.5) == 1
+    assert phase_reaching([0.1, 0.2, 0.49], 0.5) is None    # never
+    assert phase_reaching([0.4, 0.0, 0.0, 0.0], 0.5) is None  # a collapse
+    assert phase_reaching([], 0.5) is None                  # no phase
 
 @pytest.mark.parametrize("call", [
     lambda r: complete_phases(r, 0),
