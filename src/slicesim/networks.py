@@ -89,9 +89,21 @@ def normalized_propagation(adjacency: np.ndarray) -> np.ndarray:
     return a_hat * d_inv_sqrt[:, None] * d_inv_sqrt[None, :]
 
 
-def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
+def glorot(rng: np.random.Generator, fan_in: int, fan_out: int,
+           dtype=np.float64) -> np.ndarray:
+    """A (fan_in, fan_out) Glorot-uniform draw in dtype: the doubles of
+    one rng.uniform call over the whole shape, each rounded once. The
+    rows are drawn in blocks straight into the result, since consecutive
+    calls continue one stream of doubles, so no float64 copy of a
+    float32 matrix is ever made."""
     bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=(fan_in, fan_out))
+    w = np.empty((fan_in, fan_out), dtype=dtype)
+    # any block size gives the same bytes; the SGD step's block bounds
+    # this float64 temporary as it bounds that step's gradient block
+    for start in range(0, fan_in, SGD_BLOCK_ROWS):
+        block = w[start:start + SGD_BLOCK_ROWS]
+        block[...] = rng.uniform(-bound, bound, size=block.shape)
+    return w
 
 
 def parameter_count(n_nodes: int, n_outputs: int, use_load: bool,
@@ -247,7 +259,8 @@ class SliceNet:
     activation: "tanh" applies to non-output layers only, output linear
     (actor); "relu" applies to every layer including the output (critic).
     dtype is float64 or float32; the Glorot draws are float64 either way,
-    from the same generator, and are rounded once.
+    from the same generator, and are rounded once, block by block, as
+    they are drawn.
     """
 
     def __init__(self, propagation: np.ndarray, n_actions: int,
@@ -267,18 +280,20 @@ class SliceNet:
 
         width_in = PSN_FEATURES
         for w, b in GCN_PARAMS:
-            self.params.add(w, glorot(rng, width_in, gcn_width))
+            self.params.add(w, glorot(rng, width_in, gcn_width, self.dtype))
             self.params.add(b, np.zeros(gcn_width))
             width_in = gcn_width
-        self.params.add("nspr.w", glorot(rng, NSPR_INPUT_WIDTH, NSPR_FC_WIDTH))
+        self.params.add("nspr.w", glorot(rng, NSPR_INPUT_WIDTH,
+                                         NSPR_FC_WIDTH, self.dtype))
         self.params.add("nspr.b", np.zeros(NSPR_FC_WIDTH))
         combined = gcn_width * self.n_nodes + NSPR_FC_WIDTH
         if use_load:
-            self.params.add("load.w", glorot(rng, LOAD_INPUT_WIDTH, LOAD_FC_WIDTH))
+            self.params.add("load.w", glorot(rng, LOAD_INPUT_WIDTH,
+                                             LOAD_FC_WIDTH, self.dtype))
             self.params.add("load.b", np.zeros(LOAD_FC_WIDTH))
             combined += LOAD_FC_WIDTH
         self.combined_width = combined
-        self.params.add("out.w", glorot(rng, combined, n_actions))
+        self.params.add("out.w", glorot(rng, combined, n_actions, self.dtype))
         self.params.add("out.b", np.zeros(n_actions))
 
     # -- forward -------------------------------------------------------------

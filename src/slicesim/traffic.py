@@ -22,6 +22,7 @@ the master seed, so adding or removing a class never perturbs the others.
 from __future__ import annotations
 
 import json
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
@@ -206,8 +207,9 @@ Event = SliceRequest | Departure
 
 def sample_arrivals(rate_fn: Callable[[np.ndarray], np.ndarray],
                     rate_bound: float, horizon: float,
-                    rng: np.random.Generator) -> list[float]:
-    """Sample a non-homogeneous Poisson process on [0, horizon) by thinning.
+                    rng: np.random.Generator) -> np.ndarray:
+    """Sample a non-homogeneous Poisson process on [0, horizon) by thinning,
+    and return the surviving times as a float64 array, in time order.
 
     Candidate points come from a homogeneous process at rate_bound; each
     candidate at time t survives with probability rate_fn(t) / rate_bound.
@@ -216,22 +218,22 @@ def sample_arrivals(rate_fn: Callable[[np.ndarray], np.ndarray],
     Draw order: every candidate draws one exponential gap and then one
     uniform, whatever its fate, and the gap that passes the horizon draws
     no uniform. So the generator's stream does not depend on which
-    candidates survive: the loop only collects the (t, u) pairs, and the
-    survivors are picked in one array pass. The draws stay scalar and
-    interleaved, because bulk draws would consume the stream in another
-    order.
+    candidates survive: the loop only appends the (t, u) pairs to one
+    buffer of doubles, and the survivors are picked in one array pass
+    over it. The draws stay scalar and interleaved, because bulk draws
+    would consume the stream in another order.
     """
     if rate_bound <= 0:
-        return []
+        return np.empty(0)
     gap = 1.0 / rate_bound
-    times, draws = [], []
+    pairs = array("d")
     t = rng.exponential(gap)
     while t < horizon:
-        times.append(t)
-        draws.append(rng.random())
+        pairs.append(t)
+        pairs.append(rng.random())
         t += rng.exponential(gap)
-    t, u = np.array(times), np.array(draws)
-    return t[u * rate_bound <= rate_fn(t)].tolist()
+    t, u = np.frombuffer(pairs).reshape(-1, 2).T
+    return t[u * rate_bound <= rate_fn(t)]
 
 
 def class_rng(seed: int, class_id: int) -> np.random.Generator:
@@ -247,10 +249,11 @@ def check_horizon(horizon: float) -> None:
 
 
 # Thinning draws about horizon × Σ rate_bound candidates, and the stream
-# costs about 0.15 KB of peak RSS and 1.4 µs per candidate (the reference
-# scenario's 152,000 take about 22 MB and 0.21 s on a 2-vCPU VM). The
-# bound, 13 times that, keeps a scenario's rate or a --horizon from asking
-# for memory without limit.
+# costs about 0.10 KB of peak RSS and 1.1-2.5 µs per candidate (the
+# reference scenario's 152,000 take about 15 MB and 0.17-0.37 s on a
+# 2-vCPU VM whose speed drifts by up to 2x). The bound, 13 times that,
+# keeps a scenario's rate or a --horizon from asking for memory without
+# limit.
 MAX_CANDIDATES = 2_000_000
 
 
@@ -328,20 +331,20 @@ def generate_events(classes: Sequence[SliceClass], horizon: float,
             f"for about {candidates:.3g} candidate arrivals, more than the "
             f"{MAX_CANDIDATES} a stream may draw")
 
-    times: list[float] = []
-    lifetimes: list[float] = []
-    class_ids: list[int] = []
+    # an empty array each, so that no classes give no rows
+    times, lifetimes = [np.empty(0)], [np.empty(0)]
+    class_ids = [np.empty(0, dtype=np.int64)]
     for cls in classes:
         rng = class_rng(seed, cls.id)
         arrivals = sample_arrivals(partial(arrival_rate, cls),
                                    cls.rate_bound(), horizon, rng)
-        times += arrivals
-        lifetimes += rng.exponential(cls.mean_lifetime,
-                                     size=len(arrivals)).tolist()
-        class_ids += [cls.id] * len(arrivals)
+        times.append(arrivals)
+        lifetimes.append(rng.exponential(cls.mean_lifetime,
+                                         size=len(arrivals)))
+        class_ids.append(np.full(len(arrivals), cls.id, dtype=np.int64))
 
-    time, lifetime, class_id = (np.array(times), np.array(lifetimes),
-                                np.array(class_ids, dtype=np.int64))
+    time, lifetime, class_id = map(np.concatenate,
+                                   (times, lifetimes, class_ids))
     by_uid = np.lexsort((class_id, time))
     time, lifetime, class_id = time[by_uid], lifetime[by_uid], class_id[by_uid]
     uid = np.arange(len(time))
@@ -371,71 +374,109 @@ def load_events(path, classes: Sequence[SliceClass]) -> EventStream:
     Request demands are reconstructed from the class definitions, and a
     time is read as a float. A uid arrives once and departs at most once.
     An arrival without a departure record keeps its resources to the end
-    of the run; a departure must come after its arrival. A malformed line
-    raises a ScenarioError naming the file, the line and the field.
+    of the run; a departure must come after its arrival, in its class. A
+    malformed line raises a ScenarioError naming the file, the line and
+    the field.
+
+    Each line's fields go to typed columns, with its line number; the
+    checks across lines then run over the columns: a repeated uid first,
+    then a departure that never arrives, then, per arrival in file order,
+    an unknown class, its departure's time and its departure's class.
     """
-    by_id = {c.id: c for c in classes}
-    rows = []
+    known = {c.id for c in classes}
+    time, departure = array("d"), array("b")
+    uid, class_id, line = array("q"), array("q"), array("q")
+    unknown = {}            # row -> its class id, which no class has
     try:
         with open(path, encoding="utf-8") as fh:
-            for number, line in enumerate(fh, 1):
-                line = line.strip()
-                if line:
-                    where = f"{path}, line {number}"
-                    rows.append((where, _event_record(line, where)))
+            for number, text in enumerate(fh, 1):
+                text = text.strip()
+                if not text:
+                    continue
+                record = _event_record(text, path, number)
+                cls = record["class"]
+                if cls not in known:
+                    # it may not fit the int64 column; class ids are
+                    # >= 0, so -1 marks it there
+                    unknown[len(line)] = cls
+                    cls = -1
+                time.append(record["time"])
+                departure.append(record["kind"] == "departure")
+                uid.append(record["uid"])
+                class_id.append(cls)
+                line.append(number)
     except UnicodeDecodeError as exc:
         raise ScenarioError(f"{path}: not UTF-8 text ({exc})") from exc
-    seen = set()
-    for where, r in rows:
-        if (r["kind"], r["uid"]) in seen:
-            raise ScenarioError(f"{where}: field 'uid': a second {r['kind']} "
-                                f"of uid {r['uid']}")
-        seen.add((r["kind"], r["uid"]))
-    departures = {r["uid"]: (r["time"], where) for where, r in rows
-                  if r["kind"] == "departure"}
-    # each arrival's row, then its departure's: the order of equal keys
-    events = []
-    for where, r in rows:
-        if r["kind"] != "arrival":
-            continue
-        if r["class"] not in by_id:
-            raise ScenarioError(
-                f"{where}: field 'class': event stream references unknown "
-                f"class {r['class']}")
-        events.append((r["time"], False, r["uid"], r["class"]))
-        if r["uid"] in departures:
-            dep, dep_where = departures[r["uid"]]
-            if dep <= r["time"]:
-                raise ScenarioError(
-                    f"{dep_where}: field 'time': departure at {dep!r} is not "
-                    f"after the arrival of uid {r['uid']} at {r['time']!r}")
-            events.append((dep, True, r["uid"], r["class"]))
-    columns = zip(*events) if events else [()] * 4
-    return EventStream(*columns, classes)
+
+    def refuse(row: int, what: str) -> ScenarioError:
+        return _line_error(path, line[row], what)
+
+    t, dep, u, c = (np.frombuffer(time), np.frombuffer(departure, dtype=bool),
+                    np.frombuffer(uid, dtype=np.int64),
+                    np.frombuffer(class_id, dtype=np.int64))
+    # rows by (uid, kind), each key's rows in file order: a row that
+    # follows one of its own key repeats it
+    by_uid = np.lexsort((dep, u))
+    same_uid = u[by_uid[1:]] == u[by_uid[:-1]]
+    repeats = by_uid[1:][same_uid & (dep[by_uid[1:]] == dep[by_uid[:-1]])]
+    if repeats.size:
+        row = int(repeats.min())
+        kind = "departure" if departure[row] else "arrival"
+        raise refuse(row, f"field 'uid': a second {kind} of uid {uid[row]}")
+    # with no repeat, a uid's arrival row sorts just before its departure's
+    arrived, departed = by_uid[:-1][same_uid], by_uid[1:][same_uid]
+    orphans = dep.copy()
+    orphans[departed] = False
+    if orphans.any():
+        row = int(np.argmax(orphans))
+        raise refuse(row, f"field 'uid': a departure of uid {uid[row]}, "
+                          f"which never arrives")
+    bad = ~dep & (c < 0)
+    bad[arrived] |= (t[departed] <= t[arrived]) | (c[departed] != c[arrived])
+    if bad.any():
+        row = int(np.argmax(bad))
+        if row in unknown:
+            raise refuse(row, f"field 'class': event stream references "
+                              f"unknown class {unknown[row]}")
+        gone = int(departed[arrived == row][0])
+        if time[gone] <= time[row]:
+            raise refuse(gone, f"field 'time': departure at {time[gone]!r} "
+                               f"is not after the arrival of uid {uid[row]} "
+                               f"at {time[row]!r}")
+        raise refuse(gone, f"field 'class': a departure of uid {uid[row]} in "
+                           f"class {unknown.get(gone, class_id[gone])}, which "
+                           f"arrived in class {class_id[row]}")
+    return EventStream(t, dep, u, c, classes)
 
 
-def _event_record(line: str, where: str) -> dict:
+def _event_record(text: str, path, number: int) -> dict:
     """One exported event line, its four fields checked."""
     try:
-        record = json.loads(line)
+        record = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ScenarioError(f"{where}: not a JSON event record ({exc})") from exc
+        raise _line_error(path, number,
+                          f"not a JSON event record ({exc})") from exc
     if not isinstance(record, dict):
-        raise ScenarioError(f"{where}: not a JSON event record")
+        raise _line_error(path, number, "not a JSON event record")
     for name in ("time", "kind", "uid", "class"):
         if name not in record:
-            raise ScenarioError(f"{where}: field {name!r}: missing")
+            raise _line_error(path, number, f"field {name!r}: missing")
         value = record[name]
         if name == "kind":
             ok = value in ("arrival", "departure")
         else:
             ok = (finite_number if name == "time" else whole_number)(value)
         if not ok:
-            raise ScenarioError(f"{where}: field {name!r}: invalid value "
-                                f"{value!r}")
+            raise _line_error(path, number,
+                              f"field {name!r}: invalid value {value!r}")
     # uids share the generator's int64 column
     if record["uid"] >= 2 ** 63:
-        raise ScenarioError(f"{where}: field 'uid': int too large: must be "
-                            f"< 2**63, got {record['uid']}")
+        raise _line_error(path, number, f"field 'uid': int too large: must "
+                                        f"be < 2**63, got {record['uid']}")
     return record
 
+
+def _line_error(path, number: int, what: str) -> ScenarioError:
+    """The refusal of one line of an event file; its text is built only
+    when a line is refused."""
+    return ScenarioError(f"{path}, line {number}: {what}")

@@ -80,6 +80,24 @@ def test_glorot_bounds():
     assert abs(w.mean()) < limit / 10.0
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("fan_in, fan_out", [
+    (SGD_BLOCK_ROWS - 1, 7), (SGD_BLOCK_ROWS, 7), (SGD_BLOCK_ROWS + 1, 7),
+    (2 * SGD_BLOCK_ROWS + 37, 1), (8924, 126)])
+def test_glorot_draws_block_by_block_the_bits_of_one_draw(dtype, fan_in,
+                                                          fan_out):
+    """Row blocks drawn into the result give one whole-shape draw's
+    doubles, each rounded once to dtype, and leave the generator where
+    the whole draw leaves it; 8924 x 126 is the reference actor's out.w."""
+    rng, whole = np.random.default_rng(17), np.random.default_rng(17)
+    w = glorot(rng, fan_in, fan_out, dtype)
+    bound = np.sqrt(6.0 / (fan_in + fan_out))
+    want = whole.uniform(-bound, bound, size=(fan_in, fan_out)).astype(dtype)
+    assert w.dtype == dtype and w.shape == (fan_in, fan_out)
+    assert w.tobytes() == want.tobytes()
+    assert rng.bit_generator.state == whole.bit_generator.state
+
+
 # -- parameter bookkeeping -------------------------------------------------------
 
 def test_parameter_count_actor_no_load():
