@@ -605,6 +605,28 @@ def test_cli_heuristic_output_bytes_are_pinned(tmp_path):
     }
 
 
+def test_cli_phase_outputs_are_pinned(tmp_path):
+    """`simulate` on desk, seed 0, 2,000 arrivals fills four 500-arrival
+    phases for classes 0 and 1; the phases CSV and the plot JSON keep
+    their bytes."""
+    assert run_cli("simulate", "--scenario", "desk", "--seed", "0",
+                   "--arrivals", "2000", "--emit-plot-data",
+                   "--out-dir", str(tmp_path)) == 0
+    base = tmp_path / "desk-heuristic-seed0"
+    phases = base.with_suffix(".phases.csv")
+    assert phases.read_text().splitlines()[0] == \
+        "phase,tar,tar_class_0,tar_class_1"
+    assert len(phases.read_text().splitlines()) == 1 + 4
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in (phases, base.with_suffix(".plot.json"))}
+    assert digests == {
+        "desk-heuristic-seed0.phases.csv":
+            "7a45c3400c30d64146b355f0a064602455d2d30ae644962b133ef3c23e7f8d60",
+        "desk-heuristic-seed0.plot.json":
+            "e85a9a4577c75f7c8a8f6043a0bc79ce4c2be74d98b68b4b5d3d6f2b608cb6a9",
+    }
+
+
 def test_cli_replay_matches_generated_traffic(tmp_path):
     live = tmp_path / "live"
     replay = tmp_path / "replay"
