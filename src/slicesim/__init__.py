@@ -12,9 +12,9 @@ from .errors import (AccountingError, CapacityError, CheckpointError,
                      ConfigurationError, InvariantError, ScenarioError,
                      SliceSimError)
 from .heuristic import HeuristicAdvice, heu_place_full, heu_select
-from .metrics import (AcceptanceRecord, complete_phases, gar, gar_series,
-                      per_class_tar, phase_reaching, plot_data, tar,
-                      write_phase_csv, write_plot_json, write_records_csv)
+from .metrics import (AcceptanceRecord, gar, gar_series, phase_reaching,
+                      phase_table, plot_data, write_phase_csv,
+                      write_plot_json, write_records_csv)
 from .placement import (PlacementEpisodeState, PlacementOutcome, apply_action,
                         episode_reward, fail_step, rollback, route,
                         route_all, run_steps)
@@ -37,8 +37,8 @@ __all__ = [
     "AccountingError", "CapacityError", "CheckpointError",
     "ConfigurationError", "InvariantError", "ScenarioError", "SliceSimError",
     "HeuristicAdvice", "heu_place_full", "heu_select",
-    "AcceptanceRecord", "complete_phases", "gar", "gar_series",
-    "per_class_tar", "phase_reaching", "plot_data", "tar",
+    "AcceptanceRecord", "gar", "gar_series", "phase_reaching",
+    "phase_table", "plot_data",
     "write_phase_csv", "write_plot_json", "write_records_csv",
     "PlacementEpisodeState", "PlacementOutcome", "apply_action",
     "episode_reward", "fail_step", "rollback", "route", "route_all",

@@ -47,25 +47,23 @@ def gar_series(records: list[AcceptanceRecord]) -> list[float]:
     return out
 
 
-def tar(records: list[AcceptanceRecord], phase: int,
-        phase_size: int = DEFAULT_PHASE_SIZE) -> float | None:
-    """Acceptance ratio within one phase; None while the phase is partial."""
-    _check_phase(phase, phase_size)
-    start, end = phase * phase_size, (phase + 1) * phase_size
-    if len(records) < end:
-        return None
-    return sum(r.accepted for r in records[start:end]) / phase_size
-
-
-def _check_phase(phase: int, phase_size: int) -> None:
-    if phase < 0 or phase_size < 1:
-        raise ConfigurationError("phase must be >= 0 and phase_size >= 1")
-
-
-def complete_phases(records: list[AcceptanceRecord],
-                    phase_size: int = DEFAULT_PHASE_SIZE) -> int:
-    _check_phase(0, phase_size)
-    return len(records) // phase_size
+def phase_table(records: list[AcceptanceRecord], phase_size: int,
+                class_ids: Iterable[int] = ()
+                ) -> list[tuple[float, list[float | None]]]:
+    """One row per complete phase: (acceptance, [each listed class's
+    acceptance, None for a class with no arrival in the phase])."""
+    if phase_size < 1:
+        raise ConfigurationError(f"phase_size must be >= 1, got {phase_size}")
+    class_ids = list(class_ids)
+    rows = []
+    for start in range(0, len(records) - phase_size + 1, phase_size):
+        window = records[start:start + phase_size]
+        per_class = []
+        for c in class_ids:
+            mine = [r.accepted for r in window if r.class_id == c]
+            per_class.append(sum(mine) / len(mine) if mine else None)
+        rows.append((sum(r.accepted for r in window) / phase_size, per_class))
+    return rows
 
 
 def phase_reaching(tars, level) -> int | None:
@@ -73,20 +71,6 @@ def phase_reaching(tars, level) -> int | None:
     if none does. A run that collapses reaches nothing, and so does a
     run with no complete phase."""
     return next((p + 1 for p, t in enumerate(tars) if t >= level), None)
-
-
-def per_class_tar(records: list[AcceptanceRecord], class_id: int, phase: int,
-                  phase_size: int = DEFAULT_PHASE_SIZE) -> float | None:
-    """Class-filtered ratio within one phase; None for partial phases and
-    for classes with no arrival in the phase."""
-    _check_phase(phase, phase_size)
-    if len(records) < (phase + 1) * phase_size:
-        return None
-    window = records[phase * phase_size:(phase + 1) * phase_size]
-    mine = [r for r in window if r.class_id == class_id]
-    if not mine:
-        return None
-    return sum(r.accepted for r in mine) / len(mine)
 
 
 # -- export -------------------------------------------------------------
@@ -105,41 +89,35 @@ def write_records_csv(records: list[AcceptanceRecord], path) -> None:
                      f"{int(r.accepted)},{_fmt(g)}\n")
 
 
-def write_phase_csv(records: list[AcceptanceRecord], path,
-                    phase_size: int = DEFAULT_PHASE_SIZE,
+def write_phase_csv(records: list[AcceptanceRecord], path, phase_size: int,
                     class_ids: Iterable[int] = ()) -> None:
     class_ids = list(class_ids)
     with open(path, "w") as fh:
         cols = "".join(f",tar_class_{c}" for c in class_ids)
         fh.write(f"phase,tar{cols}\n")
-        for phase in range(complete_phases(records, phase_size)):
-            row = [str(phase), _fmt(tar(records, phase, phase_size))]
-            for c in class_ids:
-                value = per_class_tar(records, c, phase, phase_size)
-                row.append("" if value is None else _fmt(value))
+        for phase, (tar, per_class) in enumerate(
+                phase_table(records, phase_size, class_ids)):
+            row = [str(phase), _fmt(tar)]
+            row += ["" if v is None else _fmt(v) for v in per_class]
             fh.write(",".join(row) + "\n")
 
 
-def plot_data(records: list[AcceptanceRecord],
-              phase_size: int = DEFAULT_PHASE_SIZE,
+def plot_data(records: list[AcceptanceRecord], phase_size: int,
               class_ids: Iterable[int] = ()) -> dict:
     """Plot-ready series: {name: [[x, y], ...]}."""
+    class_ids = list(class_ids)
+    table = phase_table(records, phase_size, class_ids)
     series = {"gar": [[r.index, g] for r, g
-                      in zip(records, gar_series(records))]}
-    phases = complete_phases(records, phase_size)
-    series["tar"] = [[p, tar(records, p, phase_size)] for p in range(phases)]
-    for c in class_ids:
-        pts = []
-        for p in range(phases):
-            value = per_class_tar(records, c, p, phase_size)
-            if value is not None:
-                pts.append([p, value])
-        series[f"tar_class_{c}"] = pts
+                      in zip(records, gar_series(records))],
+              "tar": [[p, tar] for p, (tar, _) in enumerate(table)]}
+    for i, c in enumerate(class_ids):
+        series[f"tar_class_{c}"] = [[p, per_class[i]] for p, (_, per_class)
+                                    in enumerate(table)
+                                    if per_class[i] is not None]
     return series
 
 
-def write_plot_json(records: list[AcceptanceRecord], path,
-                    phase_size: int = DEFAULT_PHASE_SIZE,
+def write_plot_json(records: list[AcceptanceRecord], path, phase_size: int,
                     class_ids: Iterable[int] = ()) -> None:
     with open(path, "w") as fh:
         json.dump(plot_data(records, phase_size, class_ids), fh, indent=2)

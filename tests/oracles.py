@@ -5,9 +5,10 @@ instead of a priority queue, full enumeration instead of greedy pruning,
 central finite differences and a per-step autodiff tape instead of the
 networks' batched closed-form gradients, one candidate at a time and a
 keyed sort over event objects instead of the traffic generator's array
-passes and the event stream's columns. Slow is fine, shared code with
-the package under test is not (the tape in slicesim.autodiff is kept for
-these oracles only). The exceptions are `is_feasible`, which names the
+passes and the event stream's columns, a call per phase and class
+instead of one pass that builds the phase table. Slow is fine, shared
+code with the package under test is not (the tape in slicesim.autodiff
+is kept for these oracles only). The exceptions are `is_feasible`, which names the
 package's own acceptance predicate so that tests can hold it against
 `brute_feasible`, and `heu_select_scan`, the full scan that
 `heu_select`'s kept-order walk replaced: it routes through the package,
@@ -257,6 +258,26 @@ def generate_events_scalar(classes, horizon, seed):
         events.append(Departure(t + float(lifetime), uid, cls.id))
     events.sort(key=event_sort_key)
     return events
+
+
+def tar(records, phase, phase_size):
+    """Acceptance within one phase; None while the phase is partial."""
+    start, end = phase * phase_size, (phase + 1) * phase_size
+    if len(records) < end:
+        return None
+    return sum(r.accepted for r in records[start:end]) / phase_size
+
+
+def per_class_tar(records, class_id, phase, phase_size):
+    """One class's acceptance within one phase; None for a partial phase
+    and for a class with no arrival in the phase."""
+    if len(records) < (phase + 1) * phase_size:
+        return None
+    window = records[phase * phase_size:(phase + 1) * phase_size]
+    mine = [r for r in window if r.class_id == class_id]
+    if not mine:
+        return None
+    return sum(r.accepted for r in mine) / len(mine)
 
 
 def finite_diff_grad(f, x, h=1e-5):

@@ -25,8 +25,8 @@ from slicesim import (
     heu_select,
     load_scenario,
     phase_reaching,
+    phase_table,
     sample_arrivals,
-    tar,
 )
 from slicesim.cli import main as cli_main
 from slicesim.networks import (SliceNet, log_softmax, normalized_propagation,
@@ -335,7 +335,7 @@ def desk_agent_run(variant: str, index: int, arrivals: int, xi=1.0,
 
 def desk_training_run(variant: str, index: int):
     records, _ = desk_agent_run(variant, index, 2000)
-    tars = [tar(records, p, 500) for p in range(4)]
+    tars = [acceptance for acceptance, _ in phase_table(records, 500)]
     return gar(records), tars
 
 

@@ -3,21 +3,24 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slicesim import (
     AcceptanceRecord,
     ConfigurationError,
-    complete_phases,
     gar,
     gar_series,
-    per_class_tar,
     phase_reaching,
+    phase_table,
     plot_data,
-    tar,
     write_phase_csv,
     write_plot_json,
     write_records_csv,
 )
+
+from conftest import examples
+from oracles import per_class_tar, tar
 
 
 def rec(index, accepted, class_id=0, time=None):
@@ -53,38 +56,29 @@ def test_gar_series_matches_prefix_gar():
     assert gar_series([]) == []
 
 
-def test_tar_partial_phase_is_none():
-    records = mixed_records()
-    assert tar(records, 0, phase_size=3) == 2 / 3
-    assert tar(records, 1, phase_size=3) == 2 / 3
-    assert tar(records, 2, phase_size=3) is None
-    # default phase size is far larger than six records
-    assert tar(records, 0) is None
-    with pytest.raises(ConfigurationError):
-        tar(records, -1, phase_size=3)
-    with pytest.raises(ConfigurationError):
-        tar(records, 0, phase_size=0)
-
-
-def test_complete_phases_counts_full_windows():
-    records = mixed_records()
-    assert complete_phases(records, phase_size=3) == 2
-    assert complete_phases(records, phase_size=4) == 1
-    assert complete_phases(records, phase_size=7) == 0
-    assert complete_phases([], phase_size=1) == 0
-
-
-def test_per_class_tar_none_markers():
-    records = mixed_records()
-    # phase 0 of size 3 holds classes {0, 1, 0}: class 1 accepted once
-    assert per_class_tar(records, 1, 0, phase_size=3) == 1.0
-    # phase 1 holds {0, 1, 0}: class 1 rejected
-    assert per_class_tar(records, 1, 1, phase_size=3) == 0.0
-    # absent class inside a complete phase
-    assert per_class_tar(records, 9, 0, phase_size=3) is None
-    # partial phase trumps everything
-    assert per_class_tar(records, 0, 2, phase_size=3) is None
-
+@settings(max_examples=examples(200), deadline=None, database=None)
+@given(flags=st.lists(st.tuples(st.booleans(), st.sampled_from([0, 1, 2])),
+                      max_size=60),
+       phase_size=st.integers(1, 12),
+       class_ids=st.lists(st.sampled_from([0, 1, 2]), unique=True))
+def test_phase_table_matches_the_per_phase_oracles(flags, phase_size,
+                                                   class_ids):
+    """One row per phase the oracle calls complete, and none for the
+    partial phase after them; each row holds the oracles' phase and class
+    acceptance, None for a class with no arrival in the phase (class 9
+    never arrives). A phase size below 1 is refused by name."""
+    records = [rec(i, a, c) for i, (a, c) in enumerate(flags, start=1)]
+    class_ids = class_ids + [9]
+    want = []
+    while (acceptance := tar(records, len(want), phase_size)) is not None:
+        per_class = [per_class_tar(records, c, len(want), phase_size)
+                     for c in class_ids]
+        want.append((acceptance, per_class))
+    assert phase_table(records, phase_size, class_ids) == want
+    assert phase_table(records, phase_size) == [(t, []) for t, _ in want]
+    for bad in (0, -3):
+        with pytest.raises(ConfigurationError, match="phase_size"):
+            phase_table(records, bad, class_ids)
 
 
 def test_phase_reaching_is_the_first_phase_at_or_above_the_level():
@@ -94,19 +88,6 @@ def test_phase_reaching_is_the_first_phase_at_or_above_the_level():
     assert phase_reaching([0.1, 0.2, 0.49], 0.5) is None    # never
     assert phase_reaching([0.4, 0.0, 0.0, 0.0], 0.5) is None  # a collapse
     assert phase_reaching([], 0.5) is None                  # no phase
-
-@pytest.mark.parametrize("call", [
-    lambda r: complete_phases(r, 0),
-    lambda r: complete_phases(r, -3),
-    lambda r: per_class_tar(r, 0, -1, phase_size=3),
-    lambda r: per_class_tar(r, 0, 0, phase_size=0),
-])
-def test_phase_arguments_are_checked_as_tar_checks_them(call):
-    """A phase below 0 or a phase size below 1 is refused by name, not
-    met with a ZeroDivisionError or a silent None."""
-    with pytest.raises(ConfigurationError,
-                       match="phase must be >= 0 and phase_size >= 1"):
-        call(mixed_records())
 
 
 def test_records_csv_format(tmp_path):
