@@ -18,6 +18,7 @@ from slicesim import (
     write_plot_json,
     write_records_csv,
 )
+from slicesim.metrics import DEFAULT_PHASE_SIZE
 
 from conftest import examples
 from oracles import per_class_tar, tar
@@ -79,6 +80,51 @@ def test_phase_table_matches_the_per_phase_oracles(flags, phase_size,
     for bad in (0, -3):
         with pytest.raises(ConfigurationError, match="phase_size"):
             phase_table(records, bad, class_ids)
+
+
+def test_tar_partial_phase_is_none():
+    records = mixed_records()
+    assert [t for t, _ in phase_table(records, 3)] == [2 / 3, 2 / 3]
+    # a partial phase has no row
+    assert [t for t, _ in phase_table(records[:5], 3)] == [2 / 3]
+    # default phase size is far larger than six records
+    assert phase_table(records, DEFAULT_PHASE_SIZE) == []
+    with pytest.raises(ConfigurationError):
+        phase_table(records, 0)
+
+
+def test_complete_phases_counts_full_windows():
+    records = mixed_records()
+    assert len(phase_table(records, 3)) == 2
+    assert len(phase_table(records, 4)) == 1
+    assert len(phase_table(records, 7)) == 0
+    assert phase_table([], 1) == []
+
+
+def test_per_class_tar_none_markers():
+    records = mixed_records()
+    # phase 0 of size 3 holds classes {0, 1, 0}: class 1 accepted once;
+    # phase 1 holds {0, 1, 0}: class 1 rejected; class 9 never arrives
+    assert phase_table(records, 3, [1, 9, 0]) == [
+        (2 / 3, [1.0, None, 0.5]),
+        (2 / 3, [0.0, None, 1.0]),
+    ]
+    # partial phase trumps everything: no row for it
+    assert phase_table(records[:5], 3, [0]) == [(2 / 3, [0.5])]
+
+
+@pytest.mark.parametrize("call", [
+    lambda r: phase_table(r, 0),
+    lambda r: phase_table(r, -3),
+    lambda r: phase_table(r, -1, [0]),
+    lambda r: phase_table(r, 0, [0, 1]),
+])
+def test_phase_arguments_are_checked_as_tar_checks_them(call):
+    """A phase size below 1 is refused by name, not met with a
+    ZeroDivisionError or an empty table."""
+    with pytest.raises(ConfigurationError,
+                       match="phase_size must be >= 1"):
+        call(mixed_records())
 
 
 def test_phase_reaching_is_the_first_phase_at_or_above_the_level():
