@@ -407,12 +407,22 @@ def test_ledger_audit_holds_after_every_event(variant, arrivals):
 
 # -- the frozen reference trajectory ----------------------------------------------
 
+# SHA-256 of the golden run's per-step records in the --export-trace line
+# form (one json.dumps line each): pins which servers and links every step
+# took, not only which requests were accepted
+GOLDEN_TRACE_SHA256 = (
+    "276dd1796275ec5f182df714e1d3f4d0bd6c3d5672c6f9f50ec88e0879ed4d0d")
+
+
 def test_golden_heuristic_run_reproduces():
     golden = json.loads((DATA / "golden_heuristic.json").read_text())
     scenario = load_scenario(golden["scenario"])
     net = scenario.build_network()
     events = scenario.generate_events(seed=golden["traffic_seed"])
-    sim = Simulation(net, events, HeuristicPolicy())
+    trace = hashlib.sha256()
+    policy = HeuristicPolicy(
+        trace_sink=lambda rec: trace.update((json.dumps(rec) + "\n").encode()))
+    sim = Simulation(net, events, policy)
     records = sim.run(max_arrivals=golden["arrivals"])
     assert len(records) == golden["arrivals"]
     assert [int(r.accepted) for r in records[:100]] == golden["first_flags"]
@@ -420,3 +430,4 @@ def test_golden_heuristic_run_reproduces():
         assert gar(records, int(upto)) == pytest.approx(expect, abs=1e-12)
     assert sum(r.accepted for r in records) == golden["accepted_total"]
     assert records[-1].time == golden["final_time"]
+    assert trace.hexdigest() == GOLDEN_TRACE_SHA256
