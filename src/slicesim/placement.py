@@ -52,9 +52,11 @@ def route_all(net: SubstrateNetwork, src: int, bw: float) -> dict[int, tuple]:
     answer is the unconstrained sweep from src, which `net.route_table`
     caches: the returned dict is then shared by every caller, so callers
     must treat it as read-only. Otherwise one sweep runs over the links
-    that hold bw.
+    that hold bw. "Every link holds bw" is read from `net.bw_floor`, the
+    least residual the substrate keeps, not from a scan of the links: a
+    direct write to `net.bw` leaves it stale.
     """
-    if min(net.bw, default=math.inf) + _EPS >= bw:
+    if net.bw_floor + _EPS >= bw:
         entry = net.route_table.get(src)
         if entry is None:
             paths = _sweep(net, src, -math.inf)

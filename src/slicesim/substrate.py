@@ -8,12 +8,16 @@ takes one placement step into a request's holding, and
 atomic, so releasing a request's holding restores the exact
 pre-placement state. Both also keep the servers' emptiest-first order
 (`SubstrateNetwork.by_balance`) up to date, as do the node views'
-`cap_cpu`/`cap_ram` setters.
+`cap_cpu`/`cap_ram` setters, and the least residual bandwidth of any link
+(`SubstrateNetwork.bw_floor`), as do `add_link` and the link views'
+`cap_bw` setter. A direct write to `cpu`, `ram` or `bw` leaves them
+stale.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass, fields
 from enum import Enum
@@ -106,7 +110,9 @@ class SubstrateLink:
 
     @cap_bw.setter
     def cap_bw(self, value: float) -> None:
-        self._net.bw[self.index] = float(value)
+        net = self._net
+        net.bw[self.index] = float(value)
+        net.bw_floor = min(net.bw)
 
     def __repr__(self) -> str:
         return f"SubstrateLink(index={self.index}, cap_bw={self.cap_bw})"
@@ -149,6 +155,13 @@ class SubstrateNetwork:
     node views' `cap_cpu`/`cap_ram` setters re-key every server whose
     cpu or ram they change. Residuals change only through these, so
     writing `cpu` or `ram` directly leaves the order stale.
+
+    bw_floor is kept the same way: it is `min(bw, default=inf)`, the
+    least residual bandwidth of any link, which `placement.route_all`
+    tests instead of scanning every link. `add_link` and `commit` lower
+    it over the links they touch; a `release` that returns bandwidth to a
+    link at the floor and the link views' `cap_bw` setter recompute it.
+    Writing `bw` directly leaves it stale.
     """
 
     def __init__(self):
@@ -164,6 +177,7 @@ class SubstrateNetwork:
         self.max_ram: list[float] = []
         self.bw: list[float] = []
         self.max_bw: list[float] = []
+        self.bw_floor = math.inf
         self.route_table: dict[int, tuple] = {}
         self.by_balance: list[tuple[float, int, int]] = []
         # a server's current entry in by_balance, by node id
@@ -205,6 +219,8 @@ class SubstrateNetwork:
         self.links[key] = SubstrateLink(self, index)
         self.max_bw.append(max_bw)
         self.bw.append(max_bw)
+        if max_bw < self.bw_floor:
+            self.bw_floor = max_bw
         for n, m in ((a, b), (b, a)):
             self.link_index[n][m] = index
             self.link_index[n] = dict(sorted(self.link_index[n].items()))
@@ -261,24 +277,26 @@ class SubstrateNetwork:
         no link, raises CapacityError with nothing taken. held gains the
         amounts under the node id and the link keys; a zero adds no entry.
         """
-        bws, links = self.bw, self.links
+        bws, link_index = self.bw, self.link_index
         if cpu > self.cpu[node] + _EPS:
             raise CapacityError(
                 f"node {node}: cpu commit {cpu} exceeds residual {self.cpu[node]}")
         if ram > self.ram[node] + _EPS:
             raise CapacityError(
                 f"node {node}: ram commit {ram} exceeds residual {self.ram[node]}")
+        # every later hop starts at a node that the one before found
+        if len(path) > 1 and not 0 <= path[0] < len(link_index):
+            raise CapacityError(f"no link {_link_key(path[0], path[1])}")
         hops = []
         for a, b in zip(path, path[1:]):
-            key = _link_key(a, b)
-            link = links.get(key)
-            if link is None:
-                raise CapacityError(f"no link {key}")
-            if bw > bws[link.index] + _EPS:
+            i = link_index[a].get(b)
+            if i is None:
+                raise CapacityError(f"no link {_link_key(a, b)}")
+            if bw > bws[i] + _EPS:
                 raise CapacityError(
-                    f"link {key}: bw commit {bw} exceeds residual "
-                    f"{bws[link.index]}")
-            hops.append((key, link.index))
+                    f"link {_link_key(a, b)}: bw commit {bw} exceeds "
+                    f"residual {bws[i]}")
+            hops.append(((a, b) if a < b else (b, a), i))
         if cpu:
             self.cpu[node] -= cpu
             held.node_cpu[node] = held.node_cpu.get(node, 0.0) + cpu
@@ -288,15 +306,19 @@ class SubstrateNetwork:
         if cpu or ram:
             self._rekey(node)
         if bw:
-            link_bw = held.link_bw
+            link_bw, floor = held.link_bw, self.bw_floor
             for key, i in hops:
                 bws[i] -= bw
                 link_bw[key] = link_bw.get(key, 0.0) + bw
+                if bws[i] < floor:
+                    floor = bws[i]
+            # only a positive amount lowers every link it touches
+            self.bw_floor = floor if bw > 0 else min(bws, default=math.inf)
 
     def release(self, delta: ResourceDelta) -> None:
         """Give a request's holding back; raises AccountingError with
         nothing returned if a residual would exceed its maximum."""
-        cpu, ram, bw, links = self.cpu, self.ram, self.bw, self.links
+        cpu, ram, bw, link_index = self.cpu, self.ram, self.bw, self.link_index
         for n, d in delta.node_cpu.items():
             if cpu[n] + d > self.max_cpu[n] + _EPS:
                 raise AccountingError(
@@ -305,21 +327,30 @@ class SubstrateNetwork:
             if ram[n] + d > self.max_ram[n] + _EPS:
                 raise AccountingError(
                     f"node {n}: ram release {d} would exceed max {self.max_ram[n]}")
+        hops = []
         for key, d in delta.link_bw.items():
-            if key not in links:
+            a, b = key
+            i = link_index[a].get(b) if 0 <= a < b < len(link_index) else None
+            if i is None:
                 raise AccountingError(f"no link {key}")
-            i = links[key].index
             if bw[i] + d > self.max_bw[i] + _EPS:
                 raise AccountingError(
                     f"link {key}: bw release {d} would exceed max {self.max_bw[i]}")
+            hops.append((i, d))
         for n, d in delta.node_cpu.items():
             cpu[n] += d
         for n, d in delta.node_ram.items():
             ram[n] += d
         for n in delta.node_cpu.keys() | delta.node_ram.keys():
             self._rekey(n)
-        for key, d in delta.link_bw.items():
-            bw[links[key].index] += d
+        # the floor can move only if a link at it gets bandwidth back, or
+        # an amount below 0 takes some
+        floor, stale = self.bw_floor, False
+        for i, d in hops:
+            stale = stale or bw[i] <= floor or not d > 0
+            bw[i] += d
+        if stale:
+            self.bw_floor = min(bw)
 
     def _rekey(self, n: int) -> None:
         """Move server n to its place in by_balance after its cpu or ram

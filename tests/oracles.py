@@ -152,17 +152,24 @@ def heu_select_scan(state, net):
 
 
 def order_problems(net):
-    """How the substrate's kept emptiest-first order differs from a
-    fresh sort of its servers by (-delta_b, id), as readable strings."""
+    """How the substrate's kept state differs from a fresh computation,
+    as readable strings: its emptiest-first order against a sort of its
+    servers by (-delta_b, id), and its bandwidth floor against the least
+    residual of any link."""
+    problems = []
+    floor = min(net.bw, default=math.inf)
+    if net.bw_floor != floor:
+        problems.append(f"bw_floor: kept {net.bw_floor!r}, fresh {floor!r}")
     fresh = sorted((-(net.cpu[sid] / net.max_cpu[sid]
                       + net.ram[sid] / net.max_ram[sid]), sid, i)
                    for i, sid in enumerate(net.servers))
     if net.by_balance == fresh:
-        return []
-    return [f"position {k}: kept {kept!r}, fresh {want!r}"
-            for k, (kept, want) in enumerate(zip(net.by_balance, fresh))
-            if kept != want] or [
-        f"kept {len(net.by_balance)} entries, fresh {len(fresh)}"]
+        return problems
+    return problems + ([f"position {k}: kept {kept!r}, fresh {want!r}"
+                        for k, (kept, want)
+                        in enumerate(zip(net.by_balance, fresh))
+                        if kept != want] or [
+        f"kept {len(net.by_balance)} entries, fresh {len(fresh)}"])
 
 
 def audit_ledger(sim, eps=1e-6):

@@ -1,9 +1,14 @@
 """Placement engine: routing, step scoring, rollback, episode rewards."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from slicesim import (
+    AccountingError,
+    CapacityError,
     ConfigurationError,
     HeuristicPolicy,
     NodeKind,
@@ -21,7 +26,7 @@ from slicesim import (
 from slicesim import placement
 from slicesim.placement import server_closeness
 
-from conftest import line_net, random_substrate, uniform_request
+from conftest import examples, line_net, random_substrate, uniform_request
 from oracles import is_feasible
 from oracles import brute_route
 
@@ -171,6 +176,64 @@ def test_cached_route_all_equals_the_sweep_and_brute_force():
                     assert server_closeness(net, src, paths) == [
                         None if h is None else 1.0 / h if h > 0 else 1.0
                         for h in hops]
+
+
+# one step of a walk over a substrate: what it does, two picks (taken
+# modulo the servers, nodes, holdings or links there are) and an amount
+WALK = st.lists(st.tuples(
+    st.sampled_from(("commit", "release", "rollback", "cap_bw")),
+    st.integers(0, 63), st.integers(0, 63),
+    st.sampled_from((0.0, 0.5, 1.0, 1.5, 2.0, 4.0))), max_size=12)
+
+
+@settings(max_examples=examples(150), deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), walk=WALK)
+def test_the_kept_floor_routes_as_a_scan_of_the_links(seed, walk):
+    """Through random commits, releases, rollbacks and cap_bw writes on a
+    random substrate, bw_floor stays min(bw), and route_all at bandwidths
+    around it equals the uncached sweep and the brute-force router."""
+    net = random_substrate(np.random.default_rng(seed), max_servers=5)
+    nodes, servers, links = range(len(net.nodes)), net.servers, \
+        list(net.links.values())
+    holdings = []
+    for kind, i, j, amount in walk:
+        before = list(net.bw)
+        if kind == "commit":
+            src = servers[i % len(servers)]
+            path = placement._sweep(net, src, -math.inf)[j % len(nodes)]
+            held = ResourceDelta()
+            try:
+                net.commit(held, src, 0.0, 0.0, path, amount)
+                holdings.append(held)
+            except CapacityError:       # a link short of amount
+                assert net.bw == before
+        elif kind == "release" and holdings:
+            try:
+                net.release(holdings.pop(i % len(holdings)))
+            except AccountingError:     # over a maximum after a cap_bw write
+                assert net.bw == before
+        elif kind == "rollback":
+            state = PlacementEpisodeState(uniform_request(3, 0.0, 0.0, amount))
+            for k in (i, j, i + j):
+                if not apply_action(state, net, servers[k % len(servers)]
+                                    ).success:
+                    break               # apply_action rolled it back
+            placement.rollback(state, net)
+            assert net.bw == before
+        elif kind == "cap_bw":
+            # at most the maximum, like every residual a run leaves
+            link = links[i % len(links)]
+            link.cap_bw = min(amount, link.max_bw)
+        assert net.bw_floor == min(net.bw)
+        low = net.bw_floor
+        for bw in (low - 0.5, low, low + 1e-9, low + 1e-8, low + 1.0):
+            for src in nodes:
+                paths = route_all(net, src, bw)
+                swept = placement._sweep(net, src, bw)
+                assert list(paths.items()) == list(swept.items())
+                for dst in nodes:
+                    assert paths.get(dst) == \
+                        brute_route(net, src, dst, bw), (src, dst, bw)
 
 
 def test_no_caller_mutates_a_cached_sweep():

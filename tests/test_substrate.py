@@ -1,5 +1,7 @@
 """Substrate graph: topology builder, resource accounting, fingerprints."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -7,16 +9,22 @@ from slicesim import (
     AccountingError,
     CapacityError,
     ConfigurationError,
+    Departure,
+    HeuristicPolicy,
     NodeKind,
+    PlacementEpisodeState,
     ResourceDelta,
+    Simulation,
     SubstrateNetwork,
     TopologyCounts,
+    apply_action,
     build_reference_topology,
+    rollback,
     route_all,
 )
 from slicesim.substrate import MAX_NODES
 
-from conftest import line_net
+from conftest import line_net, uniform_request
 from oracles import data_centers, order_problems, outgoing_bw
 
 
@@ -333,6 +341,123 @@ def test_a_refused_commit_or_release_leaves_the_order(small_net):
     small_net.release(held)
     assert small_net.by_balance == build_reference_topology(
         "small").by_balance
+
+
+# -- the least residual bandwidth --------------------------------------------
+
+def test_add_link_lowers_the_bw_floor():
+    net = SubstrateNetwork()
+    assert net.bw_floor == math.inf
+    for _ in range(4):
+        net.add_node(NodeKind.SERVER, 0, 50.0, 300.0)
+    for (a, b, bw), floor in zip([(0, 1, 5.0), (2, 1, 7.0), (3, 2, 2.5)],
+                                 [5.0, 5.0, 2.5]):
+        net.add_link(a, b, bw)
+        assert net.bw_floor == floor
+        assert order_problems(net) == []
+    assert build_reference_topology("full").bw_floor == 10.0
+
+
+def test_a_commit_lowers_the_floor_and_its_departure_restores_it():
+    net = line_net(3, bw=[10.0, 4.0])
+    sim = Simulation(net, [uniform_request(3, 1.0, 1.0, 3.0),
+                           Departure(1.0, 0, 0)], HeuristicPolicy())
+    assert sim.step()                   # placed on 0, 1, 2
+    assert sim.ledger[0].link_bw == {(0, 1): 3.0, (1, 2): 3.0}
+    assert (net.bw, net.bw_floor) == ([7.0, 1.0], 1.0)
+    assert order_problems(net) == []
+    assert sim.step()                   # the departure's release
+    assert (net.bw, net.bw_floor) == ([10.0, 4.0], 4.0)
+    assert order_problems(net) == []
+
+
+def test_a_rollback_restores_the_floor():
+    net = line_net([(50.0, 300.0)] * 2 + [(1.0, 1.0)], bw=[10.0, 4.0])
+    state = PlacementEpisodeState(uniform_request(3, 2.0, 2.0, 3.0))
+    for target in (0, 1):
+        assert apply_action(state, net, target).success
+    assert net.bw_floor == 4.0 and net.bw == [7.0, 4.0]
+    net.commit(state.committed, 1, 0.0, 0.0, (1, 2), 3.5)
+    assert net.bw_floor == 0.5
+    assert not apply_action(state, net, 2).success     # no room: rolled back
+    assert state.committed.is_empty()
+    assert (net.bw, net.bw_floor) == ([10.0, 4.0], 4.0)
+    state = PlacementEpisodeState(uniform_request(2, 1.0, 1.0, 4.0))
+    for target in (1, 0):
+        apply_action(state, net, target)
+    assert net.bw_floor == 4.0 and net.bw == [6.0, 4.0]
+    rollback(state, net)
+    assert (net.bw, net.bw_floor) == ([10.0, 4.0], 4.0)
+    assert order_problems(net) == []
+
+
+def test_a_cap_bw_write_recomputes_the_floor():
+    net = line_net(3, bw=[10.0, 4.0])
+    low, high = (net.links[key] for key in ((1, 2), (0, 1)))
+    high.cap_bw = 0.5
+    assert net.bw_floor == 0.5
+    low.cap_bw = 3                      # not the floor: it stays
+    assert net.bw_floor == 0.5
+    high.cap_bw = 10.0                  # was the floor: the next one is
+    assert net.bw_floor == 3.0
+    assert order_problems(net) == []
+
+
+def test_a_refused_commit_or_release_leaves_the_floor():
+    net = line_net(3, bw=[10.0, 4.0])
+    held = ResourceDelta()
+    net.commit(held, 0, 1.0, 1.0, (0, 1), 2.0)
+    assert net.bw_floor == 4.0
+    for path, bw, match in (((1, 0, 2), 1.0, r"no link \(0, 2\)"),
+                            ((-1, 0), 1.0, r"no link \(-1, 0\)"),
+                            ((7, 0), 1.0, r"no link \(0, 7\)"),
+                            ((0, 1, 2), 5.0, r"link \(1, 2\): bw commit"),
+                            ((2, 1, 0), 9.0, r"link \(1, 2\): bw commit")):
+        with pytest.raises(CapacityError, match=match):
+            net.commit(held, 2, 0.0, 0.0, path, bw)
+        assert (net.bw, net.bw_floor) == ([8.0, 4.0], 4.0)
+    over = ResourceDelta()
+    over.link_bw[(1, 2)] = 1.0                  # over its maximum
+    wired = ResourceDelta()
+    wired.link_bw[(0, 2)] = 1.0                 # no such link
+    backwards = ResourceDelta()
+    backwards.link_bw[(1, 0)] = 1.0             # not a link key
+    beyond = ResourceDelta()
+    beyond.link_bw[(2, 9)] = 1.0                # no such node
+    for bad, match in ((over, r"link \(1, 2\): bw release"),
+                       (wired, r"no link \(0, 2\)"),
+                       (backwards, r"no link \(1, 0\)"),
+                       (beyond, r"no link \(2, 9\)")):
+        with pytest.raises(AccountingError, match=match):
+            net.release(bad)
+        assert (net.bw, net.bw_floor) == ([8.0, 4.0], 4.0)
+    assert held.link_bw == {(0, 1): 2.0}
+    net.release(held)
+    assert (net.bw, net.bw_floor) == ([10.0, 4.0], 4.0)
+    assert order_problems(net) == []
+
+
+def test_a_negative_amount_keeps_the_floor():
+    """commit and release take any amount; one below 0 gives bandwidth
+    on commit and takes it on release, and the floor follows both."""
+    net = line_net(4, bw=[5.0, 9.0, 9.0])
+    given = ResourceDelta()
+    net.commit(given, 0, 0.0, 0.0, (0, 1), -3.0)
+    assert (net.bw, net.bw_floor) == ([8.0, 9.0, 9.0], 8.0)
+    net.commit(ResourceDelta(), 3, 0.0, 0.0, (2, 3), 2.0)
+    assert (net.bw, net.bw_floor) == ([8.0, 9.0, 7.0], 7.0)
+    net.release(given)                  # link (0, 1) drops below the floor
+    assert (net.bw, net.bw_floor) == ([5.0, 9.0, 7.0], 5.0)
+    assert order_problems(net) == []
+
+
+def test_a_direct_bw_write_leaves_the_floor_stale():
+    """Only the writers the docstring names keep the floor; the oracle
+    reports a direct write."""
+    net = line_net(2, bw=5.0)
+    net.bw[0] = 1.0
+    assert net.bw_floor == 5.0
+    assert order_problems(net) == ["bw_floor: kept 5.0, fresh 1.0"]
 
 
 def test_wiring_clears_the_route_table():
