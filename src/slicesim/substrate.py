@@ -6,12 +6,13 @@ capacities change only through :meth:`SubstrateNetwork.commit`, which
 takes one placement step into a request's holding, and
 :meth:`SubstrateNetwork.release`, which gives a holding back. Both are
 atomic, so releasing a request's holding restores the exact
-pre-placement state. Both also keep the servers' emptiest-first order
-(`SubstrateNetwork.by_balance`) up to date, as do the node views'
-`cap_cpu`/`cap_ram` setters, and the least residual bandwidth of any link
-(`SubstrateNetwork.bw_floor`), as do `add_link` and the link views'
-`cap_bw` setter. A direct write to `cpu`, `ram` or `bw` leaves them
-stale.
+pre-placement state; both refuse a bad amount (below 0 or NaN in a
+commit, not > 0 in a released holding) before anything moves, and both
+keep the servers' emptiest-first order (`SubstrateNetwork.by_balance`)
+and the least residual bandwidth of any link (`bw_floor`) up to date.
+The only other writers are `add_node`/`add_link`, which set a new
+residual, and the node views' `cap_cpu` setter, which re-keys the
+order. A direct write to `cpu`, `ram` or `bw` leaves them stale.
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ class NodeKind(Enum):
 
 class SubstrateNode:
     """A node's identity; its capacities are views onto the network's
-    per-node lists, so reading or writing cap_cpu reads or writes
-    `SubstrateNetwork.cpu[id]`."""
+    per-node lists. cap_cpu's setter, the one view setter left, stays
+    because `bench/test_bench.py` writes through it."""
 
     __slots__ = ("id", "kind", "dc_id", "_net")
 
@@ -79,11 +80,6 @@ class SubstrateNode:
     def cap_ram(self) -> float:
         return self._net.ram[self.id]
 
-    @cap_ram.setter
-    def cap_ram(self, value: float) -> None:
-        self._net.ram[self.id] = float(value)
-        self._net._rekey(self.id)
-
     def __repr__(self) -> str:
         return (f"SubstrateNode(id={self.id}, kind={self.kind}, "
                 f"dc_id={self.dc_id}, cap_cpu={self.cap_cpu}, "
@@ -91,8 +87,8 @@ class SubstrateNode:
 
 
 class SubstrateLink:
-    """An undirected link; its bandwidth is a view onto the network's
-    per-link lists at `index`, its position in `links`."""
+    """An undirected link; its bandwidth is a read-only view onto the
+    network's per-link lists at `index`, its position in `links`."""
 
     __slots__ = ("index", "_net")
 
@@ -107,12 +103,6 @@ class SubstrateLink:
     @property
     def cap_bw(self) -> float:
         return self._net.bw[self.index]
-
-    @cap_bw.setter
-    def cap_bw(self, value: float) -> None:
-        net = self._net
-        net.bw[self.index] = float(value)
-        net.bw_floor = min(net.bw)
 
     def __repr__(self) -> str:
         return f"SubstrateLink(index={self.index}, cap_bw={self.cap_bw})"
@@ -152,16 +142,16 @@ class SubstrateNetwork:
     by_balance holds one entry (-balance, id, position in `servers`) per
     server, in ascending order: emptiest first, equal balances by id.
     `add_node` inserts a server's entry, and `commit`, `release` and the
-    node views' `cap_cpu`/`cap_ram` setters re-key every server whose
-    cpu or ram they change. Residuals change only through these, so
-    writing `cpu` or `ram` directly leaves the order stale.
+    node views' `cap_cpu` setter re-key every server whose cpu or ram
+    they change. Residuals change only through these, so writing `cpu`
+    or `ram` directly leaves the order stale.
 
     bw_floor is kept the same way: it is `min(bw, default=inf)`, the
     least residual bandwidth of any link, which `placement.route_all`
     tests instead of scanning every link. `add_link` and `commit` lower
-    it over the links they touch; a `release` that returns bandwidth to a
-    link at the floor and the link views' `cap_bw` setter recompute it.
-    Writing `bw` directly leaves it stale.
+    it over the links they touch, and a `release` that returns bandwidth
+    to a link at the floor recomputes it. Writing `bw` directly leaves it
+    stale.
     """
 
     def __init__(self):
@@ -273,11 +263,15 @@ class SubstrateNetwork:
         """Take one step into a request's holding: cpu and ram on node, bw
         on every link of path (a route, so no link twice).
 
-        Every amount is checked first: a shortfall, or a pair on path with
-        no link, raises CapacityError with nothing taken. held gains the
-        amounts under the node id and the link keys; a zero adds no entry.
+        Every amount is checked first: one below 0 or NaN, a shortfall, or
+        a pair on path with no link raises CapacityError with nothing
+        taken. held gains the amounts under the node id and the link keys;
+        a zero adds no entry.
         """
         bws, link_index = self.bw, self.link_index
+        if not (cpu >= 0 and ram >= 0 and bw >= 0):
+            raise CapacityError(f"node {node}: commit amounts must be >= 0, "
+                                f"got cpu {cpu}, ram {ram}, bw {bw}")
         if cpu > self.cpu[node] + _EPS:
             raise CapacityError(
                 f"node {node}: cpu commit {cpu} exceeds residual {self.cpu[node]}")
@@ -312,18 +306,22 @@ class SubstrateNetwork:
                 link_bw[key] = link_bw.get(key, 0.0) + bw
                 if bws[i] < floor:
                     floor = bws[i]
-            # only a positive amount lowers every link it touches
-            self.bw_floor = floor if bw > 0 else min(bws, default=math.inf)
+            self.bw_floor = floor
 
     def release(self, delta: ResourceDelta) -> None:
         """Give a request's holding back; raises AccountingError with
-        nothing returned if a residual would exceed its maximum."""
+        nothing returned if an amount is not > 0 or a residual would
+        exceed its maximum."""
         cpu, ram, bw, link_index = self.cpu, self.ram, self.bw, self.link_index
         for n, d in delta.node_cpu.items():
+            if not d > 0:
+                raise AccountingError(f"node {n}: cpu release {d} is not > 0")
             if cpu[n] + d > self.max_cpu[n] + _EPS:
                 raise AccountingError(
                     f"node {n}: cpu release {d} would exceed max {self.max_cpu[n]}")
         for n, d in delta.node_ram.items():
+            if not d > 0:
+                raise AccountingError(f"node {n}: ram release {d} is not > 0")
             if ram[n] + d > self.max_ram[n] + _EPS:
                 raise AccountingError(
                     f"node {n}: ram release {d} would exceed max {self.max_ram[n]}")
@@ -333,6 +331,8 @@ class SubstrateNetwork:
             i = link_index[a].get(b) if 0 <= a < b < len(link_index) else None
             if i is None:
                 raise AccountingError(f"no link {key}")
+            if not d > 0:
+                raise AccountingError(f"link {key}: bw release {d} is not > 0")
             if bw[i] + d > self.max_bw[i] + _EPS:
                 raise AccountingError(
                     f"link {key}: bw release {d} would exceed max {self.max_bw[i]}")
@@ -343,11 +343,10 @@ class SubstrateNetwork:
             ram[n] += d
         for n in delta.node_cpu.keys() | delta.node_ram.keys():
             self._rekey(n)
-        # the floor can move only if a link at it gets bandwidth back, or
-        # an amount below 0 takes some
+        # the floor can move only if a link at it gets bandwidth back
         floor, stale = self.bw_floor, False
         for i, d in hops:
-            stale = stale or bw[i] <= floor or not d > 0
+            stale = stale or bw[i] <= floor
             bw[i] += d
         if stale:
             self.bw_floor = min(bw)

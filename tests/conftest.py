@@ -89,7 +89,7 @@ def random_substrate(rng, max_servers=4, extra_switch=True):
     if extra_switch and rng.random() < 0.5:
         nodes.append(net.add_node(NodeKind.SWITCH, dc_id=0))
     # random spanning tree keeps it connected, extra edges add path choice
-    order = list(rng.permutation(nodes))
+    order = [int(n) for n in rng.permutation(nodes)]
     for i in range(1, len(order)):
         j = int(rng.integers(0, i))
         net.add_link(order[i], order[j], float(rng.integers(1, 5)))

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from slicesim import (
-    AccountingError,
     CapacityError,
     ConfigurationError,
     HeuristicPolicy,
@@ -181,7 +180,7 @@ def test_cached_route_all_equals_the_sweep_and_brute_force():
 # one step of a walk over a substrate: what it does, two picks (taken
 # modulo the servers, nodes, holdings or links there are) and an amount
 WALK = st.lists(st.tuples(
-    st.sampled_from(("commit", "release", "rollback", "cap_bw")),
+    st.sampled_from(("commit", "release", "rollback", "link")),
     st.integers(0, 63), st.integers(0, 63),
     st.sampled_from((0.0, 0.5, 1.0, 1.5, 2.0, 4.0))), max_size=12)
 
@@ -189,12 +188,13 @@ WALK = st.lists(st.tuples(
 @settings(max_examples=examples(150), deadline=None, database=None)
 @given(seed=st.integers(0, 2**32 - 1), walk=WALK)
 def test_the_kept_floor_routes_as_a_scan_of_the_links(seed, walk):
-    """Through random commits, releases, rollbacks and cap_bw writes on a
-    random substrate, bw_floor stays min(bw), and route_all at bandwidths
-    around it equals the uncached sweep and the brute-force router."""
+    """Through random commits, releases, rollbacks and one-link commits on
+    a random substrate, bw_floor stays min(bw), and route_all at
+    bandwidths around it equals the uncached sweep and the brute-force
+    router."""
     net = random_substrate(np.random.default_rng(seed), max_servers=5)
-    nodes, servers, links = range(len(net.nodes)), net.servers, \
-        list(net.links.values())
+    nodes, servers, keys = range(len(net.nodes)), net.servers, \
+        list(net.links)
     holdings = []
     for kind, i, j, amount in walk:
         before = list(net.bw)
@@ -208,10 +208,7 @@ def test_the_kept_floor_routes_as_a_scan_of_the_links(seed, walk):
             except CapacityError:       # a link short of amount
                 assert net.bw == before
         elif kind == "release" and holdings:
-            try:
-                net.release(holdings.pop(i % len(holdings)))
-            except AccountingError:     # over a maximum after a cap_bw write
-                assert net.bw == before
+            net.release(holdings.pop(i % len(holdings)))
         elif kind == "rollback":
             state = PlacementEpisodeState(uniform_request(3, 0.0, 0.0, amount))
             for k in (i, j, i + j):
@@ -220,10 +217,15 @@ def test_the_kept_floor_routes_as_a_scan_of_the_links(seed, walk):
                     break               # apply_action rolled it back
             placement.rollback(state, net)
             assert net.bw == before
-        elif kind == "cap_bw":
-            # at most the maximum, like every residual a run leaves
-            link = links[i % len(links)]
-            link.cap_bw = min(amount, link.max_bw)
+        elif kind == "link":
+            # a bw-only commit that takes one link down to amount, so
+            # links reach any level between 0 and their maximum
+            a, b = keys[i % len(keys)]
+            take = net.bw[net.link_index[a][b]] - amount
+            if take > 0:
+                held = ResourceDelta()
+                net.commit(held, a, 0.0, 0.0, (a, b), take)
+                holdings.append(held)
         assert net.bw_floor == min(net.bw)
         low = net.bw_floor
         for bw in (low - 0.5, low, low + 1e-9, low + 1e-8, low + 1.0):

@@ -1,5 +1,6 @@
 """Substrate graph: topology builder, resource accounting, fingerprints."""
 
+import copy
 import math
 
 import numpy as np
@@ -283,9 +284,13 @@ def test_capacities_are_views_onto_one_record(small_net):
     small_net.ram[s] = 12.5
     assert node.cap_ram == 12.5
     key, link = next(iter(small_net.links.items()))
-    link.cap_bw = 3
-    assert small_net.bw[link.index] == 3.0
-    assert small_net.residuals()["bw"][key] == 3.0
+    assert link.cap_bw == small_net.bw[link.index] == link.max_bw
+    assert small_net.residuals()["bw"][key] == link.cap_bw
+    # cap_cpu is the one view with a setter
+    with pytest.raises(AttributeError):
+        node.cap_ram = 1.0
+    with pytest.raises(AttributeError):
+        link.cap_bw = 3
     for value in (node.cap_cpu, node.cap_ram, node.max_cpu, link.cap_bw,
                   link.max_bw):
         assert type(value) is float
@@ -306,21 +311,47 @@ def test_the_order_is_emptiest_first_then_by_id():
 
 
 def test_the_node_setters_keep_the_order(small_net):
-    s, t = small_net.servers[0], small_net.servers[3]
+    s = small_net.servers[0]
     small_net.nodes[s].cap_cpu -= 10.0
     assert small_net.by_balance[-1][1] == s
     assert order_problems(small_net) == []
-    small_net.nodes[t].cap_ram = 0.0
-    assert small_net.by_balance[-1][1] == t
-    assert order_problems(small_net) == []
     small_net.nodes[s].cap_cpu = small_net.nodes[s].max_cpu
-    small_net.nodes[t].cap_ram = small_net.nodes[t].max_ram
     assert small_net.by_balance == build_reference_topology(
         "small").by_balance
     # a switch holds no place in the order
     switch = next(n for n in small_net.nodes if n.kind is NodeKind.SWITCH)
     switch.cap_cpu = 0.0
     assert order_problems(small_net) == []
+
+
+def refuse_bad_amounts(net, held, node, path):
+    """A commit at node (bw on the one-link path) of an amount below 0 or
+    NaN, and a release of held with one amount that is not > 0 in its
+    place, are refused with nothing moved: residuals, held, the order and
+    the floor stay as they were."""
+    key = tuple(sorted(path))
+
+    def state():
+        return (net.residuals(), dict(held.node_cpu), dict(held.node_ram),
+                dict(held.link_bw), list(net.by_balance), net.bw_floor)
+
+    kept = state()
+    for bad in (-1.0, math.nan):
+        for cpu, ram, bw in ((bad, 0.0, 0.0), (0.0, bad, 0.0),
+                             (0.0, 0.0, bad)):
+            with pytest.raises(CapacityError, match="must be >= 0"):
+                net.commit(held, node, cpu, ram, path, bw)
+            assert state() == kept
+    for bad in (0.0, -1.0, math.nan):
+        for field, at, match in (("node_cpu", node, "cpu release"),
+                                 ("node_ram", node, "ram release"),
+                                 ("link_bw", key, "bw release")):
+            delta = copy.deepcopy(held)
+            getattr(delta, field)[at] = bad
+            with pytest.raises(AccountingError, match=match + ".* not > 0"):
+                net.release(delta)
+            assert state() == kept
+    assert order_problems(net) == []
 
 
 def test_a_refused_commit_or_release_leaves_the_order(small_net):
@@ -338,6 +369,8 @@ def test_a_refused_commit_or_release_leaves_the_order(small_net):
         small_net.release(bad)
     assert small_net.by_balance == order
     assert order_problems(small_net) == []
+    refuse_bad_amounts(small_net, held, s, (s, next(iter(
+        small_net.link_index[s]))))
     small_net.release(held)
     assert small_net.by_balance == build_reference_topology(
         "small").by_balance
@@ -391,18 +424,6 @@ def test_a_rollback_restores_the_floor():
     assert order_problems(net) == []
 
 
-def test_a_cap_bw_write_recomputes_the_floor():
-    net = line_net(3, bw=[10.0, 4.0])
-    low, high = (net.links[key] for key in ((1, 2), (0, 1)))
-    high.cap_bw = 0.5
-    assert net.bw_floor == 0.5
-    low.cap_bw = 3                      # not the floor: it stays
-    assert net.bw_floor == 0.5
-    high.cap_bw = 10.0                  # was the floor: the next one is
-    assert net.bw_floor == 3.0
-    assert order_problems(net) == []
-
-
 def test_a_refused_commit_or_release_leaves_the_floor():
     net = line_net(3, bw=[10.0, 4.0])
     held = ResourceDelta()
@@ -432,22 +453,9 @@ def test_a_refused_commit_or_release_leaves_the_floor():
             net.release(bad)
         assert (net.bw, net.bw_floor) == ([8.0, 4.0], 4.0)
     assert held.link_bw == {(0, 1): 2.0}
+    refuse_bad_amounts(net, held, 0, (0, 1))
     net.release(held)
     assert (net.bw, net.bw_floor) == ([10.0, 4.0], 4.0)
-    assert order_problems(net) == []
-
-
-def test_a_negative_amount_keeps_the_floor():
-    """commit and release take any amount; one below 0 gives bandwidth
-    on commit and takes it on release, and the floor follows both."""
-    net = line_net(4, bw=[5.0, 9.0, 9.0])
-    given = ResourceDelta()
-    net.commit(given, 0, 0.0, 0.0, (0, 1), -3.0)
-    assert (net.bw, net.bw_floor) == ([8.0, 9.0, 9.0], 8.0)
-    net.commit(ResourceDelta(), 3, 0.0, 0.0, (2, 3), 2.0)
-    assert (net.bw, net.bw_floor) == ([8.0, 9.0, 7.0], 7.0)
-    net.release(given)                  # link (0, 1) drops below the floor
-    assert (net.bw, net.bw_floor) == ([5.0, 9.0, 7.0], 5.0)
     assert order_problems(net) == []
 
 
@@ -458,6 +466,20 @@ def test_a_direct_bw_write_leaves_the_floor_stale():
     net.bw[0] = 1.0
     assert net.bw_floor == 5.0
     assert order_problems(net) == ["bw_floor: kept 5.0, fresh 1.0"]
+
+
+def test_a_direct_cpu_write_leaves_the_order_stale():
+    """Only the writers the docstring names keep the order; the oracle
+    reports a direct write to cpu or ram at the stale positions."""
+    net = line_net(2, bw=1.0)
+    net.cpu[0] = 25.0
+    assert net.by_balance == [(-2.0, 0, 0), (-2.0, 1, 1)]
+    assert order_problems(net) == [
+        "position 0: kept (-2.0, 0, 0), fresh (-2.0, 1, 1)",
+        "position 1: kept (-2.0, 1, 1), fresh (-1.5, 0, 0)"]
+    net.ram[0] = 150.0
+    assert order_problems(net)[1] == \
+        "position 1: kept (-2.0, 1, 1), fresh (-1.0, 0, 0)"
 
 
 def test_wiring_clears_the_route_table():
