@@ -431,3 +431,26 @@ def test_golden_heuristic_run_reproduces():
     assert sum(r.accepted for r in records) == golden["accepted_total"]
     assert records[-1].time == golden["final_time"]
     assert trace.hexdigest() == GOLDEN_TRACE_SHA256
+
+
+# SHA-256 of the per-step records of ha-edrl training on reference, traffic
+# seed 1, 25 arrivals, in the same line form: the learner places most steps
+# off the heuristic's pick, so this pins paths read from the advice's sweep
+# for servers the heuristic passed over, unreachable ones included
+HA_EDRL_TRACE_SHA256 = (
+    "4a6919fa717e84ac06407e0938105eed4faf05bf5d39a390203e7df3660e5040")
+
+
+def test_ha_edrl_training_trace_reproduces():
+    scenario = load_scenario("reference")
+    net = scenario.build_network()
+    agent = Agent(scenario.agent_config("ha-edrl"), net,
+                  scenario.build_load_model(net))
+    trace = hashlib.sha256()
+    policy = AgentPolicy(
+        agent, train=True,
+        trace_sink=lambda rec: trace.update((json.dumps(rec) + "\n").encode()))
+    records = Simulation(net, scenario.generate_events(seed=1),
+                         policy).run(max_arrivals=25)
+    assert len(records) == 25
+    assert trace.hexdigest() == HA_EDRL_TRACE_SHA256
