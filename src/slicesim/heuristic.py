@@ -5,19 +5,20 @@ the largest pair (delta_b, delta_c) the placement engine would pay
 there, compared lexicographically, and breaks remaining ties toward the
 smallest server id. It walks the servers emptiest-first, in the order
 `SubstrateNetwork.by_balance`, which the substrate's `commit`, `release`
-and node setters re-key, since residuals change through them alone. So
-the walk stops at the first server whose delta_b falls below the best
-feasible one's. One `route_all` from the previous host covers all
-candidates, usually a route-table lookup; the advice carries its paths,
-so placing the step on any server needs no second sweep.
+and `cap_cpu` node setter re-key, since residuals change through them
+alone. So the walk stops at the first server whose delta_b falls below
+the best feasible one's. One `route_all` from the previous host covers
+all candidates, usually a route-table lookup; its `Routes` hold the
+servers' closeness, and the advice carries them, so placing the step on
+any server needs no second sweep.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .placement import (PlacementEpisodeState, apply_action, fail_step,
-                        route_all, run_steps, server_closeness)
+from .placement import (PlacementEpisodeState, Routes, apply_action,
+                        fail_step, route_all, run_steps)
 from .substrate import _EPS, SubstrateNetwork
 from .traffic import SliceRequest
 
@@ -25,9 +26,8 @@ from .traffic import SliceRequest
 @dataclass(frozen=True)
 class HeuristicAdvice:
     server: int | None
-    # the step's route_all sweep from the previous host; None at the first VNF
-    paths: dict[int, tuple] | None = field(default=None, compare=False,
-                                           repr=False)
+    # the step's route_all Routes from the previous host; None at the first VNF
+    paths: Routes | None = field(default=None, compare=False, repr=False)
 
     @property
     def exists(self) -> bool:
@@ -39,7 +39,7 @@ def heu_select(state: PlacementEpisodeState,
     """Best feasible server for the pending VNF, or none.
 
     Walks `net.by_balance`, which the substrate's `commit`, `release`
-    and node setters keep sorted emptiest-first. Its keys negate
+    and `cap_cpu` node setter keep sorted emptiest-first. Its keys negate
     `SubstrateNetwork.balance`, the delta_b that `step_scores` pays, so
     the order and the score agree to the bit. At the first VNF every
     server is as close, so the first that fits wins. Later, the first
@@ -55,9 +55,8 @@ def heu_select(state: PlacementEpisodeState,
             if cpu[sid] + _EPS >= req_cpu and ram[sid] + _EPS >= req_ram:
                 return HeuristicAdvice(sid)
         return HeuristicAdvice(None)
-    src = state.hosts[-1]
-    paths = route_all(net, src, req.bw)
-    closeness = server_closeness(net, src, paths)
+    paths = route_all(net, state.hosts[-1], req.bw)
+    closeness = paths.closeness
     best = best_key = None
     best_c = -1.0
     for key, sid, i in net.by_balance:

@@ -22,6 +22,7 @@ step pays -100 unscaled.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from .errors import ConfigurationError
@@ -41,68 +42,129 @@ def route(net: SubstrateNetwork, src: int, dst: int, bw: float):
     Returns the node sequence as a tuple (src == dst gives the empty
     tuple), or None when no feasible path exists. Ties between equal-hop
     paths break toward the lexicographically smallest node-id sequence.
+    A dst or src outside the node ids, or a NaN bw, raises
+    ConfigurationError.
     """
+    if not 0 <= dst < len(net.nodes):
+        raise ConfigurationError(f"dst: no node {dst!r} among "
+                                 f"{len(net.nodes)} nodes")
     return route_all(net, src, bw).get(dst)
 
 
-def route_all(net: SubstrateNetwork, src: int, bw: float) -> dict[int, tuple]:
+def route_all(net: SubstrateNetwork, src: int, bw: float) -> Routes:
     """Feasible min-hop paths from src to every reachable node.
 
-    src itself maps to the empty tuple. When every link holds bw, the
-    answer is the unconstrained sweep from src, which `net.route_table`
-    caches: the returned dict is then shared by every caller, so callers
-    must treat it as read-only. Otherwise one sweep runs over the links
-    that hold bw. "Every link holds bw" is read from `net.bw_floor`, the
-    least residual the substrate keeps, not from a scan of the links: a
-    direct write to `net.bw` leaves it stale.
+    When every link holds bw, the answer is the unconstrained sweep from
+    src, which `net.route_table` caches and every caller shares.
+    Otherwise one sweep runs over the links that hold bw. "Every link
+    holds bw" is read from `net.bw_floor`, the least residual the
+    substrate keeps, not from a scan of the links: a direct write to
+    `net.bw` leaves it stale. A src outside the node ids, or a NaN bw,
+    raises ConfigurationError.
     """
     if net.bw_floor + _EPS >= bw:
-        entry = net.route_table.get(src)
-        if entry is None:
-            paths = _sweep(net, src, -math.inf)
-            entry = net.route_table[src] = (paths, _closeness(net, paths))
-        return entry[0]
+        routes = net.route_table.get(src)
+        if routes is None:
+            routes = net.route_table[src] = _sweep(net, src, -math.inf)
+        return routes
     return _sweep(net, src, bw)
 
 
-def _sweep(net: SubstrateNetwork, src: int, bw: float) -> dict[int, tuple]:
+def _sweep(net: SubstrateNetwork, src: int, bw: float) -> Routes:
     """Breadth-first over the neighbours in ascending order and the links
     that hold bw, so nodes leave the queue ordered by (hops, path), and
     the first node to reach a neighbour lies on that neighbour's
-    lexicographically smallest min-hop path."""
+    lexicographically smallest min-hop path: it becomes the neighbour's
+    parent."""
+    n = len(net.nodes)
+    if not 0 <= src < n:
+        raise ConfigurationError(f"src: no node {src!r} among {n} nodes")
+    if bw != bw:
+        raise ConfigurationError("bw: must be a number, got nan")
     residual, link_index = net.bw, net.link_index
-    paths = {src: (src,)}
-    queue = [src]
-    for node in queue:              # the loop also visits appended nodes
-        head = paths[node]
+    hops = [None] * n
+    parent = [None] * n
+    hops[src] = 0
+    order = [src]
+    for node in order:              # the loop also visits appended nodes
+        h = hops[node] + 1
         for nbr, link in link_index[node].items():
-            if nbr not in paths and residual[link] + _EPS >= bw:
-                paths[nbr] = head + (nbr,)
-                queue.append(nbr)
-    paths[src] = ()
-    return paths
+            if hops[nbr] is None and residual[link] + _EPS >= bw:
+                hops[nbr] = h
+                parent[nbr] = node
+                order.append(nbr)
+    return Routes(src, order, parent, hops, net.servers)
+
+
+class Routes(Mapping):
+    """One sweep's min-hop paths, as a read-only mapping node -> path.
+
+    It keeps the sweep's BFS tree: each reached node's parent and hop
+    count, and the nodes in the order the sweep reached them. It reads as
+    the dict {node: path} in that order would: src maps to (), every other
+    reached node to its node sequence from src, and an unreached node is
+    missing. A path is built from the parents on its first read and kept.
+    """
+
+    __slots__ = ("_order", "_parent", "_hops", "_servers", "_paths",
+                 "_closeness")
+
+    def __init__(self, src: int, order: list, parent: list, hops: list,
+                 servers: list):
+        self._order, self._parent, self._hops = order, parent, hops
+        self._servers = servers
+        self._paths = {src: ()}
+        self._closeness = None
+
+    def get(self, node, default=None):
+        path = self._paths.get(node)
+        if path is None:
+            h = self._reached(node)
+            if h is None:
+                return default
+            parent, path = self._parent, [node] * (h + 1)
+            for i in range(h - 1, -1, -1):
+                path[i] = parent[path[i + 1]]
+            path = self._paths[node] = tuple(path)
+        return path
+
+    def _reached(self, node):
+        """node's hop count, None when the sweep did not reach it."""
+        try:
+            return self._hops[node] if node >= 0 else None
+        except (IndexError, TypeError):
+            return None
+
+    def __getitem__(self, node) -> tuple:
+        path = self.get(node)
+        if path is None:
+            raise KeyError(node)
+        return path
+
+    def __contains__(self, node) -> bool:
+        return self._reached(node) is not None
+
+    def __iter__(self):
+        return iter(self._order)
+
+    def __len__(self) -> int:
+        return len(self._order)
+
+    @property
+    def closeness(self) -> list:
+        """delta_c onto each of the substrate's servers, in `servers`
+        order: 1/hops, 1.0 at src, None where unreached."""
+        if self._closeness is None:
+            self._closeness = [None if h is None else 1.0 / h if h else 1.0
+                               for h in map(self._hops.__getitem__,
+                                            self._servers)]
+        return self._closeness
 
 
 def path_closeness(path: tuple) -> float:
     """delta_c of a step over path: 1/hops, 1.0 when co-located."""
     hops = len(path) - 1
     return 1.0 / hops if hops > 0 else 1.0
-
-
-def server_closeness(net: SubstrateNetwork, src: int,
-                     paths: dict[int, tuple]) -> list:
-    """delta_c onto each of net.servers over `route_all(net, src, ...)`'s
-    paths, None where unreachable; read from the route table when paths
-    is its cached sweep."""
-    entry = net.route_table.get(src)
-    if entry is not None and entry[0] is paths:
-        return entry[1]
-    return _closeness(net, paths)
-
-
-def _closeness(net: SubstrateNetwork, paths: dict[int, tuple]) -> list:
-    return [None if path is None else path_closeness(path)
-            for path in map(paths.get, net.servers)]
 
 
 def fits(net: SubstrateNetwork, node: int, cpu: float, ram: float) -> bool:
@@ -165,7 +227,7 @@ class PlacementOutcome:
 
 
 def _evaluate(state: PlacementEpisodeState, net: SubstrateNetwork, target: int,
-              paths: dict[int, tuple] | None = None):
+              paths: Routes | None = None):
     """Return the feasible path for this step (possibly empty), else None.
 
     paths, when given, is this step's `route_all` sweep; without it the
@@ -182,7 +244,7 @@ def _evaluate(state: PlacementEpisodeState, net: SubstrateNetwork, target: int,
 
 
 def apply_action(state: PlacementEpisodeState, net: SubstrateNetwork,
-                 target: int, paths: dict[int, tuple] | None = None
+                 target: int, paths: Routes | None = None
                  ) -> PlacementOutcome:
     """Place the pending VNF on the target server; commit or roll back.
 

@@ -135,9 +135,11 @@ class SubstrateNetwork:
     Every capacity is held once, in flat lists of Python numbers: cpu,
     ram, max_cpu and max_ram by node id, bw and max_bw by link index (the
     link's position in `links`). Node and link objects are views onto
-    them. route_table maps a source to its unconstrained routing sweep
-    and that sweep's closeness to every server; `placement.route_all`
-    fills it on first use, and adding a node or link clears it.
+    them. route_table maps a source to its unconstrained routing sweep,
+    a read-only `placement.Routes` that every caller shares and that
+    keeps the sweep's BFS tree and its closeness to every server;
+    `placement.route_all` fills it on first use, and adding a node or
+    link clears it.
 
     by_balance holds one entry (-balance, id, position in `servers`) per
     server, in ascending order: emptiest first, equal balances by id.
@@ -168,7 +170,7 @@ class SubstrateNetwork:
         self.bw: list[float] = []
         self.max_bw: list[float] = []
         self.bw_floor = math.inf
-        self.route_table: dict[int, tuple] = {}
+        self.route_table: dict = {}     # source -> placement.Routes
         self.by_balance: list[tuple[float, int, int]] = []
         # a server's current entry in by_balance, by node id
         self._balance_key: dict[int, tuple[float, int, int]] = {}

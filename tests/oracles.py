@@ -6,7 +6,8 @@ central finite differences and a per-step autodiff tape instead of the
 networks' batched closed-form gradients, one candidate at a time and a
 keyed sort over event objects instead of the traffic generator's array
 passes and the event stream's columns, a call per phase and class
-instead of one pass that builds the phase table. Slow is fine, shared
+instead of one pass that builds the phase table, a path tuple for every
+swept node instead of a kept BFS tree. Slow is fine, shared
 code with the package under test is not (the tape in slicesim.autodiff
 is kept for these oracles only). The exceptions are `is_feasible`, which names the
 package's own acceptance predicate so that tests can hold it against
@@ -23,7 +24,7 @@ import numpy as np
 from slicesim.autodiff import Tensor, concat, log_softmax
 from slicesim.heuristic import HeuristicAdvice
 from slicesim.networks import GCN_LAYERS
-from slicesim.placement import _evaluate, route_all, server_closeness
+from slicesim.placement import _evaluate, route_all
 from slicesim.substrate import NodeKind
 from slicesim.traffic import (Departure, arrival_rate, class_rng,
                               request_from_class)
@@ -75,6 +76,35 @@ def outgoing_bw(net, n):
 def is_feasible(state, net, target):
     """The acceptance predicate of `apply_action`, without side effects."""
     return _evaluate(state, net, target) is not None
+
+
+def sweep_paths(net, src, bw):
+    """The dict-building sweep `route_all` ran before it kept a BFS tree:
+    breadth-first over the neighbours in ascending order and the links
+    that hold bw, each newly reached node's path its discoverer's path
+    plus itself; {node: path} in the order reached, src mapping to ()."""
+    residual, link_index = net.bw, net.link_index
+    paths = {src: (src,)}
+    queue = [src]
+    for node in queue:              # the loop also visits appended nodes
+        head = paths[node]
+        for nbr, link in link_index[node].items():
+            if nbr not in paths and residual[link] + _EPS >= bw:
+                paths[nbr] = head + (nbr,)
+                queue.append(nbr)
+    paths[src] = ()
+    return paths
+
+
+def sweep_closeness(net, paths):
+    """delta_c onto each of net.servers over sweep_paths' paths: 1/hops,
+    1.0 when co-located, None where unreachable."""
+    closeness = []
+    for path in map(paths.get, net.servers):
+        hops = None if path is None else len(path) - 1
+        closeness.append(None if hops is None
+                         else 1.0 / hops if hops > 0 else 1.0)
+    return closeness
 
 
 def brute_route(net, src, dst, bw):
@@ -136,9 +166,8 @@ def heu_select_scan(state, net):
         paths = None
         closeness = [1.0] * len(net.servers)
     else:
-        src = state.hosts[-1]
-        paths = route_all(net, src, req.bw)
-        closeness = server_closeness(net, src, paths)
+        paths = route_all(net, state.hosts[-1], req.bw)
+        closeness = paths.closeness
     best = None
     best_b = best_c = -math.inf
     for sid, delta_c in zip(net.servers, closeness):

@@ -59,7 +59,7 @@ def test_closeness_breaks_capacity_ties():
     assert advice.server == 1
     # every link holds the demand: the sweep came from the route table,
     # where the previous host's empty path is hop 0, not unreachable
-    assert advice.paths is net.route_table[1][0]
+    assert advice.paths is net.route_table[1]
 
 
 def test_equal_scores_fall_to_smallest_id():

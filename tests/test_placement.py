@@ -23,11 +23,10 @@ from slicesim import (
     route_all,
 )
 from slicesim import placement
-from slicesim.placement import server_closeness
 
 from conftest import examples, line_net, random_substrate, uniform_request
 from oracles import is_feasible
-from oracles import brute_route
+from oracles import brute_route, sweep_closeness, sweep_paths
 
 
 # -- routing -----------------------------------------------------------------
@@ -75,6 +74,56 @@ def test_route_tie_breaks_to_smallest_sequence():
     assert route(net, 0, 3, 10.0) == (0, 1, 3)
     net.commit(ResourceDelta(), 1, 0.0, 0.0, (0, 1), 5.0)
     assert route(net, 0, 3, 10.0) == (0, 2, 3)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda net: route_all(net, -1, 1.0), "src"),
+    (lambda net: route_all(net, len(net.nodes), 1.0), "src"),
+    (lambda net: route_all(net, 0, math.nan), "bw"),
+    (lambda net: route(net, -1, 2, 1.0), "src"),
+    (lambda net: route(net, len(net.nodes), 2, 1.0), "src"),
+    (lambda net: route(net, 0, -1, 1.0), "dst"),
+    (lambda net: route(net, 0, len(net.nodes), 1.0), "dst"),
+    (lambda net: route(net, 0, 2, math.nan), "bw"),
+])
+def test_bad_routing_input_is_refused(tiny_net, call, name):
+    """A src or dst outside the node ids and a NaN bw raise
+    ConfigurationError naming the argument, and cache nothing."""
+    with pytest.raises(ConfigurationError, match=f"^{name}: "):
+        call(tiny_net)
+    assert not tiny_net.route_table
+
+
+def test_routes_read_as_the_dict_sweep():
+    """Routes answers get, [], in, len and iteration as the old sweep's
+    dict did, whatever order its paths are first read in; each path is
+    built once and kept."""
+    rng = np.random.default_rng(7)
+    nets = [random_substrate(rng, max_servers=5) for _ in range(10)]
+    nets += [ring_with_chords(rng, int(rng.integers(4, 8)))
+             for _ in range(5)]
+    for net in nets:
+        n = len(net.nodes)
+        for bw in (1.0, 3.0, 5.0):
+            for src in range(n):
+                want = sweep_paths(net, src, bw)
+                paths = placement._sweep(net, src, bw)
+                for node in rng.permutation(n + 2) - 1:   # -1 .. n
+                    assert paths.get(node) == want.get(node)
+                    assert paths.get(node, "x") == want.get(node, "x")
+                    assert (node in paths) == (node in want)
+                    if node in want:
+                        assert paths[node] is paths[node] == want[node]
+                    else:
+                        with pytest.raises(KeyError):
+                            paths[node]
+                assert len(paths) == len(want)
+                assert list(paths) == list(want)
+                assert list(paths.items()) == list(want.items())
+                assert paths == want
+                assert paths.closeness == sweep_closeness(net, want)
+                with pytest.raises(TypeError):
+                    paths[src] = ()
 
 
 def ring_with_chords(rng, n):
@@ -162,19 +211,20 @@ def test_cached_route_all_equals_the_sweep_and_brute_force():
             for bw in (low - 0.5, low, low + 1e-9, low + 1e-8, 1.0, 3.0):
                 for src in range(len(net.nodes)):
                     paths = route_all(net, src, bw)
-                    swept = placement._sweep(net, src, bw)
+                    swept = sweep_paths(net, src, bw)
                     assert list(paths.items()) == list(swept.items())
                     entry = net.route_table.get(src)
-                    assert (entry is not None and paths is entry[0]) == \
+                    assert (entry is not None and paths is entry) == \
                         (low + 1e-9 >= bw)
                     for dst in range(len(net.nodes)):
                         assert paths.get(dst) == \
                             brute_route(net, src, dst, bw), (src, dst, bw)
                     hops = [len(paths[s]) - 1 if s in paths else None
                             for s in net.servers]
-                    assert server_closeness(net, src, paths) == [
+                    assert paths.closeness == [
                         None if h is None else 1.0 / h if h > 0 else 1.0
                         for h in hops]
+                    assert paths.closeness == sweep_closeness(net, swept)
 
 
 # one step of a walk over a substrate: what it does, two picks (taken
@@ -231,7 +281,7 @@ def test_the_kept_floor_routes_as_a_scan_of_the_links(seed, walk):
         for bw in (low - 0.5, low, low + 1e-9, low + 1e-8, low + 1.0):
             for src in nodes:
                 paths = route_all(net, src, bw)
-                swept = placement._sweep(net, src, bw)
+                swept = sweep_paths(net, src, bw)
                 assert list(paths.items()) == list(swept.items())
                 for dst in nodes:
                     assert paths.get(dst) == \
@@ -247,11 +297,11 @@ def test_no_caller_mutates_a_cached_sweep():
                HeuristicPolicy()).run(max_arrivals=2000)
     assert len(net.route_table) > 50
     fresh = scenario.build_network()
-    for src, (paths, closeness) in net.route_table.items():
+    for src, paths in net.route_table.items():
         want = route_all(fresh, src, 0.0)
-        assert want is fresh.route_table[src][0]
+        assert want is fresh.route_table[src]
         assert list(paths.items()) == list(want.items())
-        assert closeness == fresh.route_table[src][1]
+        assert paths.closeness == want.closeness
 
 
 # -- step application ----------------------------------------------------------
