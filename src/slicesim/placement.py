@@ -103,7 +103,8 @@ class Routes(Mapping):
     count, and the nodes in the order the sweep reached them. It reads as
     the dict {node: path} in that order would: src maps to (), every other
     reached node to its node sequence from src, and an unreached node is
-    missing. A path is built from the parents on its first read and kept.
+    missing. A path is built from the parents on its first read and kept,
+    with the paths of the ancestors it passes.
     """
 
     __slots__ = ("_order", "_parent", "_hops", "_servers", "_paths",
@@ -117,15 +118,22 @@ class Routes(Mapping):
         self._closeness = None
 
     def get(self, node, default=None):
-        path = self._paths.get(node)
+        paths = self._paths
+        path = paths.get(node)
         if path is None:
-            h = self._reached(node)
-            if h is None:
+            if self._reached(node) is None:
                 return default
-            parent, path = self._parent, [node] * (h + 1)
-            for i in range(h - 1, -1, -1):
-                path[i] = parent[path[i + 1]]
-            path = self._paths[node] = tuple(path)
+            # up to the nearest ancestor with a kept path, then back down,
+            # keeping the path of each node passed; int() turns an index
+            # such as a numpy integer into the id the sweep's paths hold
+            parent, chain, node = self._parent, [], int(node)
+            while path is None:
+                chain.append(node)
+                node = parent[node]
+                path = paths.get(node)
+            path = path or (node,)      # src's own path is ()
+            for node in reversed(chain):
+                path = paths[node] = path + (node,)
         return path
 
     def _reached(self, node):

@@ -114,6 +114,7 @@ def test_routes_read_as_the_dict_sweep():
                     assert (node in paths) == (node in want)
                     if node in want:
                         assert paths[node] is paths[node] == want[node]
+                        assert {type(x) for x in paths[node]} <= {int}
                     else:
                         with pytest.raises(KeyError):
                             paths[node]
