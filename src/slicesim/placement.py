@@ -105,43 +105,55 @@ class Routes(Mapping):
     reached node to its node sequence from src, and an unreached node is
     missing. A path is built from the parents on its first read and kept,
     with the paths of the ancestors it passes.
+
+    `closeness` is delta_c onto each of the substrate's servers, in
+    `servers` order: 1/hops, 1.0 at src, None where unreached. It is
+    computed from the hop counts on its first read and then kept in its
+    slot, so later reads cost a plain attribute read.
     """
 
     __slots__ = ("_order", "_parent", "_hops", "_servers", "_paths",
-                 "_closeness")
+                 "closeness")
 
     def __init__(self, src: int, order: list, parent: list, hops: list,
                  servers: list):
         self._order, self._parent, self._hops = order, parent, hops
         self._servers = servers
         self._paths = {src: ()}
-        self._closeness = None
 
     def get(self, node, default=None):
         paths = self._paths
         path = paths.get(node)
-        if path is None:
-            if self._reached(node) is None:
-                return default
-            # up to the nearest ancestor with a kept path, then back down,
-            # keeping the path of each node passed; int() turns an index
-            # such as a numpy integer into the id the sweep's paths hold
-            parent, chain, node = self._parent, [], int(node)
-            while path is None:
-                chain.append(node)
-                node = parent[node]
-                path = paths.get(node)
-            path = path or (node,)      # src's own path is ()
-            for node in reversed(chain):
-                path = paths[node] = path + (node,)
+        if path is not None:
+            return path
+        try:
+            up = self._parent[node] if node >= 0 else None
+        except (IndexError, TypeError):
+            return default
+        if up is None:                  # unreached (src's path is kept)
+            return default
+        # up to the nearest ancestor with a kept path, then back down,
+        # keeping the path of each node passed; int() turns an index such
+        # as a numpy integer into the id the sweep's paths hold
+        parent, chain = self._parent, [int(node)]
+        path = paths.get(up)
+        while path is None:
+            chain.append(up)
+            up = parent[up]
+            path = paths.get(up)
+        path = path or (up,)            # src's own path is ()
+        for node in reversed(chain):
+            path = paths[node] = path + (node,)
         return path
 
-    def _reached(self, node):
-        """node's hop count, None when the sweep did not reach it."""
-        try:
-            return self._hops[node] if node >= 0 else None
-        except (IndexError, TypeError):
-            return None
+    def __getattr__(self, name):
+        # runs only while the closeness slot is unset
+        if name != "closeness":
+            raise AttributeError(name)
+        self.closeness = closeness = [
+            None if h is None else 1.0 / h if h else 1.0
+            for h in map(self._hops.__getitem__, self._servers)]
+        return closeness
 
     def __getitem__(self, node) -> tuple:
         path = self.get(node)
@@ -150,23 +162,16 @@ class Routes(Mapping):
         return path
 
     def __contains__(self, node) -> bool:
-        return self._reached(node) is not None
+        try:
+            return node >= 0 and self._hops[node] is not None
+        except (IndexError, TypeError):
+            return False
 
     def __iter__(self):
         return iter(self._order)
 
     def __len__(self) -> int:
         return len(self._order)
-
-    @property
-    def closeness(self) -> list:
-        """delta_c onto each of the substrate's servers, in `servers`
-        order: 1/hops, 1.0 at src, None where unreached."""
-        if self._closeness is None:
-            self._closeness = [None if h is None else 1.0 / h if h else 1.0
-                               for h in map(self._hops.__getitem__,
-                                            self._servers)]
-        return self._closeness
 
 
 def path_closeness(path: tuple) -> float:
@@ -247,7 +252,8 @@ def _evaluate(state: PlacementEpisodeState, net: SubstrateNetwork, target: int,
     if not state.hosts:
         return ()
     if paths is not None:
-        return paths.get(target)
+        # a path read before is kept; get builds the others
+        return paths._paths.get(target) or paths.get(target)
     return route(net, state.hosts[-1], target, req.bw)
 
 
